@@ -12,8 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rng, serialize
@@ -57,14 +55,6 @@ from .stats import (
 )
 
 ENV_SEED = "GROUPORDERS_SEED"
-
-
-@dataclass
-class RunConfig:
-    seed: int
-    size_limit: int
-    timeout_seconds: float
-    output_format: str = "json"
 
 
 class UsageError(Exception):
@@ -114,16 +104,13 @@ def _parse_alpha(text: str) -> Sqrt2Num:
 def _add_common(p, with_seed=True):
     if with_seed:
         p.add_argument("--seed", type=int, default=None, help="64-bit seed")
-    p.add_argument("--size-limit", type=int, default=DEFAULT_SIZE_LIMIT)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
 
 
-def _config(args) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
-    return RunConfig(seed, args.size_limit, args.timeout)
+def _seed(args) -> int:
+    if args.seed is None:
+        return int(os.environ.get(ENV_SEED, "0"))
+    return args.seed
 
 
 def _load_sampler(args, window: Window):
@@ -172,8 +159,7 @@ def cmd_ball(args) -> int:
 
 def cmd_check_extend(args) -> int:
     cs = serialize.system_from_json(_read_json(args.system))
-    cfg = _config(args)
-    cert = solve(cs, timeout=cfg.timeout_seconds, size_limit=cfg.size_limit)
+    cert = solve(cs, timeout=args.timeout, size_limit=args.size_limit)
     _write_text(
         args.output,
         serialize.canonical_dumps(serialize.certificate_to_json(cert)),
@@ -186,22 +172,11 @@ def cmd_verify_sl3(args) -> int:
         ["plain_left", "inverse_left"] if args.convention == "both" else [args.convention]
     )
     results = []
-
-    def run_one(conv: str):
-        inst = SL3Instance(args.q, tuple(args.n), args.trunc, conv)
-        cs = build_sl3_instance(inst)
-        cert = propagate_only(cs)
-        return conv, cs, cert
-
-    if args.jobs > 1 and len(conventions) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run_one, conventions))
-    else:
-        outcomes = [run_one(c) for c in conventions]
-
     any_unsat = False
     artifacts_written = False
-    for conv, cs, cert in outcomes:
+    for conv in conventions:
+        cs = build_sl3_instance(SL3Instance(args.q, tuple(args.n), args.trunc, conv))
+        cert = propagate_only(cs)
         if cert is None:
             results.append(
                 {"convention": conv, "verdict": "inconclusive", "atoms": len(cs.atoms)}
@@ -246,14 +221,9 @@ def cmd_verify_sl3(args) -> int:
 
 def cmd_sample(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
-    cfg = _config(args)
     sampler = _load_sampler(args, window)
-    seeds = [rng.derive_seed(cfg.seed, "sample", i) for i in range(args.count)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            orders = list(pool.map(sampler, seeds))
-    else:
-        orders = [sampler(s) for s in seeds]
+    seed = _seed(args)
+    orders = [sampler(rng.derive_seed(seed, "sample", i)) for i in range(args.count)]
     lines = [
         serialize.canonical_dumps(
             {"format": serialize.FORMAT_VERSION, "window": serialize.window_to_json(window)}
@@ -261,10 +231,7 @@ def cmd_sample(args) -> int:
     ]
     for m in orders:
         if args.encoding == "perm":
-            ranks = m.ranks()
-            lines.append(
-                json.dumps(sorted(range(m.n), key=ranks.__getitem__)) + "\n"
-            )
+            lines.append(json.dumps(m.perm()) + "\n")
         else:
             record = {
                 "format": serialize.FORMAT_VERSION,
@@ -283,13 +250,12 @@ def _load_probe(args, window: Window) -> Window:
 
 def cmd_estimate(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
-    cfg = _config(args)
     sampler = _load_sampler(args, window)
     cyl_data = _read_json(args.cylinder)
     D = serialize.window_from_json(cyl_data["window"])
     pattern = serialize.order_from_json(cyl_data["pattern"], window=D)
     c = CylinderSpec(D, pattern)
-    report = estimate_cylinder(sampler, c, args.count, cfg.seed)
+    report = estimate_cylinder(sampler, c, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
     lines.append(
         f"{pattern_id(c)},{report.hits},{float(report.frequency)!r},{report.stderr!r}\n"
@@ -300,11 +266,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_invariance(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
-    cfg = _config(args)
     sampler = _load_sampler(args, window)
     D = _load_probe(args, window)
     g = make_element(window.group, json.loads(args.element))
-    report = invariance_test(sampler, g, D, args.count, cfg.seed)
+    report = invariance_test(sampler, g, D, args.count, _seed(args))
     lines = ["pattern_id,count_base,count_translated,freq_base,freq_translated\n"]
     for pid, cb, ct, fb, ft in report.rows():
         lines.append(f"{pid},{cb},{ct},{fb!r},{ft!r}\n")
@@ -315,10 +280,9 @@ def cmd_invariance(args) -> int:
 
 def cmd_chisq(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
-    cfg = _config(args)
     sampler = _load_sampler(args, window)
     F = _load_probe(args, window)
-    report = uniformity_chisq(sampler, F, args.count, cfg.seed)
+    report = uniformity_chisq(sampler, F, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
     for pid, cnt in enumerate(report.counts):
         freq = cnt / args.count
@@ -350,11 +314,11 @@ def cmd_glue(args) -> int:
 
 def cmd_realize(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
-    cfg = _config(args)
+    seed = _seed(args)
     if args.action == "rotation":
         alpha = _parse_alpha(args.alpha) if args.alpha else Sqrt2Num(Fraction(-1), Fraction(1))
         action = rotation_action(alpha)
-        point = _parse_fraction(args.x) if args.x else rng.unit_fraction(cfg.seed, "point")
+        point = _parse_fraction(args.x) if args.x else rng.unit_fraction(seed, "point")
     elif args.action == "torus":
         if not args.alphas:
             raise UsageError("torus action needs --alphas 'a,b;a,b;...'")
@@ -363,11 +327,11 @@ def cmd_realize(args) -> int:
             point = tuple(_parse_fraction(t) for t in args.x.split(","))
         else:
             point = tuple(
-                rng.unit_fraction(cfg.seed, "point", i) for i in range(action.dim)
+                rng.unit_fraction(seed, "point", i) for i in range(action.dim)
             )
     elif args.action == "bernoulli":
         action = bernoulli_action(window.group.n if window.group.kind == "zn" else 0)
-        point = args.point_seed if args.point_seed is not None else cfg.seed
+        point = args.point_seed if args.point_seed is not None else seed
     else:
         raise UsageError(f"unknown action {args.action!r}")
     m = realize(action, point, window)
@@ -415,11 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group", help="z2, zn:4, heis, or sl3")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--generators", help="JSON file with custom generators")
+    p.add_argument("--size-limit", type=int, default=DEFAULT_SIZE_LIMIT)
     _add_common(p, with_seed=False)
     p.set_defaults(handler=cmd_ball)
 
     p = sub.add_parser("check-extend", help="solve a constraint system file")
     p.add_argument("system")
+    p.add_argument("--size-limit", type=int, default=DEFAULT_SIZE_LIMIT)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p, with_seed=False)
     p.set_defaults(handler=cmd_check_extend)
 
@@ -432,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["plain_left", "inverse_left", "both"],
         default="both",
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--certificate-out")
     p.add_argument("--system-out")
     _add_common(p, with_seed=False)
@@ -448,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("window")
     p.add_argument("-N", "--count", type=int, required=True)
     p.add_argument("--encoding", choices=["perm", "pairs"], default="perm")
-    p.add_argument("--jobs", type=int, default=1)
     add_sampler_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_sample)

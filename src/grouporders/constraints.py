@@ -11,6 +11,7 @@ and never made in floating point.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -234,9 +235,10 @@ class LinearFunctionalOrder:
         raise AssertionError("unreachable: distinct payloads")
 
     def window_order(self, window: Window) -> OrderMatrix:
-        return OrderMatrix.from_compare(
-            window, lambda a, b: self.compare(a, b) is Comparison.LESS
+        key = functools.cmp_to_key(
+            lambda a, b: -1 if self.compare(a, b) is Comparison.LESS else 1
         )
+        return OrderMatrix.from_keys(window, [key(g) for g in window])
 
 
 def functional_order_compare(

@@ -8,14 +8,16 @@ step closes a cycle.  Propagation runs in synchronous rounds (path length
 doubles per round), so short consequences always enter the trace before any
 long cycle can close it.
 
-A SAT answer carries a total closed witness.  Branching picks the lowest
-undecided index pair and asserts i < j first; adding an undecided pair to a
-transitively closed acyclic relation can never create a cycle, so for pair
-atoms the branching phase never backtracks once propagation succeeds.
+A SAT answer carries a total closed witness: the linear extension that
+places index 0 as low as the atoms allow, then index 1, and so on.  It is
+built from the top down, giving the next-highest rank to the largest index
+with nothing left above it (Kahn's topological sort with a max-heap); the
+atoms are cyclic exactly when that sort runs out of candidates early.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -131,63 +133,42 @@ def propagate_only(cs: ConstraintSystem) -> Optional[Certificate]:
     return None
 
 
-def _closure_rows(n: int, atoms) -> Optional[list[int]]:
-    """Bitset transitive closure; None when it violates antisymmetry."""
-    rows = [0] * n
-    for i, j in atoms:
-        rows[i] |= 1 << j
-    for k in range(n):
-        rk = rows[k]
-        if not rk:
-            continue
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
-    for i in range(n):
-        if rows[i] >> i & 1:
-            return None
-    for i, j in atoms:
-        if rows[j] >> i & 1:
-            return None
-    # antisymmetry of the full closure follows from acyclicity: a mutual
-    # pair would give a cycle and hence a diagonal bit
-    return rows
-
-
 def solve(
     cs: ConstraintSystem,
     timeout: float = DEFAULT_TIMEOUT,
     size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> Certificate:
-    """Decide the system by propagation plus deterministic branching."""
+    """Decide the system: a topological-sort witness, or the propagation
+    trace of a cycle."""
     n = len(cs.window)
     if n > size_limit:
         raise SizeLimitExceeded(f"window of {n} elements exceeds the cap")
     deadline = time.monotonic() + timeout
-    rows = _closure_rows(n, cs.atoms)
-    if rows is None:
-        cert = propagate_only(cs)
-        if cert is None:
-            raise AssertionError("bitset closure and tracer disagree on UNSAT")
-        return cert
-    # branching: lowest undecided pair, i < j asserted first.  The input is
-    # already closed and acyclic, so each assertion extends it consistently.
-    for i in range(n):
+    below: list[list[int]] = [[] for _ in range(n)]
+    above = [0] * n
+    for i, j in cs.atoms:
+        below[j].append(i)
+        above[i] += 1
+    heap = [-i for i in range(n) if not above[i]]
+    heapq.heapify(heap)
+    ranks = [0] * n
+    rank = n
+    while heap:
         if time.monotonic() > deadline:
             raise SolveTimeout(f"solve exceeded {timeout} s")
-        for j in range(i + 1, n):
-            if rows[i] >> j & 1 or rows[j] >> i & 1:
-                continue
-            reach = rows[j] | 1 << j
-            for t in range(n):
-                if t == i or rows[t] >> i & 1:
-                    rows[t] |= reach
-    ranks = [0] * n
-    for i in range(n):
-        ranks[i] = n - 1 - rows[i].bit_count()
-    witness = OrderMatrix.from_ranks(cs.window, ranks)
-    return Certificate("sat", witness)
+        j = -heapq.heappop(heap)
+        rank -= 1
+        ranks[j] = rank
+        for i in below[j]:
+            above[i] -= 1
+            if not above[i]:
+                heapq.heappush(heap, -i)
+    if rank:
+        cert = propagate_only(cs)
+        if cert is None:
+            raise AssertionError("topological sort and tracer disagree on UNSAT")
+        return cert
+    return Certificate("sat", OrderMatrix.from_ranks(cs.window, ranks))
 
 
 def verify_certificate(cs: ConstraintSystem, cert: Certificate) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,20 +63,14 @@ class OrderMatrix:
         return cls(window, rows=[0] * len(window), closed=True)
 
     @classmethod
-    def from_compare(cls, window: Window, less: Callable[[GroupElement, GroupElement], bool]) -> "OrderMatrix":
-        """Total order induced by an exact strict comparator."""
-        import functools
+    def from_perm(cls, window: Window, perm: Sequence[int]) -> "OrderMatrix":
+        """Total order listing window indices from smallest to largest."""
+        return cls.from_ranks(window, _invert(perm))
 
-        idx = sorted(
-            range(len(window)),
-            key=functools.cmp_to_key(
-                lambda a, b: -1 if less(window.element(a), window.element(b)) else 1
-            ),
-        )
-        ranks = [0] * len(window)
-        for r, i in enumerate(idx):
-            ranks[i] = r
-        return cls.from_ranks(window, ranks)
+    @classmethod
+    def from_keys(cls, window: Window, keys: Sequence) -> "OrderMatrix":
+        """Total order ranking index i by keys[i]; keys must be distinct."""
+        return cls.from_perm(window, sorted(range(len(window)), key=keys.__getitem__))
 
     # -- queries ------------------------------------------------------
 
@@ -94,7 +88,7 @@ class OrderMatrix:
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         if self._ranks is not None:
-            order = sorted(range(self.n), key=self._ranks.__getitem__)
+            order = self.perm()
             for a in range(len(order)):
                 for b in range(a + 1, len(order)):
                     yield (order[a], order[b])
@@ -120,9 +114,8 @@ class OrderMatrix:
                 f"dense matrix for {self.n} elements exceeds the {MAX_DENSE_ELEMENTS} cap"
             )
         rows = [0] * self.n
-        order = sorted(range(self.n), key=self._ranks.__getitem__)
         suffix = 0
-        for i in reversed(order):
+        for i in reversed(self.perm()):
             rows[i] = suffix
             suffix |= 1 << i
         return rows
@@ -142,6 +135,10 @@ class OrderMatrix:
             raise NotTotal("order is not total")
         return ranks
 
+    def perm(self) -> list[int]:
+        """Window indices of a total closed order, smallest first."""
+        return _invert(self.ranks())
+
     def __eq__(self, other):
         if not isinstance(other, OrderMatrix):
             return NotImplemented
@@ -156,6 +153,14 @@ class OrderMatrix:
     def __repr__(self):
         kind = "total" if self._ranks is not None else f"{self.decided_count()} pairs"
         return f"OrderMatrix({self.window!r}, {kind}, closed={self.closed})"
+
+
+def _invert(perm: Sequence[int]) -> list[int]:
+    """Inverse permutation: turns a perm into ranks and ranks into a perm."""
+    inv = [0] * len(perm)
+    for r, i in enumerate(perm):
+        inv[i] = r
+    return inv
 
 
 def _find_cycle(rows: list[int], start: int, goal: int) -> list[int]:

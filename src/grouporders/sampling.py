@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import rng
-from .exactnum import Sqrt2Num, _coerce
+from .exactnum import Sqrt2Num, _coerce, _floor_ratio
 from .errors import (
     DomainNotCovered,
     InnerOrderIncomplete,
@@ -36,29 +37,11 @@ KEY_BITS = 64
 _MASK = (1 << KEY_BITS) - 1
 
 
-def _draw_distinct(seed: int, tag: str, keys: Sequence[bytes]) -> list[int]:
-    """One 64-bit value per key; collisions resample in list order."""
-    used = set()
-    out = []
-    for key in keys:
-        attempt = 0
-        v = rng.u64(seed, tag, key, attempt)
-        while v in used:
-            attempt += 1
-            v = rng.u64(seed, tag, key, attempt)
-        used.add(v)
-        out.append(v)
-    return out
-
-
 def uniform_order(w: Window, seed: int) -> OrderMatrix:
-    """Total order from iid uniform values, one per window element."""
-    values = _draw_distinct(seed, "elem", [element_key(g) for g in w])
-    idx = sorted(range(len(w)), key=values.__getitem__)
-    ranks = [0] * len(w)
-    for r, i in enumerate(idx):
-        ranks[i] = r
-    return OrderMatrix.from_ranks(w, ranks)
+    """Total order from iid uniform values, one per window element; equal
+    values fall back to the elements' canonical encodings."""
+    eks = [element_key(g) for g in w]
+    return OrderMatrix.from_keys(w, [(rng.u64(seed, "elem", ek, 0), ek) for ek in eks])
 
 
 def _spot_check_subgroup(w: Window, member: Callable[[GroupElement], bool], cap: int = 2000):
@@ -119,18 +102,16 @@ def coset_extension(
             reps.append(target)
         rep_of.append(reps.index(target))
 
-    labels = _draw_distinct(seed, "coset", [element_key(r) for r in reps])
+    # equal labels fall back to the representatives' canonical encodings
+    eks = [element_key(r) for r in reps]
+    labels = [(rng.u64(seed, "coset", ek, 0), ek) for ek in eks]
     keys = []
     for pos, g in enumerate(w):
         t = multiply(inverse(reps[rep_of[pos]]), g)
         if t.payload not in inner_rank:
             raise InnerOrderIncomplete(f"inner order does not cover {t!r}")
-        keys.append((labels[rep_of[pos]], inner_rank[t.payload]))
-    idx = sorted(range(len(w)), key=keys.__getitem__)
-    ranks = [0] * len(w)
-    for r, i in enumerate(idx):
-        ranks[i] = r
-    return OrderMatrix.from_ranks(w, ranks)
+        keys.append((*labels[rep_of[pos]], inner_rank[t.payload]))
+    return OrderMatrix.from_keys(w, keys)
 
 
 def specification_glue(
@@ -158,11 +139,7 @@ def specification_glue(
         (0, r1[i]) if marked[i] else (1, r2[i])
         for i in range(len(w))
     ]
-    idx = sorted(range(len(w)), key=keys.__getitem__)
-    ranks = [0] * len(w)
-    for r, i in enumerate(idx):
-        ranks[i] = r
-    return OrderMatrix.from_ranks(w, ranks)
+    return OrderMatrix.from_keys(w, keys)
 
 
 def shadowing_report(
@@ -251,12 +228,11 @@ def bernoulli_action(dim: int) -> ActionSpec:
     return ActionSpec(BERNOULLI_SHIFT, dim)
 
 
-def _ranks_from_keys(
-    w: Window,
+def _sorted_by_keys(
     keys: list[int],
     exact: Optional[Callable[[int], Sqrt2Num]],
 ) -> list[int]:
-    """Ranks by integer key; equal keys fall back to exact comparison.
+    """Positions sorted by integer key; equal keys fall back to exact comparison.
 
     ``exact(i)`` must return the exact value whose key ties; ties in the
     exact values signal a non-free point.
@@ -274,7 +250,7 @@ def _ranks_from_keys(
             stop += 1
         if exact is None:
             raise StabilizerCollision(
-                f"orbit values collide at window positions {order[pos:stop]}"
+                f"keys collide at positions {order[pos:stop]}"
             )
         block = order[pos:stop]
         import functools
@@ -285,87 +261,59 @@ def _ranks_from_keys(
                 raise StabilizerCollision("orbit values collide")
         order[pos:stop] = block
         pos = stop
-    ranks = [0] * len(w)
-    for r, i in enumerate(order):
-        ranks[i] = r
-    return ranks
+    return order
+
+
+def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
+    """Positions of ks sorted by frac(x + k*alpha), decided exactly."""
+    # with L the common denominator, the orbit value at k is
+    # ((ax0 + k*astep) + (cx0 + k*cstep) * sqrt2) / L
+    L = lcm(
+        x.rational.denominator,
+        x.root2.denominator,
+        alpha.rational.denominator,
+        alpha.root2.denominator,
+    )
+    ax0 = x.rational.numerator * (L // x.rational.denominator)
+    cx0 = x.root2.numerator * (L // x.root2.denominator)
+    astep = alpha.rational.numerator * (L // alpha.rational.denominator)
+    cstep = alpha.root2.numerator * (L // alpha.root2.denominator)
+    keys, floors = [], []
+    for k in ks:
+        scaled = _floor_ratio((ax0 + k * astep) << KEY_BITS, (cx0 + k * cstep) << KEY_BITS, L)
+        keys.append(scaled & _MASK)
+        floors.append(scaled >> KEY_BITS)
+
+    def exact(i):  # key collisions compare exact fractional parts
+        return x + alpha * ks[i] - floors[i]
+
+    return _sorted_by_keys(keys, exact)
 
 
 def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
     """Order the window by exact orbit values: g comes before h when the
-    g-image of the point precedes the h-image."""
+    g-image of the point precedes the h-image.
+
+    A torus rotation compares orbit values lexicographically, one circle per
+    coordinate; the circle rotation is its one-dimensional case.
+    """
     group = w.group
     if action.kind == BERNOULLI_SHIFT:
         seed = rng.check_seed(int(point))
         keys = [rng.u64(seed, "site", element_key(g)) for g in w]
-        if len(set(keys)) != len(keys):
-            raise StabilizerCollision("site labels collide")
-        return OrderMatrix.from_ranks(w, _ranks_from_keys(w, keys, None))
+        return OrderMatrix.from_perm(w, _sorted_by_keys(keys, None))
     if group.kind != "zn" or group.n != action.dim:
         raise ValueError(f"action needs a Z^{action.dim} window")
-    if action.kind == ROTATION:
-        x = _coerce(point)
-        alpha = action.alphas[0]
-        # integer hot path: with L the common denominator, the orbit value at
-        # k is ((ax0 + k*astep) + (cx0 + k*cstep) * sqrt2) / L
-        from math import isqrt, lcm
-
-        L = lcm(
-            x.rational.denominator,
-            x.root2.denominator,
-            alpha.rational.denominator,
-            alpha.root2.denominator,
-        )
-        ax0 = x.rational.numerator * (L // x.rational.denominator)
-        cx0 = x.root2.numerator * (L // x.root2.denominator)
-        astep = alpha.rational.numerator * (L // alpha.rational.denominator)
-        cstep = alpha.root2.numerator * (L // alpha.root2.denominator)
-        ks = [g.payload[0] for g in w]
-        keys, floors = [], []
-        for k in ks:
-            a = (ax0 + k * astep) << KEY_BITS
-            c = (cx0 + k * cstep) << KEY_BITS
-            if c > 0:
-                e = isqrt(2 * c * c)
-            elif c < 0:
-                e = -isqrt(2 * c * c) - 1
-            else:
-                e = 0
-            scaled = (a + e) // L
-            keys.append(scaled & _MASK)
-            floors.append(scaled >> KEY_BITS)
-
-        def exact(i):  # key collisions compare exact fractional parts
-            return x + alpha * ks[i] - floors[i]
-
-        return OrderMatrix.from_ranks(w, _ranks_from_keys(w, keys, exact))
-    # torus: one circle per coordinate, values compared lexicographically
-    xs = [_coerce(c) for c in point]
+    xs = [_coerce(point)] if action.kind == ROTATION else [_coerce(c) for c in point]
     if len(xs) != action.dim:
         raise ValueError("point dimension mismatch")
-    per_coord = []
-    for c in range(action.dim):
-        col_keys = []
-        col_fracs = []
-        for g in w:
-            v = xs[c] + action.alphas[c] * g.payload[c]
-            col_keys.append(v.scaled_floor(KEY_BITS) & _MASK)
-            col_fracs.append(v - v.floor())
-        per_coord.append((col_keys, col_fracs))
-    combined = [
-        tuple(per_coord[c][0][i] for c in range(action.dim)) for i in range(len(w))
-    ]
-    order = sorted(range(len(w)), key=combined.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if combined[a] == combined[b]:
-            exact_a = tuple(per_coord[c][1][a] for c in range(action.dim))
-            exact_b = tuple(per_coord[c][1][b] for c in range(action.dim))
-            if exact_a == exact_b:
-                raise StabilizerCollision("orbit values collide")
-    ranks = [0] * len(w)
-    for r, i in enumerate(order):
-        ranks[i] = r
-    return OrderMatrix.from_ranks(w, ranks)
+    keys = [0] * len(w)
+    for c, (x, alpha) in enumerate(zip(xs, action.alphas)):
+        ks = sorted({g.payload[c] for g in w})
+        rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
+        base = len(ks)
+        keys = [key * base + rank_of[g.payload[c]] for key, g in zip(keys, w)]
+    return OrderMatrix.from_keys(w, keys)
 
 
 CESARO_INTERVAL = "cesaro_interval"

@@ -108,9 +108,7 @@ def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
     if include_window:
         out["window"] = window_to_json(m.window)
     if m.closed and is_total(m):
-        ranks = m.ranks()
-        perm = sorted(range(m.n), key=ranks.__getitem__)
-        out["perm"] = perm
+        out["perm"] = m.perm()
     else:
         out["pairs"] = sorted(m.pairs())
     return out
@@ -120,11 +118,7 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
     if window is None:
         window = window_from_json(obj["window"])
     if "perm" in obj:
-        perm = obj["perm"]
-        ranks = [0] * len(perm)
-        for r, i in enumerate(perm):
-            ranks[i] = r
-        return OrderMatrix.from_ranks(window, ranks)
+        return OrderMatrix.from_perm(window, obj["perm"])
     return OrderMatrix.from_pairs(
         window, [tuple(p) for p in obj["pairs"]], closed=bool(obj.get("closed"))
     )

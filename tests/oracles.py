@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's code paths: plain-loop 3x3 matrix
-products, word enumeration for balls, permutation scans for satisfiability,
-and high-precision decimal arithmetic for rotation values.
+products, word enumeration for balls, permutation scans and a bitset
+closure with branching for satisfiability, and high-precision decimal
+arithmetic for rotation values.
 """
 
 import itertools
@@ -75,6 +76,35 @@ def satisfiable_by_enumeration(n, atoms):
         if all(ranks[i] < ranks[j] for i, j in atoms):
             return True
     return False
+
+
+def solve_by_closure_branching(n, atoms):
+    """Witness ranks of the bitset closure-and-branching solver, or None when
+    the atoms are cyclic.
+
+    After closing the atoms it visits index pairs in order, lowest first, and
+    asserts i < j for each pair still undecided; adding an undecided pair to a
+    closed acyclic relation never creates a cycle, so it never backtracks.
+    """
+    rows = [0] * n
+    for i, j in atoms:
+        rows[i] |= 1 << j
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rows[k]
+    if any(rows[i] >> i & 1 for i in range(n)):
+        return None
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i] >> j & 1 or rows[j] >> i & 1:
+                continue
+            reach = rows[j] | 1 << j
+            for t in range(n):
+                if t == i or rows[t] >> i & 1:
+                    rows[t] |= reach
+    return [n - 1 - rows[i].bit_count() for i in range(n)]
 
 
 def rotation_fraction_decimal(x, k, alpha_rat, alpha_root2):

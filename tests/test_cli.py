@@ -59,6 +59,29 @@ def test_check_extend_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_budget_flags_only_where_honoured(tmp_path, capsys):
+    w = ball(default_generators(zn(2)), 3)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    sl3 = ["verify-sl3", "--q", "1", "--n", "2", "2", "2", "2", "2", "2", "--trunc", "3"]
+    for argv in (
+        ["sample", wfile, "-N", "1", "--jobs", "2"],
+        [*sl3, "--jobs", "2"],
+        ["sample", wfile, "-N", "1", "--timeout", "5"],
+        ["sample", wfile, "-N", "1", "--size-limit", "5"],
+        [*sl3, "--timeout", "5"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err
+    cs = build_extension_system(w, quadrant_order(2))
+    sys_file = write(tmp_path / "sys.json", ser.system_to_json(cs))
+    code, out, _ = run(capsys, "check-extend", sys_file, "--timeout", "60", "--size-limit", "25")
+    assert code == 0 and json.loads(out)["verdict"] == "sat"
+    code, _, err = run(capsys, "check-extend", sys_file, "--size-limit", "24")
+    assert code == 2 and "SizeLimitExceeded" in err
+    code, _, err = run(capsys, "check-extend", sys_file, "--timeout", "-1")
+    assert code == 2 and "SolveTimeout" in err
+
+
 def test_verify_sl3(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run(

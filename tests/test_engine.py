@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from grouporders import (
@@ -39,6 +40,34 @@ def random_system(rnd: random.Random, max_elems: int = 6) -> ConstraintSystem:
         if i != j:
             atoms.add((i, j))
     return ConstraintSystem(w, tuple(sorted(atoms)))
+
+
+@st.composite
+def pair_systems(draw):
+    """Atoms oriented by a hidden permutation, plus a few random ones that
+    may close cycles."""
+    n = draw(st.integers(1, 40))
+    hidden = draw(st.permutations(range(n)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    atoms = {
+        (i, j) if hidden[i] < hidden[j] else (j, i)
+        for i, j in draw(st.lists(pair, max_size=3 * n))
+        if i != j
+    }
+    atoms |= {(i, j) for i, j in draw(st.lists(pair, max_size=3)) if i != j}
+    return ConstraintSystem(interval_window(0, n), tuple(sorted(atoms)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair_systems())
+def test_solve_matches_closure_branching_reference(cs):
+    cert = solve(cs)
+    assert verify_certificate(cs, cert)
+    expected = oracles.solve_by_closure_branching(len(cs.window), cs.atoms)
+    if expected is None:
+        assert cert.verdict == "unsat"
+    else:
+        assert cert.verdict == "sat" and cert.witness.ranks() == expected
 
 
 def test_solve_quadrant_system_sat_with_lex_witness():

@@ -34,8 +34,9 @@ from grouporders import (
     zn,
     zn_element,
 )
+from grouporders import rng, sampling
 from grouporders.rng import unit_fraction
-from grouporders.sampling import _ranks_from_keys
+from grouporders.sampling import _sorted_by_keys
 
 W2 = ball(default_generators(zn(2)), 2)
 ALPHA = Sqrt2Num.of(-1, 1)  # sqrt(2) - 1
@@ -68,6 +69,20 @@ def test_uniform_order_window_inclusion_is_exact():
             for b in range(len(W2)):
                 if a != b:
                     assert m_small.has(a, b) == m_big.has(pos[a], pos[b])
+
+
+def test_uniform_order_inclusion_survives_value_collisions(monkeypatch):
+    # 2-bit draws tie constantly; equal values must break the same way in
+    # every window
+    u64 = rng.u64
+    monkeypatch.setattr(rng, "u64", lambda *parts: u64(*parts) & 3)
+    big = interval_window(-1, 3)
+    sub = interval_window(0, 2)
+    pos = [big.position(g) for g in sub]
+    for seed in range(30):
+        ranks = uniform_order(big, seed).ranks()
+        restricted = sorted(range(len(sub)), key=lambda a: ranks[pos[a]])
+        assert restricted == uniform_order(sub, seed).perm()
 
 
 def test_coset_extension_whole_group_returns_inner():
@@ -199,19 +214,36 @@ def test_realize_matches_translated_point():
 
 
 def test_ranks_from_keys_detects_exact_ties():
-    w = interval_window(0, 3)
     keys = [5, 5, 7]
     vals = [Sqrt2Num.of(1), Sqrt2Num.of(1), Sqrt2Num.of(2)]
     with pytest.raises(StabilizerCollision):
-        _ranks_from_keys(w, keys, lambda i: vals[i])
+        _sorted_by_keys(keys, lambda i: vals[i])
     with pytest.raises(StabilizerCollision):
-        _ranks_from_keys(w, keys, None)
+        _sorted_by_keys(keys, None)
 
 
-def test_realize_torus_lexicographic():
+def test_realize_torus_lexicographic(monkeypatch):
     act = torus_action([ALPHA, Sqrt2Num.of(0, 2)])
-    m = realize(act, (Fraction(1, 5), Fraction(2, 5)), W2)
+    x = (Fraction(1, 5), Fraction(2, 5))
+    m = realize(act, x, W2)
     assert is_total(m)
+    # with 3-bit keys most orbit values tie on their key; the exact values
+    # must still decide the lexicographic order
+    w = window_from_elements(
+        zn(2), [zn_element(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+    )
+    exact = [
+        tuple(
+            (Sqrt2Num.of(xc) + alpha * k).frac()
+            for xc, alpha, k in zip(x, act.alphas, g.payload)
+        )
+        for g in w
+    ]
+    expected = sorted(range(len(w)), key=exact.__getitem__)
+    assert realize(act, x, w).perm() == expected
+    monkeypatch.setattr(sampling, "KEY_BITS", 3)
+    monkeypatch.setattr(sampling, "_MASK", 7)
+    assert realize(act, x, w).perm() == expected
 
 
 def test_reconstruct_examples():
