@@ -42,10 +42,11 @@ from .sampling import (
     realize,
     reconstruct,
     rotation_action,
+    rotation_sampler,
     shadowing_report,
     specification_glue,
     torus_action,
-    uniform_order,
+    uniform_sampler,
 )
 from .stats import (
     estimate_cylinder,
@@ -116,7 +117,7 @@ def _seed(args) -> int:
 def _load_sampler(args, window: Window):
     kind = args.sampler
     if kind == "uniform":
-        return lambda s: uniform_order(window, s)
+        return uniform_sampler(window)
     if kind == "coset":
         if not args.inner_order:
             raise UsageError("coset sampler needs --inner-order")
@@ -133,8 +134,7 @@ def _load_sampler(args, window: Window):
         return lambda s: coset_extension(window, member, inner, s)
     if kind == "rotation":
         alpha = _parse_alpha(args.alpha) if args.alpha else Sqrt2Num(Fraction(-1), Fraction(1))
-        action = rotation_action(alpha)
-        return lambda s: realize(action, rng.unit_fraction(s, "point"), window)
+        return rotation_sampler(rotation_action(alpha), window)
     raise UsageError(f"unknown sampler {kind!r}")
 
 

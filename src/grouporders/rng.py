@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from hashlib import blake2b
+from typing import Iterable
 
 SEED_BITS = 64
 _SEP = b"\x1f"
@@ -30,14 +31,33 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def u64(seed: int, *parts) -> int:
-    """Uniform 64-bit draw for the stream named by ``parts``."""
+def _prefix(seed: int, parts) -> blake2b:
+    """BLAKE2b keyed by the seed with ``parts`` absorbed."""
     check_seed(seed)
     h = blake2b(key=seed.to_bytes(8, "little"), digest_size=8)
     for part in parts:
         h.update(_as_bytes(part))
         h.update(_SEP)
-    return int.from_bytes(h.digest(), "little")
+    return h
+
+
+def u64(seed: int, *parts) -> int:
+    """Uniform 64-bit draw for the stream named by ``parts``."""
+    return int.from_bytes(_prefix(seed, parts).digest(), "little")
+
+
+def u64_each(seed: int, head: tuple, items: Iterable, tail: tuple = ()) -> list[int]:
+    """``[u64(seed, *head, item, *tail) for item in items]``, keying the hash
+    and absorbing ``head`` once and copying that state per item (RFC 7693's
+    incremental interface)."""
+    h = _prefix(seed, head)
+    rest = _SEP + b"".join(_as_bytes(part) + _SEP for part in tail)
+    out = []
+    for item in items:
+        d = h.copy()
+        d.update(_as_bytes(item) + rest)
+        out.append(int.from_bytes(d.digest(), "little"))
+    return out
 
 
 def derive_seed(seed: int, *parts) -> int:

@@ -2,10 +2,13 @@
 
 The uniform order draws one 64-bit value per element from a counter-based
 stream keyed by the element's canonical encoding, so restricting a larger
-window reproduces the smaller window's order exactly.  Coset extension,
-gluing, and the dynamical realization map are deterministic given their
-inputs; orbit values of rotations are compared with exact quadratic-
-irrational arithmetic, never floating point.
+window reproduces the smaller window's order exactly.  The uniform and
+rotation samplers are projective: ``uniform_keys`` and ``orbit_keys`` key any
+elements, and a ``ProjectiveSampler`` lets statistics rank a probe set
+without drawing the whole window.  Coset extension, gluing, and the
+dynamical realization map are deterministic given their inputs; orbit values
+of rotations are compared with exact quadratic-irrational arithmetic, never
+floating point.
 """
 
 from __future__ import annotations
@@ -37,11 +40,46 @@ KEY_BITS = 64
 _MASK = (1 << KEY_BITS) - 1
 
 
+def uniform_keys(seed: int, elements: Iterable[GroupElement]) -> list[tuple[int, bytes]]:
+    """One (iid uniform 64-bit value, canonical encoding) key per element;
+    equal values fall back to the encodings."""
+    eks = [element_key(g) for g in elements]
+    return list(zip(rng.u64_each(seed, ("elem",), eks, (0,)), eks))
+
+
 def uniform_order(w: Window, seed: int) -> OrderMatrix:
-    """Total order from iid uniform values, one per window element; equal
-    values fall back to the elements' canonical encodings."""
-    eks = [element_key(g) for g in w]
-    return OrderMatrix.from_keys(w, [(rng.u64(seed, "elem", ek, 0), ek) for ek in eks])
+    """Total order from iid uniform values, one per window element."""
+    return OrderMatrix.from_keys(w, uniform_keys(seed, w))
+
+
+@dataclass(frozen=True)
+class ProjectiveSampler:
+    """A sampler whose draw on any elements depends only on the seed and
+    those elements.
+
+    ``keys(seed, elements)`` returns one key per element; sorting elements by
+    their keys orders them as the sample drawn from ``seed`` does.  Keys
+    compare only with keys of the same call.  Calling the sampler draws the
+    whole-window order.
+    """
+
+    window: Window
+    keys: Callable[[int, Sequence[GroupElement]], list]
+
+    def __call__(self, seed: int) -> OrderMatrix:
+        return OrderMatrix.from_keys(self.window, self.keys(seed, self.window))
+
+
+def uniform_sampler(w: Window) -> ProjectiveSampler:
+    return ProjectiveSampler(w, uniform_keys)
+
+
+def rotation_sampler(action: ActionSpec, w: Window) -> ProjectiveSampler:
+    """Realizations of the action at the point ``unit_fraction(seed, "point")``."""
+    _check_orbit_group(action, w.group)
+    return ProjectiveSampler(
+        w, lambda s, elements: orbit_keys(action, rng.unit_fraction(s, "point"), elements)
+    )
 
 
 def _spot_check_subgroup(w: Window, member: Callable[[GroupElement], bool], cap: int = 2000):
@@ -104,7 +142,7 @@ def coset_extension(
 
     # equal labels fall back to the representatives' canonical encodings
     eks = [element_key(r) for r in reps]
-    labels = [(rng.u64(seed, "coset", ek, 0), ek) for ek in eks]
+    labels = list(zip(rng.u64_each(seed, ("coset",), eks, (0,)), eks))
     keys = []
     for pos, g in enumerate(w):
         t = multiply(inverse(reps[rep_of[pos]]), g)
@@ -290,30 +328,43 @@ def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
     return _sorted_by_keys(keys, exact)
 
 
-def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
-    """Order the window by exact orbit values: g comes before h when the
-    g-image of the point precedes the h-image.
+def _check_orbit_group(action: ActionSpec, group) -> None:
+    if group.kind != "zn" or group.n != action.dim:
+        raise ValueError(f"action needs a Z^{action.dim} window")
+
+
+def orbit_keys(action: ActionSpec, point, elements: Sequence[GroupElement]) -> list[int]:
+    """One integer key per Z^d element: sorting by key orders the elements by
+    their exact orbit values under the rotation action.
 
     A torus rotation compares orbit values lexicographically, one circle per
     coordinate; the circle rotation is its one-dimensional case.
     """
-    group = w.group
     if action.kind == BERNOULLI_SHIFT:
-        seed = rng.check_seed(int(point))
-        keys = [rng.u64(seed, "site", element_key(g)) for g in w]
-        return OrderMatrix.from_perm(w, _sorted_by_keys(keys, None))
-    if group.kind != "zn" or group.n != action.dim:
-        raise ValueError(f"action needs a Z^{action.dim} window")
+        raise ValueError("a Bernoulli shift has no orbit keys")
+    for group in {g.group for g in elements}:
+        _check_orbit_group(action, group)
     xs = [_coerce(point)] if action.kind == ROTATION else [_coerce(c) for c in point]
     if len(xs) != action.dim:
         raise ValueError("point dimension mismatch")
-    keys = [0] * len(w)
+    keys = [0] * len(elements)
     for c, (x, alpha) in enumerate(zip(xs, action.alphas)):
-        ks = sorted({g.payload[c] for g in w})
+        ks = sorted({g.payload[c] for g in elements})
         rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
         base = len(ks)
-        keys = [key * base + rank_of[g.payload[c]] for key, g in zip(keys, w)]
-    return OrderMatrix.from_keys(w, keys)
+        keys = [key * base + rank_of[g.payload[c]] for key, g in zip(keys, elements)]
+    return keys
+
+
+def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
+    """Order the window by exact orbit values: g comes before h when the
+    g-image of the point precedes the h-image."""
+    if action.kind == BERNOULLI_SHIFT:
+        seed = rng.check_seed(int(point))
+        keys = rng.u64_each(seed, ("site",), [element_key(g) for g in w])
+        return OrderMatrix.from_perm(w, _sorted_by_keys(keys, None))
+    _check_orbit_group(action, w.group)
+    return OrderMatrix.from_keys(w, orbit_keys(action, point, w))
 
 
 CESARO_INTERVAL = "cesaro_interval"

@@ -1,11 +1,14 @@
 """Monte Carlo estimation of cylinder probabilities, invariance gaps, and
 ranking-uniformity chi-square tests.
 
-A sampler is any callable taking a 64-bit seed and returning an OrderMatrix
-whose window covers the sets being probed.  Per-sample seeds are derived
-sub-streams, so reports are deterministic given (seed, N).  The chi-square
-quantile is computed in-repo from the regularized incomplete gamma function
-(series + continued fraction), accurate to well below 1e-8.
+A sampler is either a ``ProjectiveSampler``, whose keys rank the probed
+elements of a sample without drawing the rest of its window, or any other
+callable taking a 64-bit seed and returning an OrderMatrix that is total on
+the probed elements of its window; both kinds give the same reports.
+Per-sample seeds are derived sub-streams, so reports are deterministic given
+(seed, N).  The chi-square quantile is computed in-repo from the regularized
+incomplete gamma function (series + continued fraction), accurate to well
+below 1e-8.
 """
 
 from __future__ import annotations
@@ -14,14 +17,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import rng
-from .errors import DomainNotCovered
-from .groups import GroupElement, Window
-from .orders import CylinderSpec, OrderMatrix, matches_cylinder, translate_order
+from .errors import DomainNotCovered, ElementNotInWindow, GroupMismatch
+from .groups import GroupElement, Window, inverse, multiply
+from .orders import CylinderSpec, OrderMatrix
+from .sampling import ProjectiveSampler
 
-Sampler = Callable[[int], OrderMatrix]
+Sampler = Union[ProjectiveSampler, Callable[[int], OrderMatrix]]
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,10 @@ def pattern_id(c: CylinderSpec) -> int:
 
 def ranking_of(m: OrderMatrix, F: Window) -> tuple[int, ...]:
     """Relative ranks of F's elements (window-index order) inside m."""
-    positions = [m.window.position(x) for x in F]
+    return _ranks_at(m, [m.window.position(x) for x in F])
+
+
+def _ranks_at(m: OrderMatrix, positions: Sequence[int]) -> tuple[int, ...]:
     k = len(positions)
     ranks = []
     for a in range(k):
@@ -82,13 +89,74 @@ def ranking_of(m: OrderMatrix, F: Window) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def estimate_cylinder(sampler: Sampler, c: CylinderSpec, N: int, seed: int) -> EstimateReport:
+def _positions(w: Window, F: Sequence[GroupElement], missing: type) -> list[int]:
+    positions = []
+    for x in F:
+        p = w.find(x)
+        if p is None:
+            raise missing(f"{x!r} not in the sampled window")
+        positions.append(p)
+    return positions
+
+
+def _probe_positions(
+    w: Window, F: Sequence[GroupElement], missing: type, shift: Optional[GroupElement]
+) -> list[list[int]]:
+    """Window positions of F, and with ``shift`` = g also of g^-1 F.
+
+    An element of F outside w raises ``missing``; one of g^-1 F raises
+    DomainNotCovered, as an undecided pair of the g-translate would.
+    """
+    probes = [_positions(w, F, missing)]
+    if shift is not None:
+        if shift.group != w.group:
+            raise GroupMismatch("translation element from a different group")
+        if len(F) > 1:  # a single element ranks first wherever its preimage lies
+            ginv = inverse(shift)
+            shifted = [multiply(ginv, w.element(p)) for p in probes[0]]
+            probes.append(_positions(w, shifted, DomainNotCovered))
+    return probes
+
+
+def _probe_rankings(
+    sampler: Sampler,
+    F: Sequence[GroupElement],
+    missing: type,
+    N: int,
+    seed: int,
+    shift: Optional[GroupElement] = None,
+) -> Iterator[list[tuple[int, ...]]]:
+    """For each of the N samples, the relative ranks of F (and of g^-1 F,
+    see ``_probe_positions``).
+
+    A ProjectiveSampler keys only the probed window elements, in one call
+    per sample; any other sampler draws its whole order and is read at the
+    probe positions.
+    """
     if N < 1:
         raise ValueError("need at least one sample")
-    hits = 0
+    k = len(F)
+    keyed = isinstance(sampler, ProjectiveSampler)
+    if keyed:
+        w = sampler.window
+        probes = _probe_positions(w, F, missing, shift)
+        elements = [w.element(p) for positions in probes for p in positions]
     for i in range(N):
-        m = sampler(rng.derive_seed(seed, "sample", i))
-        if matches_cylinder(m, c):
+        sample_seed = rng.derive_seed(seed, "sample", i)
+        if keyed:
+            keys = sampler.keys(sample_seed, elements)
+            blocks = [keys[j * k : (j + 1) * k] for j in range(len(probes))]
+            yield [tuple(sum(b < a for b in block) for a in block) for block in blocks]
+        else:
+            m = sampler(sample_seed)
+            yield [_ranks_at(m, ps) for ps in _probe_positions(m.window, F, missing, shift)]
+
+
+def estimate_cylinder(sampler: Sampler, c: CylinderSpec, N: int, seed: int) -> EstimateReport:
+    target = tuple(c.pattern.ranks())
+    hits = 0
+    for (ranks,) in _probe_rankings(sampler, c.window, DomainNotCovered, N, seed):
+        if ranks == target:
             hits += 1
     freq = Fraction(hits, N)
     p = hits / N
@@ -118,16 +186,19 @@ def invariance_test(
     sampler: Sampler, g: GroupElement, D: Window, N: int, seed: int
 ) -> InvarianceReport:
     """Largest frequency gap, over all total patterns on D, between plain
-    samples and their g-translates (paired: the same samples are reused)."""
+    samples and their g-translates (paired: the same samples are reused).
+
+    The g-translate ranks D as the sample ranks g^-1 D, so the sample is
+    read on D and on g^-1 D.
+    """
     if len(D) > 4:
         raise ValueError("pattern enumeration is capped at |D| = 4")
     k = math.factorial(len(D))
     base = [0] * k
     translated = [0] * k
-    for i in range(N):
-        m = sampler(rng.derive_seed(seed, "sample", i))
-        base[permutation_rank(ranking_of(m, D))] += 1
-        translated[permutation_rank(ranking_of(translate_order(m, g), D))] += 1
+    for rankings in _probe_rankings(sampler, D, ElementNotInWindow, N, seed, shift=g):
+        base[permutation_rank(rankings[0])] += 1
+        translated[permutation_rank(rankings[-1])] += 1
     gap = max(abs(b - t) / N for b, t in zip(base, translated))
     return InvarianceReport(g, N, tuple(base), tuple(translated), gap)
 
@@ -149,9 +220,8 @@ def uniformity_chisq(sampler: Sampler, F: Window, N: int, seed: int) -> ChisqRep
     if k > 1000:
         raise ValueError("too many ranking cells (|F|! must stay <= 1000)")
     counts = [0] * k
-    for i in range(N):
-        m = sampler(rng.derive_seed(seed, "sample", i))
-        counts[permutation_rank(ranking_of(m, F))] += 1
+    for (ranks,) in _probe_rankings(sampler, F, ElementNotInWindow, N, seed):
+        counts[permutation_rank(ranks)] += 1
     if k == 1:
         return ChisqReport(0.0, 0, tuple(counts))
     expected = N / k

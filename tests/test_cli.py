@@ -173,6 +173,50 @@ def test_estimate_invariance_chisq(tmp_path, capsys):
     assert out == out2
 
 
+def test_chisq_and_invariance_reject_zero_samples(tmp_path, capsys):
+    w = ball(default_generators(zn(2)), 2)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    D = window_from_elements(zn(2), [zn_element(1, 0)])
+    dfile = write(tmp_path / "d.json", ser.window_to_json(D))
+    for sampler in ("uniform", "rotation"):
+        w_arg = wfile
+        if sampler == "rotation":
+            wz = window_from_elements(zn(1), [zn_element(1), zn_element(2)])
+            w_arg = write(tmp_path / "wz.json", ser.window_to_json(wz))
+            dz = window_from_elements(zn(1), [zn_element(1)])
+            d_arg = write(tmp_path / "dz.json", ser.window_to_json(dz))
+            element = "[1]"
+        else:
+            d_arg, element = dfile, "[1,0]"
+        for argv in (
+            ["chisq", w_arg, "--probe", d_arg],
+            ["invariance", w_arg, "--element", element, "--probe", d_arg],
+        ):
+            code, out, err = run(capsys, *argv, "--sampler", sampler, "-N", "0", "--seed", "3")
+            assert (code, out) == (2, "")
+            assert "need at least one sample" in err
+
+
+def test_rotation_sampler_needs_a_z_window(tmp_path, capsys):
+    from grouporders.orders import OrderMatrix
+
+    w = ball(default_generators(zn(2)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    # an empty probe and a Z probe: the window's group alone decides
+    for i, D in enumerate([window_from_elements(zn(2), []), window_from_elements(zn(1), [zn_element(1)])]):
+        dfile = write(tmp_path / f"d{i}.json", ser.window_to_json(D))
+        cyl = {
+            "format": 1,
+            "window": ser.window_to_json(D),
+            "pattern": ser.order_to_json(OrderMatrix.from_ranks(D, list(range(len(D)))), include_window=False),
+        }
+        cfile = write(tmp_path / f"cyl{i}.json", cyl)
+        for argv in (["chisq", wfile, "--probe", dfile], ["estimate", wfile, "--cylinder", cfile]):
+            code, out, err = run(capsys, *argv, "--sampler", "rotation", "-N", "2", "--seed", "3")
+            assert (code, out) == (2, "")
+            assert "ValueError: action needs a Z^1 window" in err
+
+
 def test_glue_cli(tmp_path, capsys):
     w = ball(default_generators(zn(2)), 2)
     m1, m2 = uniform_order(w, 1), uniform_order(w, 2)

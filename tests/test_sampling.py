@@ -74,15 +74,20 @@ def test_uniform_order_window_inclusion_is_exact():
 def test_uniform_order_inclusion_survives_value_collisions(monkeypatch):
     # 2-bit draws tie constantly; equal values must break the same way in
     # every window
-    u64 = rng.u64
-    monkeypatch.setattr(rng, "u64", lambda *parts: u64(*parts) & 3)
+    u64_each = rng.u64_each
+    monkeypatch.setattr(rng, "u64_each", lambda *a: [v & 3 for v in u64_each(*a)])
     big = interval_window(-1, 3)
     sub = interval_window(0, 2)
     pos = [big.position(g) for g in sub]
+    collided = 0
     for seed in range(30):
+        collided += len({v for v, _ in sampling.uniform_keys(seed, big)}) < len(big)
         ranks = uniform_order(big, seed).ranks()
         restricted = sorted(range(len(sub)), key=lambda a: ranks[pos[a]])
         assert restricted == uniform_order(sub, seed).perm()
+    # the patch reaches the uniform keys: four elements on four values tie
+    # in all but 24/256 of the seeds
+    assert collided >= 20
 
 
 def test_coset_extension_whole_group_returns_inner():
@@ -220,6 +225,51 @@ def test_ranks_from_keys_detects_exact_ties():
         _sorted_by_keys(keys, lambda i: vals[i])
     with pytest.raises(StabilizerCollision):
         _sorted_by_keys(keys, None)
+
+
+def test_projective_samplers_draw_the_order_of_their_keys():
+    wz = interval_window(-20, 21)
+    rot = rotation_action(ALPHA)
+    tor = torus_action([ALPHA, Sqrt2Num.of(Fraction(1, 3), 2)])
+    point = (Fraction(1, 7), Fraction(2, 5))
+    torus = sampling.ProjectiveSampler(W2, lambda s, els: sampling.orbit_keys(tor, point, els))
+    drawn = {
+        "uniform": lambda s: uniform_order(W2, s),
+        "rotation": lambda s: realize(rot, rng.unit_fraction(s, "point"), wz),
+        "torus": lambda s: realize(tor, point, W2),
+    }
+    samplers = {
+        "uniform": sampling.uniform_sampler(W2),
+        "rotation": sampling.rotation_sampler(rot, wz),
+        "torus": torus,
+    }
+    for name, sampler in samplers.items():
+        w = sampler.window
+        for seed in (0, 1, 2**64 - 1):
+            m = sampler(seed)
+            assert m == drawn[name](seed)
+            # keys of any elements order them as the drawn order does
+            sub = [w.element(i) for i in range(0, len(w), 3)][::-1]
+            keys = sampler.keys(seed, sub)
+            pos = [w.position(x) for x in sub]
+            for a in range(len(sub)):
+                for b in range(len(sub)):
+                    assert (keys[a] < keys[b]) == m.has(pos[a], pos[b])
+
+
+def test_orbit_keys_checks_the_action():
+    rot = rotation_action(ALPHA)
+    with pytest.raises(ValueError, match="Z\\^1"):
+        sampling.orbit_keys(rot, Fraction(1, 3), list(W2))
+    # the window's group decides, even when the window is empty
+    empty = window_from_elements(zn(2), [])
+    for w in (W2, empty):
+        with pytest.raises(ValueError, match="Z\\^1"):
+            realize(rot, Fraction(1, 3), w)
+        with pytest.raises(ValueError, match="Z\\^1"):
+            sampling.rotation_sampler(rot, w)
+    with pytest.raises(ValueError, match="Bernoulli"):
+        sampling.orbit_keys(bernoulli_action(1), 5, list(interval_window(0, 3)))
 
 
 def test_realize_torus_lexicographic(monkeypatch):

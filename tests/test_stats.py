@@ -3,25 +3,41 @@ from fractions import Fraction
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from grouporders import (
     CylinderSpec,
+    DomainNotCovered,
+    ElementNotInWindow,
+    GroupMismatch,
+    GroupOrderError,
     OrderMatrix,
+    ProjectiveSampler,
+    Sqrt2Num,
     all_total_patterns,
     ball,
     chi2_quantile,
     default_generators,
     estimate_cylinder,
+    interval_window,
     invariance_test,
     lex_functional,
+    make_element,
+    orbit_keys,
     pattern_id,
+    realize,
+    rotation_action,
+    rotation_sampler,
+    torus_action,
     uniform_order,
     uniformity_chisq,
     window_from_elements,
     zn,
     zn_element,
 )
-from grouporders.stats import chi2_cdf, gamma_p, permutation_rank
+from grouporders import rng, sampling
+from grouporders.orders import MAX_DENSE_ELEMENTS
+from grouporders.stats import chi2_cdf, gamma_p, pattern_from_permutation, permutation_rank
 
 W = ball(default_generators(zn(2)), 2)
 D3 = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0), zn_element(0, 1)])
@@ -141,3 +157,150 @@ def test_gamma_p_and_quantile_against_scipy():
     assert chi2_cdf(chi2_quantile(0.999, 23), 23) == pytest.approx(0.999, abs=1e-10)
     # frozen reference value (independent of scipy at runtime)
     assert chi2_quantile(0.999, 23) == pytest.approx(49.72823246643, abs=1e-8)
+
+
+# -- probe-local ranking ------------------------------------------------------
+
+ALPHA = Sqrt2Num.of(-1, 1)  # sqrt(2) - 1
+
+
+def _torus_point(s):
+    return tuple(rng.unit_fraction(s, "point", i) for i in range(2))
+
+
+def _sampler_pairs(w):
+    """(name, keyed sampler, plain callable) drawing the same orders on w:
+    uniform, and the circle (Z) or torus (Z^2) rotation."""
+    pairs = [("uniform", sampling.uniform_sampler(w), lambda s: uniform_order(w, s))]
+    if w.group.n == 1:
+        rot = rotation_action(ALPHA)
+        pairs.append(
+            (
+                "rotation",
+                rotation_sampler(rot, w),
+                lambda s: realize(rot, rng.unit_fraction(s, "point"), w),
+            )
+        )
+    else:
+        tor = torus_action([ALPHA, Sqrt2Num.of(0, 1)])
+        pairs.append(
+            (
+                "torus",
+                ProjectiveSampler(w, lambda s, els: orbit_keys(tor, _torus_point(s), els)),
+                lambda s: realize(tor, _torus_point(s), w),
+            )
+        )
+    return pairs
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (GroupOrderError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _probe_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    group = zn(dim)
+    if dim == 1:
+        lo, hi = draw(st.integers(-6, 0)), draw(st.integers(1, 7))
+        w = interval_window(lo, hi)
+        point = st.tuples(st.integers(lo - 2, hi + 1))
+    else:
+        inside = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        w = window_from_elements(
+            group, [make_element(group, p) for p in draw(st.lists(inside, max_size=20))]
+        )
+        point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    # the identity is always in D; the other elements may leave W
+    D = window_from_elements(
+        group, [make_element(group, p) for p in draw(st.lists(point, max_size=3))]
+    )
+    perm = draw(st.permutations(range(len(D))))
+    g = make_element(group, draw(point))
+    return w, D, perm, g, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 8))
+
+
+@pytest.mark.parametrize("bits", [64, 2])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_probe_cases())
+def test_projective_samplers_match_drawn_orders(bits, case):
+    w, D, perm, g, seed, N = case
+    c = pattern_from_permutation(D, perm)
+    with pytest.MonkeyPatch.context() as mp:
+        if bits < 64:  # ties in every draw: uniform keys fall back to encodings
+            mask = (1 << bits) - 1
+            u64, u64_each = rng.u64, rng.u64_each
+            mp.setattr(rng, "u64", lambda *a: u64(*a) & mask)
+            mp.setattr(rng, "u64_each", lambda *a: [v & mask for v in u64_each(*a)])
+        for name, keyed, plain in _sampler_pairs(w):
+            for stat in (
+                lambda s: estimate_cylinder(s, c, N, seed),
+                lambda s: uniformity_chisq(s, D, N, seed),
+                lambda s: invariance_test(s, g, D, N, seed),
+            ):
+                assert _outcome(lambda: stat(keyed)) == _outcome(lambda: stat(plain)), name
+
+
+def test_probe_outside_window_errors_on_both_paths():
+    w = interval_window(-2, 3)
+    inside = window_from_elements(zn(1), [zn_element(1), zn_element(2)])
+    outside = window_from_elements(zn(1), [zn_element(1), zn_element(3)])
+    foreign = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0)])
+    for _, keyed, plain in _sampler_pairs(w):
+        for sampler in (keyed, plain):
+            for probe in (outside, foreign):
+                c = pattern_from_permutation(probe, range(len(probe)))
+                with pytest.raises(DomainNotCovered):
+                    estimate_cylinder(sampler, c, 3, 1)
+                with pytest.raises(ElementNotInWindow):
+                    uniformity_chisq(sampler, probe, 3, 1)
+                with pytest.raises(ElementNotInWindow):
+                    invariance_test(sampler, zn_element(0), probe, 3, 1)
+            # g^-1 D = {-2, -1, 0} stays inside, {-3, -2, -1} leaves
+            invariance_test(sampler, zn_element(2), inside, 3, 1)
+            with pytest.raises(DomainNotCovered):
+                invariance_test(sampler, zn_element(3), inside, 3, 1)
+            # a single element ranks first whatever the shift, but the shift
+            # must still come from the window's group
+            single = window_from_elements(zn(1), [])
+            rep = invariance_test(sampler, zn_element(9), single, 3, 1)
+            assert rep.base_counts == rep.translated_counts == (3,)
+            with pytest.raises(GroupMismatch):
+                invariance_test(sampler, zn_element(1, 0), single, 3, 1)
+
+
+def test_rotation_on_z2_is_a_value_error_on_both_paths():
+    rot = rotation_action(ALPHA)
+    with pytest.raises(ValueError, match="Z\\^1"):
+        rotation_sampler(rot, W)
+    empty = window_from_elements(zn(2), [])
+    with pytest.raises(ValueError, match="Z\\^1"):
+        rotation_sampler(rot, empty)
+    for probe in (D3, empty, window_from_elements(zn(1), [zn_element(1)])):
+        with pytest.raises(ValueError, match="Z\\^1"):
+            uniformity_chisq(lambda s: realize(rot, rng.unit_fraction(s, "point"), W), probe, 3, 1)
+
+
+@pytest.mark.parametrize("stat", ["chisq", "invariance"])
+def test_zero_samples_is_a_value_error(stat):
+    for sampler in (sampling.uniform_sampler(W), uniform_sampler):
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="at least one sample"):
+                if stat == "chisq":
+                    uniformity_chisq(sampler, D3, N, 1)
+                else:
+                    invariance_test(sampler, zn_element(1, 0), D3, N, 1)
+
+
+def test_invariance_runs_past_the_dense_matrix_cap():
+    w = interval_window(-MAX_DENSE_ELEMENTS // 2 - 1, MAX_DENSE_ELEMENTS // 2 + 1)
+    assert len(w) > MAX_DENSE_ELEMENTS
+    D = window_from_elements(zn(1), [zn_element(-1), zn_element(1), zn_element(2)])
+    g = zn_element(MAX_DENSE_ELEMENTS // 2 - 3)
+    keyed = invariance_test(sampling.uniform_sampler(w), g, D, 3, 5)
+    assert keyed == invariance_test(lambda s: uniform_order(w, s), g, D, 3, 5)
+    rep = invariance_test(sampling.uniform_sampler(w), g, D, 500, 6)
+    assert sum(rep.base_counts) == sum(rep.translated_counts) == 500
