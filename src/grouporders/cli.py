@@ -38,7 +38,7 @@ from .sampling import (
     bernoulli_action,
     box,
     cesaro,
-    coset_extension,
+    coset_sampler,
     realize,
     reconstruct,
     rotation_action,
@@ -131,7 +131,7 @@ def _load_sampler(args, window: Window):
         def member(g):
             return all(g.payload[c] == 0 for c in zero)
 
-        return lambda s: coset_extension(window, member, inner, s)
+        return coset_sampler(window, member, inner)
     if kind == "rotation":
         alpha = _parse_alpha(args.alpha) if args.alpha else Sqrt2Num(Fraction(-1), Fraction(1))
         return rotation_sampler(rotation_action(alpha), window)

@@ -74,35 +74,26 @@ class SemigroupSpec:
                 break
 
 
-_CACHED_SPECS: dict = {}
+@functools.cache
+def _default_cone(group: GroupId) -> SemigroupSpec:
+    """The cone generated by the group's default generators."""
+    return SemigroupSpec(group, default_generators(group).generators)
 
 
 def quadrant_order(n: int) -> SemigroupSpec:
     """Positive orthant order on Z^n, generated by the unit vectors."""
-    key = ("zn", n)
-    if key not in _CACHED_SPECS:
-        group = zn(n)
-        _CACHED_SPECS[key] = SemigroupSpec(group, default_generators(group).generators)
-    return _CACHED_SPECS[key]
+    return _default_cone(zn(n))
 
 
 def heisenberg_positive_order() -> SemigroupSpec:
     """Nonnegative-entry cone of the Heisenberg group, generated by x, y, z."""
-    if "heis" not in _CACHED_SPECS:
-        _CACHED_SPECS["heis"] = SemigroupSpec(
-            HEISENBERG, default_generators(HEISENBERG).generators
-        )
-    return _CACHED_SPECS["heis"]
+    return _default_cone(HEISENBERG)
 
 
 def sl3_positive_order() -> SemigroupSpec:
     """Entrywise-nonnegative cone of SL3(Z), generated by the six elementary
     unipotent matrices."""
-    if "sl3" not in _CACHED_SPECS:
-        _CACHED_SPECS["sl3"] = SemigroupSpec(
-            SL3Z, default_generators(SL3Z).generators
-        )
-    return _CACHED_SPECS["sl3"]
+    return _default_cone(SL3Z)
 
 
 def cone_contains(spec: SemigroupSpec, g: GroupElement) -> bool:
@@ -113,17 +104,11 @@ def cone_contains(spec: SemigroupSpec, g: GroupElement) -> bool:
     """
     if g.group != spec.group:
         raise ValueError("element from a different group")
-    e = identity(spec.group)
-    if g == e:
+    if g == identity(spec.group):
         return False
-    kind = spec.group.kind
-    if kind == "zn" and spec == quadrant_order(spec.group.n):
-        return all(v >= 0 for v in g.payload)
-    if kind == "heis" and spec == heisenberg_positive_order():
-        return all(v >= 0 for v in g.payload)
-    if kind == "sl3" and spec == sl3_positive_order():
-        return all(v >= 0 for v in g.payload)
-    raise NotImplementedError("membership is only decided for the built-in cones")
+    if spec != _default_cone(spec.group):
+        raise NotImplementedError("membership is only decided for the built-in cones")
+    return all(v >= 0 for v in g.payload)
 
 
 def cone_order(spec: SemigroupSpec, window: Window) -> OrderMatrix:

@@ -30,6 +30,7 @@ from .constraints import (
 )
 from .errors import SizeLimitExceeded, SolveTimeout
 from .groups import (
+    DEFAULT_SIZE_LIMIT,
     GroupElement,
     SL3Z,
     multiply,
@@ -40,7 +41,6 @@ from .groups import (
 from .orders import OrderMatrix
 
 DEFAULT_TIMEOUT = 10.0
-DEFAULT_SIZE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,4 @@ def build_sl3_instance(inst: SL3Instance) -> ConstraintSystem:
             elements.append(rhs)
             shifted_atoms.append((shift, rhs))
     window = window_from_elements(SL3Z, elements)
-    system = build_extension_system(window, sl3_positive_order(), convention=inst.convention)
-    atoms = set(system.atoms)
-    for x, y in shifted_atoms:
-        atoms.add((window.position(x), window.position(y)))
-    return ConstraintSystem(window, tuple(sorted(atoms)), inst.convention)
+    return build_extension_system(window, sl3_positive_order(), shifted_atoms, inst.convention)

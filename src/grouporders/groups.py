@@ -274,17 +274,30 @@ class Window:
         return iter(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g.group == self.group and g.payload in self._index
-
-    def position(self, g: GroupElement) -> int:
-        try:
-            return self._index[g.payload]
-        except KeyError:
-            raise ElementNotInWindow(f"{g!r} not in window") from None
+        return self.find(g) is not None
 
     def find(self, g: GroupElement):
-        """Position of g, or None when absent."""
-        return self._index.get(g.payload)
+        """Position of g, or None when absent (an element of another group
+        is absent, whatever its payload)."""
+        if g.group is self.group or g.group == self.group:
+            return self._index.get(g.payload)
+        return None
+
+    def position(self, g: GroupElement) -> int:
+        return self.positions((g,))[0]
+
+    def positions(
+        self, elements: Iterable[GroupElement], missing: type = ElementNotInWindow
+    ) -> list[int]:
+        """Positions of the elements, in order; the first absent one raises
+        ``missing``."""
+        out = []
+        for g in elements:
+            p = self.find(g)
+            if p is None:
+                raise missing(f"{g!r} not in window")
+            out.append(p)
+        return out
 
     def element(self, i: int) -> GroupElement:
         return self.elements[i]

@@ -163,8 +163,8 @@ def _invert(perm: Sequence[int]) -> list[int]:
     return inv
 
 
-def _find_cycle(rows: list[int], start: int, goal: int) -> list[int]:
-    """Shortest directed path start -> goal in the input relation."""
+def _find_cycle(rows: list[int], start: int) -> list[int]:
+    """Shortest directed cycle start -> ... -> start in the input relation."""
     parent = {start: None}
     queue = deque([start])
     while queue:
@@ -174,8 +174,8 @@ def _find_cycle(rows: list[int], start: int, goal: int) -> list[int]:
             low = r & -r
             v = low.bit_length() - 1
             r ^= low
-            if v == goal:
-                path = [goal, u]
+            if v == start:
+                path = [start, u]
                 while parent[u] is not None:
                     u = parent[u]
                     path.append(u)
@@ -183,7 +183,7 @@ def _find_cycle(rows: list[int], start: int, goal: int) -> list[int]:
             if v not in parent:
                 parent[v] = u
                 queue.append(v)
-    raise AssertionError("cycle endpoint unreachable in input relation")
+    raise AssertionError("cycle start unreachable in input relation")
 
 
 def transitive_closure(m: OrderMatrix) -> OrderMatrix:
@@ -201,32 +201,10 @@ def transitive_closure(m: OrderMatrix) -> OrderMatrix:
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= rk
-    offenders = []
+    # after closure every cycle leaves a self-loop on each of its elements
     for i in range(n):
         if rows[i] >> i & 1:
-            offenders.append((i, i))
-            break
-    if not offenders:
-        for i in range(n):
-            r = rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1 and rows[j] >> i & 1:
-                    offenders.append((i, j))
-                    break
-                r >>= 1
-                j += 1
-            if offenders:
-                break
-    if offenders:
-        i, j = offenders[0]
-        if i == j:
-            cycle = _find_cycle(input_rows, i, i)
-        else:
-            fwd = _find_cycle(input_rows, i, j)
-            back = _find_cycle(input_rows, j, i)
-            cycle = fwd + back[1:]
-        raise ContradictionError(cycle)
+            raise ContradictionError(_find_cycle(input_rows, i))
     return OrderMatrix(m.window, rows=rows, closed=True)
 
 
@@ -299,12 +277,7 @@ class CylinderSpec:
 
 def matches_cylinder(m: OrderMatrix, c: CylinderSpec) -> bool:
     """True iff m restricted to the cylinder window equals its pattern."""
-    positions = []
-    for x in c.window:
-        p = m.window.find(x)
-        if p is None:
-            raise DomainNotCovered(f"{x!r} missing from the order's window")
-        positions.append(p)
+    positions = m.window.positions(c.window, DomainNotCovered)
     k = len(positions)
     for a in range(k):
         for b in range(a + 1, k):

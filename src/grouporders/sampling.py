@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import rng
 from .exactnum import Sqrt2Num, _coerce, _floor_ratio
@@ -102,17 +103,19 @@ def _spot_check_subgroup(w: Window, member: Callable[[GroupElement], bool], cap:
                 return
 
 
-def coset_extension(
+def coset_sampler(
     w: Window,
     subgroup_test: Callable[[GroupElement], bool],
     inner: OrderMatrix,
-    seed: int,
-) -> OrderMatrix:
-    """Total order: iid labels order the cosets, the inner order decides
-    within each coset (transported by the coset representative).
+) -> Callable[[int], OrderMatrix]:
+    """Coset extension sampler on w: seed -> total order in which iid labels
+    order the cosets and the inner order decides within each coset
+    (transported by the coset representative).
 
-    The representative of the subgroup's own coset is the identity, so the
-    restriction to subgroup pairs reproduces the inner order exactly.
+    The subgroup check and the cosets are worked out once, here; each seed
+    then draws only the coset labels.  The representative of the subgroup's
+    own coset is the identity, so the restriction to subgroup pairs
+    reproduces the inner order exactly.
     """
     _spot_check_subgroup(w, subgroup_test)
     try:
@@ -124,7 +127,7 @@ def coset_extension(
 
     e = identity(w.group)
     reps: list[GroupElement] = []
-    rep_of: list[int] = []
+    within: list[tuple[int, int]] = []  # (coset index, inner rank) per element
     for g in w:
         if subgroup_test(g):
             target = e
@@ -138,18 +141,29 @@ def coset_extension(
                 target = g
         if target not in reps:
             reps.append(target)
-        rep_of.append(reps.index(target))
+        t = multiply(inverse(target), g)
+        if t.payload not in inner_rank:
+            raise InnerOrderIncomplete(f"inner order does not cover {t!r}")
+        within.append((reps.index(target), inner_rank[t.payload]))
 
     # equal labels fall back to the representatives' canonical encodings
     eks = [element_key(r) for r in reps]
-    labels = list(zip(rng.u64_each(seed, ("coset",), eks, (0,)), eks))
-    keys = []
-    for pos, g in enumerate(w):
-        t = multiply(inverse(reps[rep_of[pos]]), g)
-        if t.payload not in inner_rank:
-            raise InnerOrderIncomplete(f"inner order does not cover {t!r}")
-        keys.append((*labels[rep_of[pos]], inner_rank[t.payload]))
-    return OrderMatrix.from_keys(w, keys)
+
+    def draw(seed: int) -> OrderMatrix:
+        labels = list(zip(rng.u64_each(seed, ("coset",), eks, (0,)), eks))
+        return OrderMatrix.from_keys(w, [(*labels[c], r) for c, r in within])
+
+    return draw
+
+
+def coset_extension(
+    w: Window,
+    subgroup_test: Callable[[GroupElement], bool],
+    inner: OrderMatrix,
+    seed: int,
+) -> OrderMatrix:
+    """One draw of ``coset_sampler(w, subgroup_test, inner)``."""
+    return coset_sampler(w, subgroup_test, inner)(seed)
 
 
 def specification_glue(
@@ -164,14 +178,9 @@ def specification_glue(
     if m2.window != w:
         raise ValueError("glue needs both orders on the same window")
     marked = [False] * len(w)
-    for k in K:
-        kinv = inverse(k)
-        for d in D:
-            x = multiply(kinv, d)
-            p = w.find(x)
-            if p is None:
-                raise DomainNotCovered(f"{x!r} outside the glue window")
-            marked[p] = True
+    inside = (multiply(inverse(k), d) for k in K for d in D)
+    for p in w.positions(inside, DomainNotCovered):
+        marked[p] = True
     r1, r2 = m1.ranks(), m2.ranks()
     keys = [
         (0, r1[i]) if marked[i] else (1, r2[i])
@@ -266,42 +275,6 @@ def bernoulli_action(dim: int) -> ActionSpec:
     return ActionSpec(BERNOULLI_SHIFT, dim)
 
 
-def _sorted_by_keys(
-    keys: list[int],
-    exact: Optional[Callable[[int], Sqrt2Num]],
-) -> list[int]:
-    """Positions sorted by integer key; equal keys fall back to exact comparison.
-
-    ``exact(i)`` must return the exact value whose key ties; ties in the
-    exact values signal a non-free point.
-    """
-    import numpy as np
-
-    order = [int(i) for i in np.argsort(np.array(keys, dtype=np.uint64), kind="stable")]
-    pos = 0
-    while pos + 1 < len(order):
-        if keys[order[pos]] != keys[order[pos + 1]]:
-            pos += 1
-            continue
-        stop = pos + 1
-        while stop < len(order) and keys[order[stop]] == keys[order[pos]]:
-            stop += 1
-        if exact is None:
-            raise StabilizerCollision(
-                f"keys collide at positions {order[pos:stop]}"
-            )
-        block = order[pos:stop]
-        import functools
-
-        block.sort(key=functools.cmp_to_key(lambda a, b: -1 if exact(a) < exact(b) else 1))
-        for a, b in zip(block, block[1:]):
-            if exact(a) == exact(b):
-                raise StabilizerCollision("orbit values collide")
-        order[pos:stop] = block
-        pos = stop
-    return order
-
-
 def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
     """Positions of ks sorted by frac(x + k*alpha), decided exactly."""
     # with L the common denominator, the orbit value at k is
@@ -325,7 +298,16 @@ def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
     def exact(i):  # key collisions compare exact fractional parts
         return x + alpha * ks[i] - floors[i]
 
-    return _sorted_by_keys(keys, exact)
+    by_key = sorted(range(len(ks)), key=keys.__getitem__)
+    if len(set(keys)) == len(keys):
+        return by_key
+    # runs of equal keys are sorted by exact value; alpha is irrational and
+    # the ks distinct, so exact values never tie
+    order = []
+    for _, run in groupby(by_key, keys.__getitem__):
+        run = list(run)
+        order.extend(sorted(run, key=exact) if len(run) > 1 else run)
+    return order
 
 
 def _check_orbit_group(action: ActionSpec, group) -> None:
@@ -362,7 +344,9 @@ def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
     if action.kind == BERNOULLI_SHIFT:
         seed = rng.check_seed(int(point))
         keys = rng.u64_each(seed, ("site",), [element_key(g) for g in w])
-        return OrderMatrix.from_perm(w, _sorted_by_keys(keys, None))
+        if len(set(keys)) < len(keys):
+            raise StabilizerCollision("Bernoulli site draws collide")
+        return OrderMatrix.from_keys(w, keys)
     _check_orbit_group(action, w.group)
     return OrderMatrix.from_keys(w, orbit_keys(action, point, w))
 
@@ -416,13 +400,7 @@ def reconstruct(m: OrderMatrix, scheme: AveragingScheme) -> Fraction:
     w = m.window
     support = _scheme_support(scheme, w)
     e_pos = w.position(identity(w.group))
-    count = 0
-    for h in support:
-        p = w.find(h)
-        if p is None:
-            raise DomainNotCovered(f"{h!r} outside the order's window")
-        if m.has(p, e_pos):
-            count += 1
+    count = sum(m.has(p, e_pos) for p in w.positions(support, DomainNotCovered))
     return Fraction(count, len(support))
 
 

@@ -167,12 +167,9 @@ def _rule_from_json(obj) -> tuple:
     return ("trans", u, v, w)
 
 
-def certificate_to_json(cert: Certificate, window: Window | None = None) -> dict:
+def certificate_to_json(cert: Certificate) -> dict:
     out: dict[str, Any] = {"format": FORMAT_VERSION, "verdict": cert.verdict}
-    if cert.witness is not None:
-        out["witness"] = order_to_json(cert.witness, include_window=window is None)
-    else:
-        out["witness"] = None
+    out["witness"] = None if cert.witness is None else order_to_json(cert.witness)
     out["trace"] = [
         {"pair": list(step.pair), "rule": _rule_to_json(step.rule)}
         for step in cert.trace

@@ -71,7 +71,7 @@ def pattern_id(c: CylinderSpec) -> int:
 
 def ranking_of(m: OrderMatrix, F: Window) -> tuple[int, ...]:
     """Relative ranks of F's elements (window-index order) inside m."""
-    return _ranks_at(m, [m.window.position(x) for x in F])
+    return _ranks_at(m, m.window.positions(F))
 
 
 def _ranks_at(m: OrderMatrix, positions: Sequence[int]) -> tuple[int, ...]:
@@ -89,16 +89,6 @@ def _ranks_at(m: OrderMatrix, positions: Sequence[int]) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _positions(w: Window, F: Sequence[GroupElement], missing: type) -> list[int]:
-    positions = []
-    for x in F:
-        p = w.find(x)
-        if p is None:
-            raise missing(f"{x!r} not in the sampled window")
-        positions.append(p)
-    return positions
-
-
 def _probe_positions(
     w: Window, F: Sequence[GroupElement], missing: type, shift: Optional[GroupElement]
 ) -> list[list[int]]:
@@ -107,14 +97,14 @@ def _probe_positions(
     An element of F outside w raises ``missing``; one of g^-1 F raises
     DomainNotCovered, as an undecided pair of the g-translate would.
     """
-    probes = [_positions(w, F, missing)]
+    probes = [w.positions(F, missing)]
     if shift is not None:
         if shift.group != w.group:
             raise GroupMismatch("translation element from a different group")
         if len(F) > 1:  # a single element ranks first wherever its preimage lies
             ginv = inverse(shift)
             shifted = [multiply(ginv, w.element(p)) for p in probes[0]]
-            probes.append(_positions(w, shifted, DomainNotCovered))
+            probes.append(w.positions(shifted, DomainNotCovered))
     return probes
 
 

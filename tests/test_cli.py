@@ -2,6 +2,7 @@ import json
 
 
 from grouporders import (
+    HEISENBERG,
     ball,
     build_extension_system,
     default_generators,
@@ -215,6 +216,33 @@ def test_rotation_sampler_needs_a_z_window(tmp_path, capsys):
             code, out, err = run(capsys, *argv, "--sampler", "rotation", "-N", "2", "--seed", "3")
             assert (code, out) == (2, "")
             assert "ValueError: action needs a Z^1 window" in err
+
+
+def test_probe_from_another_group_is_outside_the_window(tmp_path, capsys):
+    w = ball(default_generators(HEISENBERG), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    # Z^3 elements whose payloads are also Heisenberg payloads of w
+    D = window_from_elements(zn(3), [zn_element(1, 0, 0)])
+    dfile = write(tmp_path / "d.json", ser.window_to_json(D))
+    code, out, err = run(capsys, "chisq", wfile, "--probe", dfile, "-N", "5", "--seed", "3")
+    assert (code, out) == (2, "")
+    assert "ElementNotInWindow" in err
+
+
+def test_coset_sampler_checks_its_inputs_before_drawing(tmp_path, capsys):
+    w = ball(default_generators(zn(2)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    inner_w = window_from_elements(zn(2), [])
+    inner = write(tmp_path / "inner.json", ser.order_to_json(uniform_order(inner_w, 1)))
+    argv = ["sample", wfile, "-N", "0", "--sampler", "coset", "--inner-order", inner]
+    # the subgroup x = 0 meets w in (0, -1) and (0, 1); the inner order
+    # covers only the identity
+    code, out, err = run(capsys, *argv, "--subgroup-zero-coords", "0")
+    assert (code, out) == (2, "")
+    assert "InnerOrderIncomplete" in err
+    # the trivial subgroup needs only the identity
+    code, out, _ = run(capsys, *argv, "--subgroup-zero-coords", "0,1")
+    assert code == 0 and len(out.splitlines()) == 1
 
 
 def test_glue_cli(tmp_path, capsys):

@@ -6,7 +6,11 @@ import oracles
 from grouporders import (
     HEISENBERG,
     SL3Z,
+    DomainNotCovered,
+    ElementNotInWindow,
     GeneratorSet,
+    GroupElement,
+    GroupId,
     GroupMismatch,
     IntegerOverflow,
     SizeLimitExceeded,
@@ -231,6 +235,21 @@ def test_ball_deterministic_and_monotone():
     assert set(g.payload for g in w2a) <= set(g.payload for g in w3)
     with pytest.raises(SizeLimitExceeded):
         ball(gens, 5, size_limit=10)
+
+
+def test_window_lookup_checks_the_group():
+    w = ball(default_generators(HEISENBERG), 1)
+    x = heisenberg_element(1, 0, 0)
+    z3 = make_element(zn(3), [1, 0, 0])  # same payload, another group
+    assert x in w and z3 not in w
+    assert w.find(z3) is None
+    with pytest.raises(ElementNotInWindow):
+        w.position(z3)
+    # an equal group object that is not the window's own still matches
+    assert w.find(GroupElement(GroupId("heis"), (1, 0, 0))) == w.position(x)
+    assert w.positions([x, identity(HEISENBERG)]) == [w.position(x), 0]
+    with pytest.raises(DomainNotCovered, match="not in window"):
+        w.positions([x, z3], DomainNotCovered)
 
 
 def test_window_closure_examples():

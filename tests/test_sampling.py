@@ -16,6 +16,7 @@ from grouporders import (
     box,
     cesaro,
     coset_extension,
+    coset_sampler,
     default_generators,
     identity,
     interval_window,
@@ -36,7 +37,6 @@ from grouporders import (
 )
 from grouporders import rng, sampling
 from grouporders.rng import unit_fraction
-from grouporders.sampling import _sorted_by_keys
 
 W2 = ball(default_generators(zn(2)), 2)
 ALPHA = Sqrt2Num.of(-1, 1)  # sqrt(2) - 1
@@ -134,6 +134,21 @@ def test_coset_extension_z_in_z2():
                     assert rows[key] == ext.has(i, j)  # constant per coset pair
 
 
+def test_coset_sampler_draws_coset_extension():
+    inner_w = window_from_elements(zn(2), [zn_element(k, 0) for k in range(-2, 3)])
+    inner = lex_functional(2).window_order(inner_w)
+    member = lambda g: g.payload[1] == 0
+    sampler = coset_sampler(W2, member, inner)
+    golden = {  # drawn by the per-seed coset_extension it replaces
+        0: [5, 1, 0, 4, 12, 6, 2, 10, 7, 3, 11, 9, 8],
+        1: [7, 3, 11, 8, 5, 1, 0, 4, 12, 9, 6, 2, 10],
+        2**64 - 1: [6, 2, 10, 8, 7, 3, 11, 9, 5, 1, 0, 4, 12],
+    }
+    for s, perm in golden.items():
+        assert sampler(s) == coset_extension(W2, member, inner, s)
+        assert sampler(s).perm() == perm
+
+
 def test_coset_extension_incomplete_inner():
     inner_w = window_from_elements(zn(2), [zn_element(0, 0)])
     inner = OrderMatrix.from_ranks(inner_w, [0])
@@ -218,13 +233,15 @@ def test_realize_matches_translated_point():
     assert order == sorted(range(len(w)), key=ranks.__getitem__)
 
 
-def test_ranks_from_keys_detects_exact_ties():
-    keys = [5, 5, 7]
-    vals = [Sqrt2Num.of(1), Sqrt2Num.of(1), Sqrt2Num.of(2)]
+def test_realize_bernoulli_rejects_equal_draws(monkeypatch):
+    w = interval_window(-3, 4)
+    u64_each = rng.u64_each
+    # distinct draws order the sites; 1-bit draws must collide on 7 sites
+    monkeypatch.setattr(rng, "u64_each", lambda *a: list(range(len(a[2]), 0, -1)))
+    assert realize(bernoulli_action(1), 421, w).perm() == list(range(len(w)))[::-1]
+    monkeypatch.setattr(rng, "u64_each", lambda *a: [v & 1 for v in u64_each(*a)])
     with pytest.raises(StabilizerCollision):
-        _sorted_by_keys(keys, lambda i: vals[i])
-    with pytest.raises(StabilizerCollision):
-        _sorted_by_keys(keys, None)
+        realize(bernoulli_action(1), 421, w)
 
 
 def test_projective_samplers_draw_the_order_of_their_keys():
@@ -290,10 +307,16 @@ def test_realize_torus_lexicographic(monkeypatch):
         for g in w
     ]
     expected = sorted(range(len(w)), key=exact.__getitem__)
+    # the circle rotation is the one-dimensional case of the same path
+    rot, wz, xz = rotation_action(ALPHA), interval_window(-40, 41), Fraction(1, 5)
+    exact_z = [(Sqrt2Num.of(xz) + ALPHA * g.payload[0]).frac() for g in wz]
+    expected_z = sorted(range(len(wz)), key=exact_z.__getitem__)
     assert realize(act, x, w).perm() == expected
+    assert realize(rot, xz, wz).perm() == expected_z
     monkeypatch.setattr(sampling, "KEY_BITS", 3)
     monkeypatch.setattr(sampling, "_MASK", 7)
     assert realize(act, x, w).perm() == expected
+    assert realize(rot, xz, wz).perm() == expected_z
 
 
 def test_reconstruct_examples():
