@@ -56,6 +56,7 @@ from .stats import (
 )
 
 ENV_SEED = "GROUPORDERS_SEED"
+DEFAULT_ALPHA = Sqrt2Num.of(-1, 1)  # sqrt(2) - 1
 
 
 class UsageError(Exception):
@@ -89,10 +90,6 @@ def _parse_group(name: str):
     if name.startswith("z") and name[1:].isdigit():
         return groups.zn(int(name[1:]))
     raise UsageError(f"unknown group {name!r} (use z2, zn:4, heis, sl3)")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_alpha(text: str) -> Sqrt2Num:
@@ -133,7 +130,7 @@ def _load_sampler(args, window: Window):
 
         return coset_sampler(window, member, inner)
     if kind == "rotation":
-        alpha = _parse_alpha(args.alpha) if args.alpha else Sqrt2Num(Fraction(-1), Fraction(1))
+        alpha = _parse_alpha(args.alpha) if args.alpha else DEFAULT_ALPHA
         return rotation_sampler(rotation_action(alpha), window)
     raise UsageError(f"unknown sampler {kind!r}")
 
@@ -243,9 +240,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_probe(args, window: Window) -> Window:
-    data = _read_json(args.probe)
-    return serialize.window_from_json(data)
+def _load_probe(args) -> Window:
+    return serialize.window_from_json(_read_json(args.probe))
 
 
 def cmd_estimate(args) -> int:
@@ -267,7 +263,7 @@ def cmd_estimate(args) -> int:
 def cmd_invariance(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
     sampler = _load_sampler(args, window)
-    D = _load_probe(args, window)
+    D = _load_probe(args)
     g = make_element(window.group, json.loads(args.element))
     report = invariance_test(sampler, g, D, args.count, _seed(args))
     lines = ["pattern_id,count_base,count_translated,freq_base,freq_translated\n"]
@@ -281,7 +277,7 @@ def cmd_invariance(args) -> int:
 def cmd_chisq(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
     sampler = _load_sampler(args, window)
-    F = _load_probe(args, window)
+    F = _load_probe(args)
     report = uniformity_chisq(sampler, F, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
     for pid, cnt in enumerate(report.counts):
@@ -316,15 +312,15 @@ def cmd_realize(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
     seed = _seed(args)
     if args.action == "rotation":
-        alpha = _parse_alpha(args.alpha) if args.alpha else Sqrt2Num(Fraction(-1), Fraction(1))
+        alpha = _parse_alpha(args.alpha) if args.alpha else DEFAULT_ALPHA
         action = rotation_action(alpha)
-        point = _parse_fraction(args.x) if args.x else rng.unit_fraction(seed, "point")
+        point = Fraction(args.x) if args.x else rng.unit_fraction(seed, "point")
     elif args.action == "torus":
         if not args.alphas:
             raise UsageError("torus action needs --alphas 'a,b;a,b;...'")
         action = torus_action([_parse_alpha(t) for t in args.alphas.split(";")])
         if args.x:
-            point = tuple(_parse_fraction(t) for t in args.x.split(","))
+            point = tuple(Fraction(t) for t in args.x.split(","))
         else:
             point = tuple(
                 rng.unit_fraction(seed, "point", i) for i in range(action.dim)
@@ -342,7 +338,7 @@ def cmd_realize(args) -> int:
 def cmd_reconstruct(args) -> int:
     m = serialize.order_from_json(_read_json(args.order))
     sizes = [int(t) for t in args.n.split(",")]
-    true_x = _parse_fraction(args.true_x) if args.true_x else None
+    true_x = Fraction(args.true_x) if args.true_x else None
     lines = ["n,estimate,abs_error\n"]
     for n in sizes:
         scheme = cesaro(n) if args.scheme == "cesaro" else box(n)
@@ -355,10 +351,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_levels(args) -> int:
     m = serialize.order_from_json(_read_json(args.order))
-    grid = render_levels(m)
-    width = max(len(str(int(v))) for row in grid for v in row)
+    width = len(str(m.n - 1))  # the widest rank
     text = "\n".join(
-        " ".join(str(int(v)).rjust(width) for v in row) for row in grid
+        " ".join(str(v).rjust(width) for v in row) for row in render_levels(m)
     )
     _write_text(args.output, text + "\n")
     return 0
@@ -490,10 +485,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GroupOrderError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (GroupOrderError, OSError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

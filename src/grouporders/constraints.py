@@ -226,12 +226,6 @@ class LinearFunctionalOrder:
         return OrderMatrix.from_keys(window, [key(g) for g in window])
 
 
-def functional_order_compare(
-    f: LinearFunctionalOrder, x: GroupElement, y: GroupElement
-) -> Comparison:
-    return f.compare(x, y)
-
-
 def lex_functional(n: int) -> LinearFunctionalOrder:
     """The lexicographic order as an explicit unit-functional cascade."""
     tie = None

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .constraints import (
     CONVENTIONS,
@@ -98,6 +98,13 @@ def propagate_only(cs: ConstraintSystem) -> Optional[Certificate]:
     Returns an UNSAT certificate when the closure forces a cycle, or None
     when propagation is inconclusive.
     """
+    return _propagate(cs, lambda: None)
+
+
+def _propagate(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[Certificate]:
+    """``propagate_only`` calling ``check`` before each round (the atoms
+    are the first)."""
+    check()
     tracer = _Tracer()
     for k, pair in enumerate(cs.atoms):
         if tracer.add(pair, ("atom", k)):
@@ -111,6 +118,7 @@ def propagate_only(cs: ConstraintSystem) -> Optional[Certificate]:
         inc.setdefault(v, []).append(u)
     delta = sorted(tracer.step_of)
     while delta:
+        check()
         fresh: list[tuple[tuple[int, int], tuple]] = []
         for u, v in delta:
             for w in out.get(v, ()):
@@ -139,11 +147,17 @@ def solve(
     size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> Certificate:
     """Decide the system: a topological-sort witness, or the propagation
-    trace of a cycle."""
+    trace of a cycle.  The deadline is checked at every step of the sort
+    and every propagation round."""
     n = len(cs.window)
     if n > size_limit:
         raise SizeLimitExceeded(f"window of {n} elements exceeds the cap")
     deadline = time.monotonic() + timeout
+
+    def check():
+        if time.monotonic() > deadline:
+            raise SolveTimeout(f"solve exceeded {timeout} s")
+
     below: list[list[int]] = [[] for _ in range(n)]
     above = [0] * n
     for i, j in cs.atoms:
@@ -154,8 +168,7 @@ def solve(
     ranks = [0] * n
     rank = n
     while heap:
-        if time.monotonic() > deadline:
-            raise SolveTimeout(f"solve exceeded {timeout} s")
+        check()
         j = -heapq.heappop(heap)
         rank -= 1
         ranks[j] = rank
@@ -164,7 +177,7 @@ def solve(
             if not above[i]:
                 heapq.heappush(heap, -i)
     if rank:
-        cert = propagate_only(cs)
+        cert = _propagate(cs, check)
         if cert is None:
             raise AssertionError("topological sort and tracer disagree on UNSAT")
         return cert

@@ -52,10 +52,6 @@ class Sqrt2Num:
     def of(rational: Scalar = 0, root2: Scalar = 0) -> "Sqrt2Num":
         return Sqrt2Num(Fraction(rational), Fraction(root2))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.root2 == 0
-
     def __add__(self, other):
         other = _coerce(other)
         return Sqrt2Num(self.rational + other.rational, self.root2 + other.root2)
@@ -141,5 +137,3 @@ def _coerce(value) -> Sqrt2Num:
 
 
 SQRT2 = Sqrt2Num.of(0, 1)
-ZERO = Sqrt2Num.of(0, 0)
-ONE = Sqrt2Num.of(1, 0)

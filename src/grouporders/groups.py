@@ -222,28 +222,15 @@ def sl3_unipotent(i: int) -> GroupElement:
     return GroupElement(SL3Z, tuple(flat))
 
 
-def heisenberg_x() -> GroupElement:
-    return GroupElement(HEISENBERG, (1, 0, 0))
-
-
-def heisenberg_y() -> GroupElement:
-    return GroupElement(HEISENBERG, (0, 1, 0))
-
-
-def heisenberg_z() -> GroupElement:
-    return GroupElement(HEISENBERG, (0, 0, 1))
-
-
 def default_generators(group: GroupId) -> GeneratorSet:
-    if group.kind == KIND_ZN:
-        gens = tuple(
-            GroupElement(group, tuple(1 if i == j else 0 for j in range(group.n)))
-            for i in range(group.n)
-        )
-    elif group.kind == KIND_HEISENBERG:
-        gens = (heisenberg_x(), heisenberg_y(), heisenberg_z())
-    else:
+    if group.kind == KIND_SL3:
         gens = tuple(sl3_unipotent(i) for i in range(1, 7))
+    else:  # unit vectors: the x, y, z generators for the Heisenberg group
+        d = _payload_len(group)
+        gens = tuple(
+            GroupElement(group, tuple(1 if i == j else 0 for j in range(d)))
+            for i in range(d)
+        )
     return GeneratorSet(group, gens)
 
 

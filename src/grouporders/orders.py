@@ -12,8 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     ContradictionError,
     DomainNotCovered,
@@ -289,8 +287,9 @@ def matches_cylinder(m: OrderMatrix, c: CylinderSpec) -> bool:
     return True
 
 
-def render_levels(m: OrderMatrix) -> np.ndarray:
-    """Rank grid of a total order on a rectangular Z^2 window.
+def render_levels(m: OrderMatrix) -> list[list[int]]:
+    """Rank grid of a total order on a rectangular Z^2 window, as a list of
+    rows (``grid[row][col]``).
 
     Rows run from the largest y down to the smallest, columns from the
     smallest x up; each cell holds the 0-based rank of that lattice point.
@@ -305,11 +304,11 @@ def render_levels(m: OrderMatrix) -> np.ndarray:
     if len(xs) * len(ys) != m.n:
         raise NotRectangular("window is not a full rectangle")
     ranks = m.ranks()
-    grid = np.empty((len(ys), len(xs)), dtype=np.int64)
+    grid = [[0] * len(xs) for _ in ys]
     x0, y0 = xs[0], ys[0]
     for i, g in enumerate(m.window):
         x, y = g.payload
         if x - x0 not in range(len(xs)) or y - y0 not in range(len(ys)):
             raise NotRectangular("window is not a contiguous rectangle")
-        grid[len(ys) - 1 - (y - y0), x - x0] = ranks[i]
+        grid[len(ys) - 1 - (y - y0)][x - x0] = ranks[i]
     return grid

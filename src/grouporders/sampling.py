@@ -83,7 +83,11 @@ def rotation_sampler(action: ActionSpec, w: Window) -> ProjectiveSampler:
     )
 
 
-def _spot_check_subgroup(w: Window, member: Callable[[GroupElement], bool], cap: int = 2000):
+# the subgroup spot check multiplies at most this many pairs of members
+SUBGROUP_PRODUCT_CHECKS = 2000
+
+
+def _spot_check_subgroup(w: Window, member: Callable[[GroupElement], bool]):
     e = identity(w.group)
     if not member(e):
         raise ValueError("subgroup test rejects the identity")
@@ -99,7 +103,7 @@ def _spot_check_subgroup(w: Window, member: Callable[[GroupElement], bool], cap:
             if gh in w and not member(gh):
                 raise ValueError("subgroup test not closed under products on the window")
             checked += 1
-            if checked >= cap:
+            if checked >= SUBGROUP_PRODUCT_CHECKS:
                 return
 
 
@@ -413,18 +417,11 @@ def stabilizer_check(m: OrderMatrix, w: Window, gens: GeneratorSet) -> tuple[Gro
         ginv = inverse(g)
         pre = [w.find(multiply(ginv, x)) for x in w]
         overlap = [i for i, p in enumerate(pre) if p is not None]
-        ok = True
-        for a_pos in range(len(overlap)):
-            i = overlap[a_pos]
-            for b_pos in range(a_pos + 1, len(overlap)):
-                j = overlap[b_pos]
-                if m.has(i, j) != m.has(pre[i], pre[j]) or m.has(j, i) != m.has(
-                    pre[j], pre[i]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            m.has(i, j) == m.has(pre[i], pre[j])
+            for i in overlap
+            for j in overlap
+            if i != j
+        ):
             fixed.append(g)
     return tuple(fixed)

@@ -62,30 +62,16 @@ def element_to_json(g: GroupElement) -> dict:
 
 
 def element_from_json(obj) -> GroupElement:
-    kind = obj["group"]
     data = obj["data"]
-    if kind == "zn":
-        group = zn(len(data))
-    elif kind == KIND_HEISENBERG:
-        group = HEISENBERG
-    elif kind == KIND_SL3:
-        group = SL3Z
-    else:
-        raise ValueError(f"unknown group tag {kind!r}")
-    return make_element(group, data)
+    return make_element(group_from_json({"kind": obj["group"], "n": len(data)}), data)
 
 
-def window_to_json(w: Window) -> dict:
+def element_set_to_json(group: GroupId, elements) -> dict:
     return {
         "format": FORMAT_VERSION,
-        "group": group_to_json(w.group),
-        "elements": [list(g.payload) for g in w],
+        "group": group_to_json(group),
+        "elements": [list(g.payload) for g in elements],
     }
-
-
-def window_from_json(obj) -> Window:
-    group = group_from_json(obj["group"])
-    return Window(group, [make_element(group, data) for data in obj["elements"]])
 
 
 def element_set_from_json(obj) -> list[GroupElement]:
@@ -95,12 +81,12 @@ def element_set_from_json(obj) -> list[GroupElement]:
     return [make_element(group, data) for data in obj["elements"]]
 
 
-def element_set_to_json(group: GroupId, elements) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "group": group_to_json(group),
-        "elements": [list(g.payload) for g in elements],
-    }
+def window_to_json(w: Window) -> dict:
+    return element_set_to_json(w.group, w)
+
+
+def window_from_json(obj) -> Window:
+    return Window(group_from_json(obj["group"]), element_set_from_json(obj))
 
 
 def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:

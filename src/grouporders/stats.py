@@ -199,9 +199,6 @@ class ChisqReport:
     dof: int
     counts: tuple[int, ...]
 
-    def __iter__(self):
-        return iter((self.statistic, self.dof))
-
 
 def uniformity_chisq(sampler: Sampler, F: Window, N: int, seed: int) -> ChisqReport:
     """Chi-square statistic of the observed ranking cells against the

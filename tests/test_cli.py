@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
-
+import grouporders
 from grouporders import (
     HEISENBERG,
     ball,
@@ -16,6 +19,7 @@ from grouporders import (
 from grouporders import serialize as ser
 from grouporders.cli import main
 from grouporders.constraints import ConstraintSystem
+from grouporders.groups import interval_window
 
 
 def run(capsys, *argv):
@@ -81,6 +85,29 @@ def test_budget_flags_only_where_honoured(tmp_path, capsys):
     assert code == 2 and "SizeLimitExceeded" in err
     code, _, err = run(capsys, "check-extend", sys_file, "--timeout", "-1")
     assert code == 2 and "SolveTimeout" in err
+
+
+def test_check_extend_timeout_on_an_unsat_system(tmp_path, capsys):
+    cs = ConstraintSystem(interval_window(0, 3), ((0, 1), (1, 2), (2, 0)))
+    sys_file = write(tmp_path / "cyc.json", ser.system_to_json(cs))
+    code, _, err = run(capsys, "check-extend", sys_file, "--timeout", "-1")
+    assert code == 2 and "SolveTimeout" in err
+    code, out, _ = run(capsys, "check-extend", sys_file)
+    assert code == 1 and json.loads(out)["verdict"] == "unsat"
+
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter that imports this same copy of the package
+    src = os.path.dirname(os.path.dirname(grouporders.__file__))
+    code = "import sys, grouporders.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_sl3(tmp_path, capsys):
@@ -328,6 +355,12 @@ def test_levels_cli(tmp_path, capsys):
     part = write(tmp_path / "part.json", ser.order_to_json(OrderMatrix.empty(w)))
     code, _, _ = run(capsys, "levels", part)
     assert code == 2
+    # every cell is padded to the width of the largest rank
+    w = window_from_elements(zn(2), [zn_element(x, y) for x in range(4) for y in range(3)])
+    ofile = write(tmp_path / "wide.json", ser.order_to_json(lex_functional(2).window_order(w)))
+    code, out, _ = run(capsys, "levels", ofile)
+    assert code == 0
+    assert out == " 2  5  8 11\n 1  4  7 10\n 0  3  6  9\n"
 
 
 def test_env_seed(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from grouporders import (
     cone_contains,
     default_generators,
     extends_quadrant,
-    functional_order_compare,
     heisenberg_positive_order,
     identity,
     is_total,
@@ -105,7 +104,7 @@ def test_functional_compare_examples():
     lex = LinearFunctionalOrder.of(
         (1, 0), LinearFunctionalOrder.of((0, 1))
     )
-    assert functional_order_compare(lex, zn_element(0, 5), zn_element(1, -100)) is Comparison.LESS
+    assert lex.compare(zn_element(0, 5), zn_element(1, -100)) is Comparison.LESS
     f = LinearFunctionalOrder.of((1, Sqrt2Num.of(0, 1)))
     assert f.compare(zn_element(1, 0), zn_element(0, 1)) is Comparison.LESS  # 1 < sqrt2
     with pytest.raises(ValueError):

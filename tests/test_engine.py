@@ -183,6 +183,21 @@ def test_solve_budget_errors():
         solve(cs, size_limit=10)
 
 
+def test_solve_deadline_holds_on_the_unsat_path():
+    from grouporders import SolveTimeout
+
+    w = interval_window(0, 3)
+    # a 3-cycle (closed in a propagation round) and a 2-cycle (closed by
+    # the atoms themselves): no index is free, so the topological sort
+    # never starts and the deadline must be checked while propagating
+    for atoms in (((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 0))):
+        cs = ConstraintSystem(w, atoms)
+        with pytest.raises(SolveTimeout):
+            solve(cs, timeout=-1.0)
+        assert solve(cs).verdict == "unsat"
+        assert propagate_only(cs) is not None
+
+
 def test_sl3_instance_validation():
     with pytest.raises(ValueError):
         SL3Instance(1, (1, 2, 2, 2, 2, 2), 3, "plain_left")
