@@ -10,6 +10,7 @@ so that downstream constraint indices and certificates are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, neg
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -70,10 +71,13 @@ def element_key(g: GroupElement) -> bytes:
     return f"{g.group}:{','.join(map(str, g.payload))}".encode("ascii")
 
 
-def _ck(v: int) -> int:
-    if v < INT64_MIN or v > INT64_MAX:
-        raise IntegerOverflow(f"entry {v} leaves the 64-bit range")
-    return v
+def _checked(payload: tuple[int, ...]) -> tuple[int, ...]:
+    """payload, after one pass over its entries: the first entry outside the
+    signed 64-bit range raises IntegerOverflow."""
+    for v in payload:
+        if v < INT64_MIN or v > INT64_MAX:
+            raise IntegerOverflow(f"entry {v} leaves the 64-bit range")
+    return payload
 
 
 def _payload_len(group: GroupId) -> int:
@@ -97,8 +101,7 @@ def make_element(group: GroupId, data: Iterable[int]) -> GroupElement:
     payload = tuple(int(v) for v in data)
     if len(payload) != _payload_len(group):
         raise ValueError(f"{group} payload needs {_payload_len(group)} entries")
-    for v in payload:
-        _ck(v)
+    _checked(payload)
     if group.kind == KIND_SL3 and _det3(payload) != 1:
         raise ValueError("SL3(Z) payload must have determinant 1")
     return GroupElement(group, payload)
@@ -125,47 +128,46 @@ def identity(group: GroupId) -> GroupElement:
     return GroupElement(group, (1, 0, 0, 0, 1, 0, 0, 0, 1))
 
 
-def _same_group(g: GroupElement, h: GroupElement):
-    if g.group != h.group:
-        raise GroupMismatch(f"{g.group} vs {h.group}")
-
-
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    _same_group(g, h)
-    kind = g.group.kind
+    group = g.group
+    if group is not h.group and group != h.group:
+        raise GroupMismatch(f"{group} vs {h.group}")
+    kind = group.kind
     p, q = g.payload, h.payload
     if kind == KIND_ZN:
-        payload = tuple(_ck(a + b) for a, b in zip(p, q))
+        payload = _checked(tuple(map(add, p, q)))
     elif kind == KIND_HEISENBERG:
         # [a,b,c][a',b',c'] = [a+a', b+b', c+c'+a*b']
-        payload = (_ck(p[0] + q[0]), _ck(p[1] + q[1]), _ck(p[2] + q[2] + p[0] * q[1]))
+        a, b, c = p
+        x, y, z = q
+        payload = _checked((a + x, b + y, c + z + a * y))
     else:
-        payload = tuple(
-            _ck(sum(p[3 * i + t] * q[3 * t + j] for t in range(3)))
-            for i in range(3)
-            for j in range(3)
-        )
-    return GroupElement(g.group, payload)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = p
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = q
+        payload = _checked((
+            a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+        ))
+    return GroupElement(group, payload)
 
 
 def inverse(g: GroupElement) -> GroupElement:
     kind = g.group.kind
     p = g.payload
     if kind == KIND_ZN:
-        payload = tuple(_ck(-v) for v in p)
+        payload = _checked(tuple(map(neg, p)))
     elif kind == KIND_HEISENBERG:
-        payload = (_ck(-p[0]), _ck(-p[1]), _ck(p[0] * p[1] - p[2]))
+        a, b, c = p
+        payload = _checked((-a, -b, a * b - c))
     else:
         # determinant 1, so the inverse is the adjugate
-        m = [[p[0], p[1], p[2]], [p[3], p[4], p[5]], [p[6], p[7], p[8]]]
-
-        def cof(i, j):
-            return (
-                m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            )
-
-        payload = tuple(_ck(cof(j, i)) for i in range(3) for j in range(3))
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = p
+        payload = _checked((
+            a4 * a8 - a5 * a7, a2 * a7 - a1 * a8, a1 * a5 - a2 * a4,
+            a5 * a6 - a3 * a8, a0 * a8 - a2 * a6, a2 * a3 - a0 * a5,
+            a3 * a7 - a4 * a6, a1 * a6 - a0 * a7, a0 * a4 - a1 * a3,
+        ))
     return GroupElement(g.group, payload)
 
 
@@ -243,7 +245,7 @@ class Window:
         elems = tuple(elements)
         index: dict[tuple[int, ...], int] = {}
         for pos, g in enumerate(elems):
-            if g.group != group:
+            if g.group is not group and g.group != group:
                 raise GroupMismatch("window element from a different group")
             if g.payload in index:
                 raise ValueError("duplicate window element")
@@ -285,6 +287,14 @@ class Window:
                 raise missing(f"{g!r} not in window")
             out.append(p)
         return out
+
+    def preimages(
+        self, g: GroupElement, elements: Iterable[GroupElement]
+    ) -> list[int | None]:
+        """Position of g^-1 x for each x of elements, None where it lies
+        outside the window."""
+        ginv = inverse(g)
+        return [self.find(multiply(ginv, x)) for x in elements]
 
     def element(self, i: int) -> GroupElement:
         return self.elements[i]

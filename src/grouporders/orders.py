@@ -223,8 +223,7 @@ def translate_order(m: OrderMatrix, g: GroupElement) -> OrderMatrix:
         raise SizeLimitExceeded(
             f"translating a {m.n}-element order needs a dense matrix"
         )
-    ginv = inverse(g)
-    pre = [m.window.find(multiply(ginv, x)) for x in m.window]
+    pre = m.window.preimages(g, m.window)
     n = m.n
     rows = [0] * n
     for i in range(n):

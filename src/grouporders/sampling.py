@@ -220,8 +220,7 @@ def shadowing_report(
     rows = []
     all_ok = True
     for g in w:
-        ginv = inverse(g)
-        pre = [w.find(multiply(ginv, d)) for d in D]
+        pre = w.preimages(g, D)
         if any(p is None for p in pre):
             continue
         if g.payload in k_set:
@@ -414,8 +413,7 @@ def stabilizer_check(m: OrderMatrix, w: Window, gens: GeneratorSet) -> tuple[Gro
         raise ValueError("stabilizer check needs the order's own window")
     fixed = []
     for g in gens.generators:
-        ginv = inverse(g)
-        pre = [w.find(multiply(ginv, x)) for x in w]
+        pre = w.preimages(g, w)
         overlap = [i for i, p in enumerate(pre) if p is not None]
         if all(
             m.has(i, j) == m.has(pre[i], pre[j])

@@ -77,7 +77,10 @@ def element_set_to_json(group: GroupId, elements) -> dict:
 def element_set_from_json(obj) -> list[GroupElement]:
     """Element-list files share the window schema without the identity
     requirement."""
-    group = group_from_json(obj["group"])
+    return _elements_from_json(group_from_json(obj["group"]), obj)
+
+
+def _elements_from_json(group: GroupId, obj) -> list[GroupElement]:
     return [make_element(group, data) for data in obj["elements"]]
 
 
@@ -86,7 +89,8 @@ def window_to_json(w: Window) -> dict:
 
 
 def window_from_json(obj) -> Window:
-    return Window(group_from_json(obj["group"]), element_set_from_json(obj))
+    group = group_from_json(obj["group"])  # one object, so lookups take the `is` path
+    return Window(group, _elements_from_json(group, obj))
 
 
 def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:

@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's code paths: plain-loop 3x3 matrix
 products, word enumeration for balls, permutation scans and a bitset
-closure with branching for satisfiability, and high-precision decimal
-arithmetic for rotation values.
+closure with branching for satisfiability, high-precision decimal
+arithmetic for rotation values, and the entry-by-entry checked group
+arithmetic that the straight-line `multiply`/`inverse` replaced.
 """
 
 import itertools
 from decimal import Decimal, getcontext
+
+from grouporders.errors import IntegerOverflow
 
 getcontext().prec = 60
 SQRT2_DEC = Decimal(2).sqrt()
@@ -42,6 +45,50 @@ def mat_pow(a, k):
     for _ in range(k):
         out = mat_mul(out, a)
     return out
+
+
+def _ck(v):
+    if v < -(1 << 63) or v > (1 << 63) - 1:
+        raise IntegerOverflow(f"entry {v} leaves the 64-bit range")
+    return v
+
+
+def checked_multiply(kind, p, q):
+    """Payload of p*q for group kind "zn", "heis" or "sl3", each entry
+    range-checked as it is computed, so the first bad entry raises."""
+    if kind == "zn":
+        return tuple(_ck(a + b) for a, b in zip(p, q))
+    if kind == "heis":
+        return (_ck(p[0] + q[0]), _ck(p[1] + q[1]), _ck(p[2] + q[2] + p[0] * q[1]))
+    return tuple(
+        _ck(sum(p[3 * i + t] * q[3 * t + j] for t in range(3)))
+        for i in range(3)
+        for j in range(3)
+    )
+
+
+def checked_inverse(kind, p):
+    """Payload of p^-1, checked entry by entry like `checked_multiply`."""
+    if kind == "zn":
+        return tuple(_ck(-v) for v in p)
+    if kind == "heis":
+        return (_ck(-p[0]), _ck(-p[1]), _ck(p[0] * p[1] - p[2]))
+    return tuple(_ck(v) for v in mat_inv(p))
+
+
+def checked_power(kind, identity_payload, p, k):
+    """Payload of p^k by the same square-and-multiply steps as `power`, so
+    an overflow raises at the same product."""
+    if k < 0:
+        p, k = checked_inverse(kind, p), -k
+    result, base = identity_payload, p
+    while k:
+        if k & 1:
+            result = checked_multiply(kind, result, base)
+        k >>= 1
+        if k:
+            base = checked_multiply(kind, base, base)
+    return result
 
 
 def heis_to_matrix(t):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from grouporders import (
@@ -29,6 +30,7 @@ from grouporders import (
     zn,
     zn_element,
 )
+from grouporders.groups import INT64_MAX, INT64_MIN, Window, interval_window
 
 X = heisenberg_element(1, 0, 0)
 Y = heisenberg_element(0, 1, 0)
@@ -276,3 +278,125 @@ def test_generator_set_validation():
     with pytest.raises(ValueError):
         GeneratorSet(zn(2), (zn_element(1, 0),), symmetric=True)
     GeneratorSet(zn(2), (zn_element(1, 0), zn_element(-1, 0)), symmetric=True)
+
+
+# -- straight-line arithmetic against the entry-by-entry checked reference --
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.integers(INT64_MAX - 3, INT64_MAX),
+    st.integers(INT64_MIN, INT64_MIN + 3),
+    st.integers(3_037_000_490, 3_037_000_510),  # squares near 2^63
+    st.integers(-3_037_000_510, -3_037_000_490),
+)
+
+
+@st.composite
+def _zn_pairs(draw):
+    n = draw(st.integers(1, 4))
+    p, q = (tuple(draw(st.lists(ENTRIES, min_size=n, max_size=n))) for _ in range(2))
+    return GroupElement(zn(n), p), GroupElement(zn(n), q)
+
+
+@st.composite
+def _heis_pairs(draw):
+    p, q = (tuple(draw(st.lists(ENTRIES, min_size=3, max_size=3))) for _ in range(2))
+    return GroupElement(HEISENBERG, p), GroupElement(HEISENBERG, q)
+
+
+@st.composite
+def _sl3_elements(draw):
+    """A product of elementary unipotents E_rc(k); a factor that would take
+    an entry out of the 64-bit range is left out, so the determinant is 1
+    and every entry fits."""
+    p = oracles.IDENTITY3
+    off_diagonal = st.sampled_from((1, 2, 3, 5, 6, 7))
+    for at, k in draw(st.lists(st.tuples(off_diagonal, ENTRIES), max_size=5)):
+        e = list(oracles.IDENTITY3)
+        e[at] = k
+        q = oracles.mat_mul(p, tuple(e))
+        if all(INT64_MIN <= v <= INT64_MAX for v in q):
+            p = q
+    return GroupElement(SL3Z, p)
+
+
+_PAIRS = st.one_of(_zn_pairs(), _heis_pairs(), st.tuples(_sl3_elements(), _sl3_elements()))
+
+
+def _same_as_reference(call, reference):
+    """call() gives the element whose payload reference() computes, or
+    raises IntegerOverflow with the same message."""
+    try:
+        want = reference()
+    except IntegerOverflow as err:
+        with pytest.raises(IntegerOverflow) as got:
+            call()
+        assert str(got.value) == str(err)
+    else:
+        assert call().payload == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pair=_PAIRS)
+def test_multiply_and_inverse_match_checked_reference(pair):
+    g, h = pair
+    kind = g.group.kind
+    _same_as_reference(
+        lambda: multiply(g, h), lambda: oracles.checked_multiply(kind, g.payload, h.payload)
+    )
+    for x in (g, h):
+        _same_as_reference(lambda: inverse(x), lambda: oracles.checked_inverse(kind, x.payload))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_PAIRS, k=st.one_of(st.integers(-3, 3), st.integers(-70, 70)))
+def test_power_matches_checked_reference(pair, k):
+    g = pair[0]
+    e = identity(g.group).payload
+    _same_as_reference(
+        lambda: power(g, k), lambda: oracles.checked_power(g.group.kind, e, g.payload, k)
+    )
+
+
+def test_fast_paths_accept_an_equal_group_object():
+    twin = GroupId("zn", 2)  # equal to zn(2), not the same object
+    assert twin == zn(2) and twin is not zn(2)
+    a, b = make_element(twin, [1, 2]), zn_element(3, 4)
+    assert multiply(a, b).payload == multiply(b, a).payload == (4, 6)
+    w = Window(zn(2), [identity(zn(2)), a])
+    assert w.position(GroupElement(zn(2), (1, 2))) == 1
+    assert Window(twin, [identity(zn(2))]).find(identity(twin)) == 0
+    # another group, even with the same payload length, is still refused
+    with pytest.raises(GroupMismatch, match="heis vs zn:3"):
+        multiply(X, zn_element(1, 2, 3))
+    with pytest.raises(GroupMismatch, match="zn:2 vs zn:3"):
+        multiply(a, zn_element(1, 2, 3))
+    with pytest.raises(GroupMismatch):
+        Window(zn(3), [identity(zn(3)), X])
+
+
+def test_overflow_names_the_first_entry_out_of_range():
+    with pytest.raises(IntegerOverflow, match=f"^entry {-INT64_MIN} leaves"):
+        inverse(make_element(zn(1), [INT64_MIN]))
+    big = 1 << 62
+    # upper unitriangular: the product's entries 1 and 2 both leave the
+    # range, entry 0 stays 1; the message names entry 1
+    g = make_element(SL3Z, [1, big, -big - 1, 0, 1, 0, 0, 0, 1])
+    with pytest.raises(IntegerOverflow, match=f"^entry {2 * big} leaves"):
+        multiply(g, g)
+    # only entry 2 leaves the range, below INT64_MIN
+    h = make_element(SL3Z, [1, 0, -big - 1, 0, 1, 0, 0, 0, 1])
+    with pytest.raises(IntegerOverflow, match=f"^entry {-2 * big - 2} leaves"):
+        multiply(h, h)
+    with pytest.raises(IntegerOverflow, match=f"^entry {INT64_MAX + 1} leaves"):
+        inverse(make_element(SL3Z, [1, 1, INT64_MIN + 1, 0, 1, 1, 0, 0, 1]))
+
+
+def test_preimages_are_window_positions_of_the_translates():
+    w = interval_window(-3, 4)
+    g = zn_element(2)
+    assert w.preimages(g, w) == [None, None, 0, 1, 2, 3, 4]
+    assert w.preimages(g, [zn_element(5), zn_element(9)]) == [6, None]
+    with pytest.raises(GroupMismatch):
+        w.preimages(X, w)

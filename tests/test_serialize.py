@@ -1,9 +1,11 @@
 import json
 
+import pytest
 
 from grouporders import (
     HEISENBERG,
     SL3Z,
+    GroupMismatch,
     ball,
     build_extension_system,
     default_generators,
@@ -18,7 +20,7 @@ from grouporders import (
 from grouporders import serialize as ser
 from grouporders.constraints import ConstraintSystem
 from grouporders.engine import propagate_only
-from grouporders.groups import interval_window
+from grouporders.groups import Window, interval_window
 
 
 def test_element_roundtrip():
@@ -36,6 +38,18 @@ def test_window_roundtrip():
     ):
         blob = json.loads(ser.canonical_dumps(ser.window_to_json(w)))
         assert ser.window_from_json(blob) == w
+
+
+def test_window_from_json_shares_one_group_object():
+    w3 = ball(default_generators(zn(3)), 1)
+    w = ser.window_from_json(json.loads(ser.canonical_dumps(ser.window_to_json(w3))))
+    assert all(g.group is w.group for g in w)
+    # the shared object still refuses elements of another group
+    x = heisenberg_element(1, 0, 0)
+    heis = ser.element_set_from_json(ser.element_set_to_json(HEISENBERG, [x]))
+    assert w.find(heis[0]) is None
+    with pytest.raises(GroupMismatch):
+        Window(w.group, list(w) + heis)
 
 
 def test_order_roundtrip_total_and_partial():
