@@ -10,7 +10,7 @@ so that downstream constraint indices and certificates are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, neg
+from operator import add, index, neg
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -98,7 +98,7 @@ def _det3(p: tuple[int, ...]) -> int:
 
 def make_element(group: GroupId, data: Iterable[int]) -> GroupElement:
     """Validated element constructor for user-supplied data."""
-    payload = tuple(int(v) for v in data)
+    payload = tuple(map(index, data))  # floats, strings and the like raise TypeError
     if len(payload) != _payload_len(group):
         raise ValueError(f"{group} payload needs {_payload_len(group)} entries")
     _checked(payload)

@@ -68,7 +68,8 @@ class OrderMatrix:
     @classmethod
     def from_keys(cls, window: Window, keys: Sequence) -> "OrderMatrix":
         """Total order ranking index i by keys[i]; keys must be distinct."""
-        return cls.from_perm(window, sorted(range(len(window)), key=keys.__getitem__))
+        perm = sorted(range(len(window)), key=keys.__getitem__)
+        return cls(window, ranks=_invert(perm), closed=True)
 
     # -- queries ------------------------------------------------------
 
@@ -111,12 +112,42 @@ class OrderMatrix:
             raise SizeLimitExceeded(
                 f"dense matrix for {self.n} elements exceeds the {MAX_DENSE_ELEMENTS} cap"
             )
-        rows = [0] * self.n
-        suffix = 0
-        for i in reversed(self.perm()):
-            rows[i] = suffix
-            suffix |= 1 << i
+        return self.induced(range(self.n))
+
+    def induced(self, positions: Sequence[int | None]) -> list[int]:
+        """Row bitmasks of the order restricted to ``positions``, over the
+        local indices 0..k-1: bit b of row a is set iff
+        positions[a] < positions[b].  A None entry is related to nothing;
+        the other positions must be distinct."""
+        rows = [0] * len(positions)
+        if self._ranks is not None:
+            at_rank = {self._ranks[p]: a for a, p in enumerate(positions) if p is not None}
+            suffix = 0  # walk down from the top, each row is the set above it
+            for r in sorted(at_rank, reverse=True):
+                a = at_rank[r]
+                rows[a] = suffix
+                suffix |= 1 << a
+            return rows
+        live = [a for a, p in enumerate(positions) if p is not None]
+        for a in live:
+            row = self._rows[positions[a]]
+            for b in live:
+                if row >> positions[b] & 1:
+                    rows[a] |= 1 << b
         return rows
+
+    def ranking(self, positions: Sequence[int]) -> tuple[int, ...]:
+        """Relative ranks (0 = smallest) of the positions; raises
+        DomainNotCovered unless the order is total on them."""
+        rows = self.induced(positions)
+        k = len(rows)
+        ranks = tuple(k - 1 - row.bit_count() for row in rows)
+        suffix = 0  # a total order's rows, from the top down, are {}, {top}, ...
+        for a in sorted(range(k), key=ranks.__getitem__, reverse=True):
+            if rows[a] != suffix:
+                raise DomainNotCovered("order not total on the probed positions")
+            suffix |= 1 << a
+        return ranks
 
     def ranks(self) -> list[int]:
         """Rank vector of a total closed order (0 = smallest)."""
@@ -223,17 +254,7 @@ def translate_order(m: OrderMatrix, g: GroupElement) -> OrderMatrix:
         raise SizeLimitExceeded(
             f"translating a {m.n}-element order needs a dense matrix"
         )
-    pre = m.window.preimages(g, m.window)
-    n = m.n
-    rows = [0] * n
-    for i in range(n):
-        ti = pre[i]
-        if ti is None:
-            continue
-        for j in range(n):
-            tj = pre[j]
-            if tj is not None and m.has(ti, tj):
-                rows[i] |= 1 << j
+    rows = m.induced(m.window.preimages(g, m.window))
     return OrderMatrix(m.window, rows=rows, closed=m.closed)
 
 
@@ -249,13 +270,9 @@ def direction_set(m: OrderMatrix, x: GroupElement) -> set[GroupElement]:
     """Group elements s with x*s in the window and x < x*s."""
     if not m.closed:
         raise ValueError("direction_set needs a closed order")
-    i = m.window.position(x)
+    past = past_set(m, x)
     xinv = inverse(x)
-    out = set()
-    for j in range(m.n):
-        if m.has(i, j):
-            out.add(multiply(xinv, m.window.element(j)))
-    return out
+    return {multiply(xinv, y) for y in past}
 
 
 @dataclass(frozen=True)
@@ -275,15 +292,7 @@ class CylinderSpec:
 def matches_cylinder(m: OrderMatrix, c: CylinderSpec) -> bool:
     """True iff m restricted to the cylinder window equals its pattern."""
     positions = m.window.positions(c.window, DomainNotCovered)
-    k = len(positions)
-    for a in range(k):
-        for b in range(a + 1, k):
-            i, j = positions[a], positions[b]
-            if not m.decided(i, j):
-                raise DomainNotCovered("order undecided on a cylinder pair")
-            if m.has(i, j) != c.pattern.has(a, b):
-                return False
-    return True
+    return m.ranking(positions) == tuple(c.pattern.ranks())
 
 
 def render_levels(m: OrderMatrix) -> list[list[int]]:

@@ -229,12 +229,7 @@ def shadowing_report(
             ref, side = m2, "outside"
         else:
             continue
-        ok = all(
-            glued.has(pre[a], pre[b]) == ref.has(pre[a], pre[b])
-            for a in range(len(pre))
-            for b in range(len(pre))
-            if a != b
-        )
+        ok = glued.induced(pre) == ref.induced(pre)
         all_ok = all_ok and ok
         rows.append((g, side, ok))
     return all_ok, rows
@@ -414,12 +409,7 @@ def stabilizer_check(m: OrderMatrix, w: Window, gens: GeneratorSet) -> tuple[Gro
     fixed = []
     for g in gens.generators:
         pre = w.preimages(g, w)
-        overlap = [i for i, p in enumerate(pre) if p is not None]
-        if all(
-            m.has(i, j) == m.has(pre[i], pre[j])
-            for i in overlap
-            for j in overlap
-            if i != j
-        ):
+        overlap = [None if p is None else i for i, p in enumerate(pre)]
+        if m.induced(overlap) == m.induced(pre):
             fixed.append(g)
     return tuple(fixed)

@@ -71,22 +71,7 @@ def pattern_id(c: CylinderSpec) -> int:
 
 def ranking_of(m: OrderMatrix, F: Window) -> tuple[int, ...]:
     """Relative ranks of F's elements (window-index order) inside m."""
-    return _ranks_at(m, m.window.positions(F))
-
-
-def _ranks_at(m: OrderMatrix, positions: Sequence[int]) -> tuple[int, ...]:
-    k = len(positions)
-    ranks = []
-    for a in range(k):
-        below = 0
-        for b in range(k):
-            if a != b:
-                if not m.decided(positions[a], positions[b]):
-                    raise DomainNotCovered("order undecided on the probe set")
-                if m.has(positions[b], positions[a]):
-                    below += 1
-        ranks.append(below)
-    return tuple(ranks)
+    return m.ranking(m.window.positions(F))
 
 
 def _probe_positions(
@@ -139,7 +124,7 @@ def _probe_rankings(
             yield [tuple(sum(b < a for b in block) for a in block) for block in blocks]
         else:
             m = sampler(sample_seed)
-            yield [_ranks_at(m, ps) for ps in _probe_positions(m.window, F, missing, shift)]
+            yield [m.ranking(ps) for ps in _probe_positions(m.window, F, missing, shift)]
 
 
 def estimate_cylinder(sampler: Sampler, c: CylinderSpec, N: int, seed: int) -> EstimateReport:

@@ -3,14 +3,21 @@
 These deliberately avoid the library's code paths: plain-loop 3x3 matrix
 products, word enumeration for balls, permutation scans and a bitset
 closure with branching for satisfiability, high-precision decimal
-arithmetic for rotation values, and the entry-by-entry checked group
-arithmetic that the straight-line `multiply`/`inverse` replaced.
+arithmetic for rotation values, the entry-by-entry checked group
+arithmetic that the straight-line `multiply`/`inverse` replaced, and the
+pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced.
 """
 
 import itertools
 from decimal import Decimal, getcontext
 
-from grouporders.errors import IntegerOverflow
+from grouporders.errors import (
+    DomainNotCovered,
+    GroupMismatch,
+    IntegerOverflow,
+    SizeLimitExceeded,
+)
+from grouporders.orders import MAX_DENSE_ELEMENTS, OrderMatrix
 
 getcontext().prec = 60
 SQRT2_DEC = Decimal(2).sqrt()
@@ -159,3 +166,92 @@ def rotation_fraction_decimal(x, k, alpha_rat, alpha_root2):
     v = Decimal(x.numerator) / Decimal(x.denominator)
     v += k * (Decimal(alpha_rat) + Decimal(alpha_root2) * SQRT2_DEC)
     return v - int(v.to_integral_value(rounding="ROUND_FLOOR"))
+
+
+# -- restriction of an order, one ``has`` call per pair ---------------------
+
+
+def pairwise_induced(m, positions):
+    """Row bitmasks of m on positions (None related to nothing), pair by pair."""
+    k = len(positions)
+    rows = [0] * k
+    for a in range(k):
+        for b in range(k):
+            pa, pb = positions[a], positions[b]
+            if pa is not None and pb is not None and m.has(pa, pb):
+                rows[a] |= 1 << b
+    return rows
+
+
+def pairwise_translate_order(m, g):
+    if g.group != m.window.group:
+        raise GroupMismatch("translation element from a different group")
+    if m.n > MAX_DENSE_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"translating a {m.n}-element order needs a dense matrix"
+        )
+    pre = m.window.preimages(g, m.window)
+    n = m.n
+    rows = [0] * n
+    for i in range(n):
+        ti = pre[i]
+        if ti is None:
+            continue
+        for j in range(n):
+            tj = pre[j]
+            if tj is not None and m.has(ti, tj):
+                rows[i] |= 1 << j
+    return OrderMatrix(m.window, rows=rows, closed=m.closed)
+
+
+def pairwise_matches_cylinder(m, c):
+    """Stops at the first pair in order that is undecided (raises) or
+    disagrees with the pattern (False)."""
+    positions = m.window.positions(c.window, DomainNotCovered)
+    k = len(positions)
+    for a in range(k):
+        for b in range(a + 1, k):
+            i, j = positions[a], positions[b]
+            if not m.decided(i, j):
+                raise DomainNotCovered("order undecided on a cylinder pair")
+            if m.has(i, j) != c.pattern.has(a, b):
+                return False
+    return True
+
+
+def pairwise_ranks_at(m, positions):
+    k = len(positions)
+    ranks = []
+    for a in range(k):
+        below = 0
+        for b in range(k):
+            if a != b:
+                if not m.decided(positions[a], positions[b]):
+                    raise DomainNotCovered("order undecided on the probe set")
+                if m.has(positions[b], positions[a]):
+                    below += 1
+        ranks.append(below)
+    return tuple(ranks)
+
+
+def pairs_agree(m1, pos1, m2, pos2):
+    """m1 on pos1 and m2 on pos2 order every pair of local indices alike (the
+    comparison of the shadowing report and the stabilizer check)."""
+    return all(
+        m1.has(pos1[a], pos1[b]) == m2.has(pos2[a], pos2[b])
+        for a in range(len(pos1))
+        for b in range(len(pos1))
+        if a != b
+    )
+
+
+def pairwise_stabilizer_check(m, w, gens):
+    if w != m.window:
+        raise ValueError("stabilizer check needs the order's own window")
+    fixed = []
+    for g in gens.generators:
+        pre = w.preimages(g, w)
+        overlap = [i for i, p in enumerate(pre) if p is not None]
+        if pairs_agree(m, overlap, m, [pre[i] for i in overlap]):
+            fixed.append(g)
+    return tuple(fixed)

@@ -133,6 +133,15 @@ def test_verify_sl3(tmp_path, capsys):
     assert code == 2 and "n_i" in err
 
 
+def test_window_file_with_a_float_coordinate_is_rejected(tmp_path, capsys):
+    for elements in ([[0], [1.9]], [[0], [1.9], [1.2]]):
+        window = {"format": 1, "group": {"kind": "zn", "n": 1}, "elements": elements}
+        wfile = write(tmp_path / "w.json", window)
+        code, out, err = run(capsys, "sample", wfile, "-N", "1", "--seed", "5")
+        assert (code, out) == (2, "")
+        assert "TypeError" in err and "duplicate" not in err
+
+
 def test_sample_batches(tmp_path, capsys):
     w = ball(default_generators(zn(2)), 1)
     wfile = write(tmp_path / "w.json", ser.window_to_json(w))

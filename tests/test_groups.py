@@ -198,6 +198,16 @@ def test_sl3_constructor_checks_determinant():
         make_element(SL3Z, (1, 0, 0, 0, 1, 0, 0, 0, 2))
 
 
+def test_make_element_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        make_element(zn(1), [3.7])
+    with pytest.raises(TypeError):
+        make_element(zn(2), ["4", 1])
+    with pytest.raises(TypeError):
+        make_element(zn(1), [2.0])  # an integral float is still not an int
+    assert make_element(zn(2), [-4, 1 << 40]).payload == (-4, 1 << 40)
+
+
 def test_ball_sizes_against_enumeration_oracle():
     gens2 = default_generators(zn(2))
 
