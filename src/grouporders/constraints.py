@@ -3,9 +3,9 @@ and the linear-functional orders on Z^n.
 
 An invariant partial order is carried by a semigroup of positives; on a
 window it unrolls into one atom g < g*s per element and positive generator.
-Linear-functional orders compare exact values in Q[sqrt(2)] with a recursive
-tie-break cascade ending in lexicographic order, so comparisons are total
-and never made in floating point.
+A linear-functional order sorts each element by one exact key: its value
+under every functional of a tie-break cascade, in Q[sqrt(2)], then its
+coordinates, so the order is total and never decided in floating point.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ CoefficientLike = Union[int, Sqrt2Num]
 class LinearFunctionalOrder:
     """Total order on Z^n from a linear functional with exact tie-breaking.
 
-    Primary comparison is the sign of f(x-y); ties cascade into the
-    tie-breaker order, and a missing tie-breaker falls back to plain
-    lexicographic comparison (which is always total).
+    Elements are sorted by ``key``: the exact value of each functional of the
+    cascade (this one, its tie-breaker, and so on), then the coordinates
+    lexicographically.  By linearity f(x) < f(y) iff f(x-y) < 0.
     """
 
     coefficients: tuple[Sqrt2Num, ...]
@@ -196,34 +196,23 @@ class LinearFunctionalOrder:
     def dimension(self) -> int:
         return len(self.coefficients)
 
-    def _value_sign(self, diff: Sequence[int]) -> int:
-        total = Sqrt2Num.of(0)
-        for c, d in zip(self.coefficients, diff):
-            if d:
-                total = total + c * d
-        return total.sign()
+    def key(self, g: GroupElement) -> tuple:
+        """Exact sort key of g: one Q[sqrt(2)] value per functional of the
+        cascade, then g's payload."""
+        values, f = [], self
+        while f is not None:
+            terms = (c * v for c, v in zip(f.coefficients, g.payload) if v)
+            values.append(sum(terms, Sqrt2Num.of(0)))
+            f = f.tie_breaker
+        return (*values, g.payload)
 
     def compare(self, x: GroupElement, y: GroupElement) -> Comparison:
         if x.payload == y.payload:
             raise ValueError("compare needs distinct elements")
-        diff = tuple(a - b for a, b in zip(x.payload, y.payload))
-        s = self._value_sign(diff)
-        if s < 0:
-            return Comparison.LESS
-        if s > 0:
-            return Comparison.GREATER
-        if self.tie_breaker is not None:
-            return self.tie_breaker.compare(x, y)
-        for d in diff:  # lexicographic fallback; diff != 0 guarantees a decision
-            if d:
-                return Comparison.LESS if d < 0 else Comparison.GREATER
-        raise AssertionError("unreachable: distinct payloads")
+        return Comparison.LESS if self.key(x) < self.key(y) else Comparison.GREATER
 
     def window_order(self, window: Window) -> OrderMatrix:
-        key = functools.cmp_to_key(
-            lambda a, b: -1 if self.compare(a, b) is Comparison.LESS else 1
-        )
-        return OrderMatrix.from_keys(window, [key(g) for g in window])
+        return OrderMatrix.from_keys(window, [self.key(g) for g in window])
 
 
 def lex_functional(n: int) -> LinearFunctionalOrder:

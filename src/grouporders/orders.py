@@ -50,11 +50,7 @@ class OrderMatrix:
 
     @classmethod
     def from_ranks(cls, window: Window, ranks: Iterable[int]) -> "OrderMatrix":
-        rank_list = list(ranks)
-        n = len(window)
-        if sorted(rank_list) != list(range(n)):
-            raise ValueError("ranks must be a permutation of 0..n-1")
-        return cls(window, ranks=rank_list, closed=True)
+        return cls(window, ranks=_permutation(ranks, len(window), "ranks"), closed=True)
 
     @classmethod
     def empty(cls, window: Window) -> "OrderMatrix":
@@ -63,7 +59,7 @@ class OrderMatrix:
     @classmethod
     def from_perm(cls, window: Window, perm: Sequence[int]) -> "OrderMatrix":
         """Total order listing window indices from smallest to largest."""
-        return cls.from_ranks(window, _invert(perm))
+        return cls(window, ranks=_invert(_permutation(perm, len(window), "perm")), closed=True)
 
     @classmethod
     def from_keys(cls, window: Window, keys: Sequence) -> "OrderMatrix":
@@ -139,15 +135,10 @@ class OrderMatrix:
     def ranking(self, positions: Sequence[int]) -> tuple[int, ...]:
         """Relative ranks (0 = smallest) of the positions; raises
         DomainNotCovered unless the order is total on them."""
-        rows = self.induced(positions)
-        k = len(rows)
-        ranks = tuple(k - 1 - row.bit_count() for row in rows)
-        suffix = 0  # a total order's rows, from the top down, are {}, {top}, ...
-        for a in sorted(range(k), key=ranks.__getitem__, reverse=True):
-            if rows[a] != suffix:
-                raise DomainNotCovered("order not total on the probed positions")
-            suffix |= 1 << a
-        return ranks
+        ranks = _total_ranks(self.induced(positions))
+        if ranks is None:
+            raise DomainNotCovered("order not total on the probed positions")
+        return tuple(ranks)
 
     def ranks(self) -> list[int]:
         """Rank vector of a total closed order (0 = smallest)."""
@@ -155,12 +146,8 @@ class OrderMatrix:
             return list(self._ranks)
         if not self.closed:
             raise NotTotal("order must be closed before ranking")
-        n = self.n
-        ranks = [0] * n
-        for i, row in enumerate(self._rows):
-            above = row.bit_count()
-            ranks[i] = n - 1 - above
-        if sorted(ranks) != list(range(n)):
+        ranks = _total_ranks(self._rows)
+        if ranks is None:
             raise NotTotal("order is not total")
         return ranks
 
@@ -182,6 +169,28 @@ class OrderMatrix:
     def __repr__(self):
         kind = "total" if self._ranks is not None else f"{self.decided_count()} pairs"
         return f"OrderMatrix({self.window!r}, {kind}, closed={self.closed})"
+
+
+def _permutation(values: Iterable[int], n: int, what: str) -> list[int]:
+    """The values as a list, checked to hold each of 0..n-1 exactly once."""
+    out = list(values)
+    if sorted(out) != list(range(n)):
+        raise ValueError(f"{what} must be a permutation of 0..n-1")
+    return out
+
+
+def _total_ranks(rows: Sequence[int]) -> list[int] | None:
+    """Ranks (0 = smallest) of the relation given by row bitmasks, or None
+    unless it is a strict total order.  Read from the top down, a total
+    order's rows are exactly {}, {top}, {top, second}, ..."""
+    k = len(rows)
+    ranks = [k - 1 - row.bit_count() for row in rows]
+    suffix = 0
+    for a in sorted(range(k), key=ranks.__getitem__, reverse=True):
+        if rows[a] != suffix:
+            return None
+        suffix |= 1 << a
+    return ranks
 
 
 def _invert(perm: Sequence[int]) -> list[int]:
@@ -240,7 +249,7 @@ def transitive_closure(m: OrderMatrix) -> OrderMatrix:
 def is_total(m: OrderMatrix) -> bool:
     if not m.closed:
         raise ValueError("is_total needs a closed order")
-    return m.decided_count() == m.n * (m.n - 1) // 2
+    return m._ranks is not None or _total_ranks(m._rows) is not None
 
 
 def translate_order(m: OrderMatrix, g: GroupElement) -> OrderMatrix:

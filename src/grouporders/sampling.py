@@ -24,6 +24,7 @@ from .exactnum import Sqrt2Num, _coerce, _floor_ratio
 from .errors import (
     DomainNotCovered,
     InnerOrderIncomplete,
+    NotTotal,
     StabilizerCollision,
 )
 from .groups import (
@@ -126,29 +127,24 @@ def coset_sampler(
         inner_rank = {
             inner.window.element(i).payload: r for i, r in enumerate(inner.ranks())
         }
-    except Exception as exc:
+    except NotTotal as exc:
         raise InnerOrderIncomplete("inner order must be total and closed") from exc
 
     e = identity(w.group)
-    reps: list[GroupElement] = []
+    reps: dict[GroupElement, int] = {}  # representative -> coset index
     within: list[tuple[int, int]] = []  # (coset index, inner rank) per element
     for g in w:
         if subgroup_test(g):
             target = e
-        else:
-            target = None
-            for r in reps:
-                if r != e and subgroup_test(multiply(inverse(r), g)):
-                    target = r
-                    break
-            if target is None:
-                target = g
-        if target not in reps:
-            reps.append(target)
+        else:  # the first representative of g's coset, else g itself
+            target = next(
+                (r for r in reps if r != e and subgroup_test(multiply(inverse(r), g))), g
+            )
+        coset = reps.setdefault(target, len(reps))
         t = multiply(inverse(target), g)
         if t.payload not in inner_rank:
             raise InnerOrderIncomplete(f"inner order does not cover {t!r}")
-        within.append((reps.index(target), inner_rank[t.payload]))
+        within.append((coset, inner_rank[t.payload]))
 
     # equal labels fall back to the representatives' canonical encodings
     eks = [element_key(r) for r in reps]
@@ -208,15 +204,11 @@ def shadowing_report(
     the separation-band elements in between.  Returns (all_ok, rows).
     """
     w = glued.window
+    K = list(K)
     k_set = {k.payload for k in K}
-    f_set = {
-        multiply(d1, inverse(d2)).payload for d1 in D for d2 in D
+    fk_set = {
+        multiply(multiply(d1, inverse(d2)), k).payload for d1 in D for d2 in D for k in K
     }
-    fk_set = set()
-    for fp in f_set:
-        f = GroupElement(w.group, fp)
-        for kp in k_set:
-            fk_set.add(multiply(f, GroupElement(w.group, kp)).payload)
     rows = []
     all_ok = True
     for g in w:

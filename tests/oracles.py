@@ -4,10 +4,13 @@ These deliberately avoid the library's code paths: plain-loop 3x3 matrix
 products, word enumeration for balls, permutation scans and a bitset
 closure with branching for satisfiability, high-precision decimal
 arithmetic for rotation values, the entry-by-entry checked group
-arithmetic that the straight-line `multiply`/`inverse` replaced, and the
-pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced.
+arithmetic that the straight-line `multiply`/`inverse` replaced, the
+pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the
+recursive sign cascade that `LinearFunctionalOrder.key` replaced, and a
+pair-by-pair test of strict total orders.
 """
 
+import functools
 import itertools
 from decimal import Decimal, getcontext
 
@@ -17,6 +20,8 @@ from grouporders.errors import (
     IntegerOverflow,
     SizeLimitExceeded,
 )
+from grouporders.constraints import Comparison
+from grouporders.exactnum import Sqrt2Num
 from grouporders.orders import MAX_DENSE_ELEMENTS, OrderMatrix
 
 getcontext().prec = 60
@@ -255,3 +260,55 @@ def pairwise_stabilizer_check(m, w, gens):
         if pairs_agree(m, overlap, m, [pre[i] for i in overlap]):
             fixed.append(g)
     return tuple(fixed)
+
+
+# -- linear-functional orders by a recursive sign cascade --------------------
+
+
+def _value_sign(f, diff):
+    total = Sqrt2Num.of(0)
+    for c, d in zip(f.coefficients, diff):
+        if d:
+            total = total + c * d
+    return total.sign()
+
+
+def cascade_compare(f, x, y):
+    """Sign of f(x-y), then the tie-breaker's, then the first nonzero
+    coordinate of x-y."""
+    if x.payload == y.payload:
+        raise ValueError("compare needs distinct elements")
+    diff = tuple(a - b for a, b in zip(x.payload, y.payload))
+    s = _value_sign(f, diff)
+    if s < 0:
+        return Comparison.LESS
+    if s > 0:
+        return Comparison.GREATER
+    if f.tie_breaker is not None:
+        return cascade_compare(f.tie_breaker, x, y)
+    for d in diff:
+        if d:
+            return Comparison.LESS if d < 0 else Comparison.GREATER
+    raise AssertionError("unreachable: distinct payloads")
+
+
+def cascade_perm(f, window):
+    """Window indices sorted by ``cascade_compare``, smallest first."""
+    def cmp(i, j):
+        less = cascade_compare(f, window.element(i), window.element(j)) is Comparison.LESS
+        return -1 if less else 1
+
+    return sorted(range(len(window)), key=functools.cmp_to_key(cmp))
+
+
+# -- strict total orders, pair by pair --------------------------------------
+
+
+def is_strict_total(n, has):
+    """Irreflexive, transitive, and every pair of distinct indices decided."""
+    r = range(n)
+    return (
+        not any(has(i, i) for i in r)
+        and all(has(i, k) for i in r for j in r for k in r if has(i, j) and has(j, k))
+        and all(has(i, j) or has(j, i) for i in r for j in r if i != j)
+    )

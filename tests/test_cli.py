@@ -380,3 +380,45 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GROUPORDERS_SEED")
     code, out2, _ = run(capsys, "sample", wfile, "-N", "1", "--seed", "99")
     assert out1 == out2
+
+
+def test_order_files_must_list_each_index_once(tmp_path, capsys):
+    wj = ser.window_to_json(interval_window(-1, 2))
+    rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])
+    for perm in ([0, 0, 2], [-1, 1, 2], [0, 1, 3]):
+        ofile = write(tmp_path / "o.json", {"format": 1, "closed": True, "window": wj, "perm": perm})
+        lfile = write(
+            tmp_path / "l.json",
+            {"format": 1, "closed": True, "window": ser.window_to_json(rect), "perm": [*perm, 3]},
+        )
+        for argv in (["reconstruct", ofile, "--n", "2"], ["levels", lfile]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, perm)
+            assert "ValueError: perm must be a permutation" in err
+
+
+# 0 below everything and 3 above, while 1 < 2 and 2 < 1: every pair is
+# decided and the rows' popcounts 3, 2, 1, 0 look like ranks, but it cycles
+CYCLIC = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 1]]
+
+
+def test_a_cyclic_closed_relation_is_not_a_total_order(tmp_path, capsys):
+    rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])
+    wj = ser.window_to_json(rect)
+    wfile = write(tmp_path / "w.json", wj)
+    cyclic = {"format": 1, "closed": True, "pairs": CYCLIC}
+    ofile = write(tmp_path / "cyc.json", {**cyclic, "window": wj})
+    lex = write(tmp_path / "lex.json", ser.order_to_json(lex_functional(2).window_order(rect)))
+    origin = write(tmp_path / "e.json", ser.element_set_to_json(zn(2), [zn_element(0, 0)]))
+    cfile = write(tmp_path / "cyl.json", {"format": 1, "window": wj, "pattern": cyclic})
+    glue_out = ["-o", str(tmp_path / "g.json"), "--report-out", str(tmp_path / "r.json")]
+    coset = ["--sampler", "coset", "--inner-order", ofile, "--subgroup-zero-coords", "0,1"]
+    for argv in (
+        ["levels", ofile],
+        ["glue", ofile, lex, "--k-file", origin, "--d-file", origin, *glue_out],
+        ["estimate", wfile, "--cylinder", cfile, "-N", "3", "--seed", "1"],
+        ["sample", wfile, "-N", "1", "--seed", "1", *coset],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv

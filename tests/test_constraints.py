@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from grouporders import (
     Comparison,
@@ -160,3 +163,34 @@ def test_extends_quadrant_matches_atom_satisfaction():
         ranks = f.window_order(w).ranks()
         satisfies = all(ranks[i] < ranks[j] for i, j in cs.atoms)
         assert satisfies == extends_quadrant(f)
+
+
+COEFFICIENTS = st.one_of(
+    st.just(Sqrt2Num.of(0)),
+    st.builds(Sqrt2Num.of, st.fractions(-2, 2, max_denominator=2)),
+    st.builds(Sqrt2Num.of, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def functional_windows(draw):
+    """A cascade 1-3 deep on Z^1..Z^3 with zero, rational and sqrt(2)
+    coefficients, and a window of small points, so that values tie."""
+    d = draw(st.integers(1, 3))
+    f = None
+    for _ in range(draw(st.integers(1, 3))):
+        f = LinearFunctionalOrder.of(draw(st.lists(COEFFICIENTS, min_size=d, max_size=d)), f)
+    points = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=30))
+    return f, window_from_elements(zn(d), [zn_element(*p) for p in points])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(functional_windows(), st.data())
+def test_functional_keys_match_the_sign_cascade(fw, data):
+    f, w = fw
+    assert f.window_order(w).perm() == oracles.cascade_perm(f, w)
+    index = st.integers(0, len(w) - 1)
+    for _ in range(5):
+        x, y = w.element(data.draw(index)), w.element(data.draw(index))
+        if x != y:
+            assert f.compare(x, y) is oracles.cascade_compare(f, x, y)

@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from grouporders import (
     ContradictionError,
@@ -231,3 +234,52 @@ def test_reflexive_pair_rejected():
     w = interval_window(0, 3)
     with pytest.raises(ValueError):
         OrderMatrix.from_pairs(w, [(1, 1)])
+
+
+def test_from_perm_lists_each_index_once():
+    w = interval_window(-1, 2)
+    for perm in ([0, 0, 2], [-1, 1, 2], [0, 1, 3], [0, 1], [0, 1, 2, 0]):
+        with pytest.raises(ValueError, match="perm must be a permutation"):
+            OrderMatrix.from_perm(w, perm)
+    assert OrderMatrix.from_perm(w, [2, 0, 1]).ranks() == [1, 2, 0]
+
+
+@st.composite
+def closed_relations(draw):
+    """A relation on at most 6 elements marked closed whatever it is: a total
+    order or nothing, with up to four pairs toggled (which can leave a pair
+    undecided, break transitivity or close a cycle)."""
+    n = draw(st.integers(1, 6))
+    pairs = set()
+    if draw(st.booleans()):
+        hidden = draw(st.permutations(range(n)))
+        pairs = {(hidden[a], hidden[b]) for a in range(n) for b in range(a + 1, n)}
+    index = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=4)):
+        if i != j:
+            pairs ^= {(i, j)}
+    return OrderMatrix.from_pairs(interval_window(0, n), sorted(pairs), closed=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(closed_relations(), st.data())
+def test_totality_rule_matches_the_pairwise_oracle(m, data):
+    n = m.n
+    total = oracles.is_strict_total(n, m.has)
+    assert is_total(m) == total
+    if total:
+        assert m.ranks() == [sum(m.has(j, i) for j in range(n)) for i in range(n)]
+    else:
+        with pytest.raises(NotTotal):
+            m.ranks()
+    positions = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    k = len(positions)
+
+    def has(a, b):
+        return m.has(positions[a], positions[b])
+
+    if oracles.is_strict_total(k, has):
+        assert m.ranking(positions) == tuple(sum(has(b, a) for b in range(k)) for a in range(k))
+    else:
+        with pytest.raises(DomainNotCovered):
+            m.ranking(positions)

@@ -385,3 +385,13 @@ def test_uniform_translation_invariance_cylinder_frequencies():
     se = math.sqrt(p * (1 - p) / n)
     for c in counts:
         assert abs(c / n - p) < 4 * se
+
+
+def test_coset_sampler_reports_only_a_non_total_inner_order(monkeypatch):
+    member = lambda g: g.payload[0] == 0
+    with pytest.raises(InnerOrderIncomplete):
+        coset_sampler(W2, member, OrderMatrix.empty(W2))
+    # any other failure while ranking the inner order is not an input error
+    monkeypatch.setattr(OrderMatrix, "ranks", lambda self: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        coset_sampler(W2, member, uniform_order(W2, 1))

@@ -98,3 +98,12 @@ def test_canonical_dumps_stable():
     a = ser.canonical_dumps(ser.window_to_json(w))
     b = ser.canonical_dumps(ser.window_to_json(w))
     assert a == b and a.endswith("\n")
+
+
+def test_a_cyclic_closed_relation_is_written_as_pairs():
+    from grouporders.orders import OrderMatrix
+
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 1)]
+    m = OrderMatrix.from_pairs(interval_window(-1, 3), pairs, closed=True)
+    out = ser.order_to_json(m)
+    assert "perm" not in out and out["pairs"] == pairs
