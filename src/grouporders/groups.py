@@ -5,13 +5,17 @@ Elements are immutable and carry their group tag.  All integer arithmetic is
 checked against the signed 64-bit range: overflow raises, it never wraps.
 Window enumeration is deterministic (BFS layer, then lexicographic payload)
 so that downstream constraint indices and certificates are reproducible.
+
+Raw payloads become a window in one place, `Window.from_payloads`, which
+checks them in bulk; window files and the window builders all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, index, neg
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ElementNotInWindow,
@@ -30,7 +34,7 @@ KIND_HEISENBERG = "heis"
 KIND_SL3 = "sl3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupId:
     kind: str
     n: int = 0
@@ -57,7 +61,7 @@ HEISENBERG = GroupId(KIND_HEISENBERG)
 SL3Z = GroupId(KIND_SL3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     group: GroupId
     payload: tuple[int, ...]
@@ -107,6 +111,27 @@ def make_element(group: GroupId, data: Iterable[int]) -> GroupElement:
     return GroupElement(group, payload)
 
 
+def checked_payloads(group: GroupId, rows: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+    """make_element's payloads of the rows, checked in bulk.  If a check fails
+    the rows go one by one through make_element, so the first bad row raises
+    what make_element raises for it."""
+    try:
+        payloads = list(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(payloads))) <= {int}:
+            payloads = [tuple(map(index, p)) for p in payloads]
+        flat = list(chain.from_iterable(payloads))
+        if (
+            set(map(len, payloads)) <= {_payload_len(group)}
+            and INT64_MIN <= min(flat, default=0)
+            and max(flat, default=0) <= INT64_MAX
+            and (group.kind != KIND_SL3 or all(_det3(p) == 1 for p in payloads))
+        ):
+            return payloads
+    except TypeError:
+        pass
+    return [make_element(group, r).payload for r in rows]
+
+
 def zn_element(*coords: int) -> GroupElement:
     return make_element(zn(len(coords)), coords)
 
@@ -128,28 +153,37 @@ def identity(group: GroupId) -> GroupElement:
     return GroupElement(group, (1, 0, 0, 0, 1, 0, 0, 0, 1))
 
 
+def _zn_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return _checked(tuple(map(add, p, q)))
+
+
+def _heisenberg_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # [a,b,c][a',b',c'] = [a+a', b+b', c+c'+a*b']
+    a, b, c = p
+    x, y, z = q
+    return _checked((a + x, b + y, c + z + a * y))
+
+
+def _sl3_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = p
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = q
+    return _checked((
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    ))
+
+
+# The group law on payloads, one checked product per kind: `multiply`, `ball`
+# and `window_closure` all compute through these.
+_PRODUCT = {KIND_ZN: _zn_product, KIND_HEISENBERG: _heisenberg_product, KIND_SL3: _sl3_product}
+
+
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     group = g.group
     if group is not h.group and group != h.group:
         raise GroupMismatch(f"{group} vs {h.group}")
-    kind = group.kind
-    p, q = g.payload, h.payload
-    if kind == KIND_ZN:
-        payload = _checked(tuple(map(add, p, q)))
-    elif kind == KIND_HEISENBERG:
-        # [a,b,c][a',b',c'] = [a+a', b+b', c+c'+a*b']
-        a, b, c = p
-        x, y, z = q
-        payload = _checked((a + x, b + y, c + z + a * y))
-    else:
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = p
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = q
-        payload = _checked((
-            a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-        ))
-    return GroupElement(group, payload)
+    return GroupElement(group, _PRODUCT[group.kind](g.payload, h.payload))
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -237,19 +271,32 @@ def default_generators(group: GroupId) -> GeneratorSet:
 
 
 class Window:
-    """Finite indexed subset of a group; always contains the identity."""
+    """Finite indexed subset of a group; always contains the identity.
+    Built from elements (checked one by one) or, in bulk, from_payloads."""
 
     __slots__ = ("group", "elements", "_index")
 
     def __init__(self, group: GroupId, elements: Iterable[GroupElement]):
         elems = tuple(elements)
-        index: dict[tuple[int, ...], int] = {}
-        for pos, g in enumerate(elems):
+        for g in elems:
             if g.group is not group and g.group != group:
                 raise GroupMismatch("window element from a different group")
-            if g.payload in index:
-                raise ValueError("duplicate window element")
-            index[g.payload] = pos
+        self._fill(group, elems, [g.payload for g in elems])
+
+    @classmethod
+    def from_payloads(cls, group: GroupId, rows: Sequence[Iterable[int]]) -> Window:
+        """Window over the rows, in order, each element built once: the one
+        place raw payloads become a window.  Raises what Window raises over
+        make_element of each row."""
+        payloads = checked_payloads(group, rows)
+        w = cls.__new__(cls)
+        w._fill(group, tuple([GroupElement(group, p) for p in payloads]), payloads)
+        return w
+
+    def _fill(self, group: GroupId, elems: tuple, payloads: list) -> None:
+        index = dict(zip(payloads, range(len(payloads))))
+        if len(index) != len(payloads):
+            raise ValueError("duplicate window element")
         if identity(group).payload not in index:
             raise ValueError("window must contain the identity")
         self.group = group
@@ -288,6 +335,10 @@ class Window:
             out.append(p)
         return out
 
+    def payload_positions(self, payloads: Iterable[tuple[int, ...]]) -> list[int | None]:
+        """Position of each payload, None where it is absent."""
+        return list(map(self._index.get, payloads))
+
     def preimages(
         self, g: GroupElement, elements: Iterable[GroupElement]
     ) -> list[int | None]:
@@ -319,35 +370,32 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
         raise ValueError("ball needs a nonempty generator set")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    steps = list(gens.generators)
-    for g in gens.generators:
-        inv = inverse(g)
-        if all(inv.payload != s.payload for s in steps):
-            steps.append(inv)
-    steps.sort(key=lambda g: g.payload)
+    group = gens.group
+    product = _PRODUCT[group.kind]
+    steps = sorted({p for g in gens.generators for p in (g.payload, inverse(g).payload)})
 
-    e = identity(gens.group)
-    seen = {e.payload}
+    e = identity(group).payload
+    seen = {e}
     ordered = [e]
     frontier = [e]
     for _ in range(radius):
         layer = []
-        for g in frontier:
+        for p in frontier:
             for s in steps:
-                h = multiply(g, s)
-                if h.payload not in seen:
-                    seen.add(h.payload)
+                h = product(p, s)
+                if h not in seen:
+                    seen.add(h)
                     layer.append(h)
                     if len(seen) > size_limit:
                         raise SizeLimitExceeded(
                             f"ball exceeds the {size_limit}-element cap"
                         )
-        layer.sort(key=lambda g: g.payload)
-        ordered.extend(layer)
+        layer.sort()
+        ordered += layer
         frontier = layer
         if not layer:
             break
-    return Window(gens.group, ordered)
+    return Window.from_payloads(group, ordered)
 
 
 def window_closure(
@@ -364,32 +412,32 @@ def window_closure(
     for m in mults:
         if m.group != w.group:
             raise GroupMismatch("multiplier from a different group")
-    fresh = {}
-    for g in w:
+    product = _PRODUCT[w.group.kind]
+    have = w._index
+    fresh = set()
+    for p in have:
         for m in mults:
-            h = multiply(g, m)
-            if h not in w and h.payload not in fresh:
-                fresh[h.payload] = h
+            h = product(p, m.payload)
+            if h not in have:
+                fresh.add(h)
     if len(w) + len(fresh) > size_limit:
         raise SizeLimitExceeded(f"closure exceeds the {size_limit}-element cap")
-    appended = sorted(fresh.values(), key=lambda g: g.payload)
-    return Window(w.group, list(w.elements) + appended)
+    return Window.from_payloads(w.group, [*have, *sorted(fresh)])
 
 
 def window_from_elements(group: GroupId, elements: Iterable[GroupElement]) -> Window:
     """Window over the given elements plus the identity, in canonical
     (lexicographic payload) order."""
-    pool = {identity(group).payload: identity(group)}
+    pool = {identity(group).payload}
     for g in elements:
         if g.group != group:
             raise GroupMismatch("element from a different group")
-        pool[g.payload] = g
-    return Window(group, sorted(pool.values(), key=lambda g: g.payload))
+        pool.add(g.payload)
+    return Window.from_payloads(group, sorted(pool))
 
 
 def interval_window(lo: int, hi: int) -> Window:
     """Window {lo, ..., hi-1} in Z, in natural order; must contain 0."""
     if not lo <= 0 < hi:
         raise ValueError("interval window must contain 0")
-    group = zn(1)
-    return Window(group, [GroupElement(group, (k,)) for k in range(lo, hi)])
+    return Window.from_payloads(zn(1), [(k,) for k in range(lo, hi)])

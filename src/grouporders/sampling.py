@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 
@@ -365,33 +365,33 @@ def box(n: int) -> AveragingScheme:
     return AveragingScheme(BOX, n)
 
 
-def _scheme_support(scheme: AveragingScheme, w: Window) -> list[GroupElement]:
+def _scheme_support(scheme: AveragingScheme, w: Window) -> list[tuple[int, ...]]:
     group = w.group
     if group.kind != "zn":
         raise DomainNotCovered("averaging schemes act on Z^n windows")
     if scheme.kind == CESARO_INTERVAL:
         if group.n != 1:
             raise DomainNotCovered("interval averaging needs Z")
-        return [GroupElement(group, (k,)) for k in range(scheme.n)]
-    import itertools
-
-    return [
-        GroupElement(group, c)
-        for c in itertools.product(range(scheme.n), repeat=group.n)
-    ]
+        return [(k,) for k in range(scheme.n)]
+    return list(product(range(scheme.n), repeat=group.n))
 
 
 def reconstruct(m: OrderMatrix, scheme: AveragingScheme) -> Fraction:
     """Measure, under the scheme, of the window elements below the identity.
 
     This is the finite-stage value of the coordinate-recovery average; no
-    limit is claimed.
+    limit is claimed.  The order must be total and closed (NotTotal
+    otherwise).
     """
     w = m.window
     support = _scheme_support(scheme, w)
-    e_pos = w.position(identity(w.group))
-    count = sum(m.has(p, e_pos) for p in w.positions(support, DomainNotCovered))
-    return Fraction(count, len(support))
+    positions = w.payload_positions(support)
+    if None in positions:
+        g = GroupElement(w.group, support[positions.index(None)])
+        raise DomainNotCovered(f"{g!r} not in window")
+    ranks = m.ranks()
+    below = ranks[w.position(identity(w.group))]
+    return Fraction(sum(ranks[p] < below for p in positions), len(positions))
 
 
 def stabilizer_check(m: OrderMatrix, w: Window, gens: GeneratorSet) -> tuple[GroupElement, ...]:

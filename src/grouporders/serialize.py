@@ -25,6 +25,7 @@ from .groups import (
     KIND_ZN,
     SL3Z,
     Window,
+    checked_payloads,
     make_element,
     zn,
 )
@@ -77,11 +78,8 @@ def element_set_to_json(group: GroupId, elements) -> dict:
 def element_set_from_json(obj) -> list[GroupElement]:
     """Element-list files share the window schema without the identity
     requirement."""
-    return _elements_from_json(group_from_json(obj["group"]), obj)
-
-
-def _elements_from_json(group: GroupId, obj) -> list[GroupElement]:
-    return [make_element(group, data) for data in obj["elements"]]
+    group = group_from_json(obj["group"])
+    return [GroupElement(group, p) for p in checked_payloads(group, obj["elements"])]
 
 
 def window_to_json(w: Window) -> dict:
@@ -89,8 +87,7 @@ def window_to_json(w: Window) -> dict:
 
 
 def window_from_json(obj) -> Window:
-    group = group_from_json(obj["group"])  # one object, so lookups take the `is` path
-    return Window(group, _elements_from_json(group, obj))
+    return Window.from_payloads(group_from_json(obj["group"]), obj["elements"])
 
 
 def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:

@@ -6,13 +6,16 @@ closure with branching for satisfiability, high-precision decimal
 arithmetic for rotation values, the entry-by-entry checked group
 arithmetic that the straight-line `multiply`/`inverse` replaced, the
 pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the
-recursive sign cascade that `LinearFunctionalOrder.key` replaced, and a
-pair-by-pair test of strict total orders.
+recursive sign cascade that `LinearFunctionalOrder.key` replaced, a
+pair-by-pair test of strict total orders, and the element-by-element window
+builders (row decode, ball, closure, `has`-loop reconstruct) that
+`Window.from_payloads` and the payload products replaced.
 """
 
 import functools
 import itertools
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 from grouporders.errors import (
     DomainNotCovered,
@@ -21,6 +24,15 @@ from grouporders.errors import (
     SizeLimitExceeded,
 )
 from grouporders.constraints import Comparison
+from grouporders.groups import (
+    DEFAULT_SIZE_LIMIT,
+    GroupElement,
+    Window,
+    identity,
+    inverse,
+    make_element,
+    multiply,
+)
 from grouporders.exactnum import Sqrt2Num
 from grouporders.orders import MAX_DENSE_ELEMENTS, OrderMatrix
 
@@ -312,3 +324,100 @@ def is_strict_total(n, has):
         and all(has(i, k) for i in r for j in r for k in r if has(i, j) and has(j, k))
         and all(has(i, j) or has(j, i) for i in r for j in r if i != j)
     )
+
+
+# -- element-by-element window builders -------------------------------------
+
+
+def rowwise_elements(group, rows):
+    """Each row through make_element, in order."""
+    return [make_element(group, data) for data in rows]
+
+
+def rowwise_window(group, rows):
+    """The window of the rows, decoded one make_element at a time."""
+    return Window(group, rowwise_elements(group, rows))
+
+
+def elementwise_ball(gens, radius, size_limit=DEFAULT_SIZE_LIMIT):
+    """Breadth-first ball built from GroupElements, one multiply per step."""
+    if not gens.generators:
+        raise ValueError("ball needs a nonempty generator set")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    steps = list(gens.generators)
+    for g in gens.generators:
+        inv = inverse(g)
+        if all(inv.payload != s.payload for s in steps):
+            steps.append(inv)
+    steps.sort(key=lambda g: g.payload)
+
+    e = identity(gens.group)
+    seen = {e.payload}
+    ordered = [e]
+    frontier = [e]
+    for _ in range(radius):
+        layer = []
+        for g in frontier:
+            for s in steps:
+                h = multiply(g, s)
+                if h.payload not in seen:
+                    seen.add(h.payload)
+                    layer.append(h)
+                    if len(seen) > size_limit:
+                        raise SizeLimitExceeded(
+                            f"ball exceeds the {size_limit}-element cap"
+                        )
+        layer.sort(key=lambda g: g.payload)
+        ordered.extend(layer)
+        frontier = layer
+        if not layer:
+            break
+    return Window(gens.group, ordered)
+
+
+def elementwise_window_closure(w, multipliers, size_limit=DEFAULT_SIZE_LIMIT):
+    mults = list(multipliers)
+    for m in mults:
+        if m.group != w.group:
+            raise GroupMismatch("multiplier from a different group")
+    fresh = {}
+    for g in w:
+        for m in mults:
+            h = multiply(g, m)
+            if h not in w and h.payload not in fresh:
+                fresh[h.payload] = h
+    if len(w) + len(fresh) > size_limit:
+        raise SizeLimitExceeded(f"closure exceeds the {size_limit}-element cap")
+    appended = sorted(fresh.values(), key=lambda g: g.payload)
+    return Window(w.group, list(w.elements) + appended)
+
+
+def elementwise_window_from_elements(group, elements):
+    pool = {identity(group).payload: identity(group)}
+    for g in elements:
+        if g.group != group:
+            raise GroupMismatch("element from a different group")
+        pool[g.payload] = g
+    return Window(group, sorted(pool.values(), key=lambda g: g.payload))
+
+
+def has_loop_reconstruct(m, scheme):
+    """Share of the scheme's support below the identity, one ``has`` per
+    support element (an undecided pair counts as not below)."""
+    w = m.window
+    group = w.group
+    if group.kind != "zn":
+        raise DomainNotCovered("averaging schemes act on Z^n windows")
+    if scheme.kind == "cesaro_interval":
+        if group.n != 1:
+            raise DomainNotCovered("interval averaging needs Z")
+        support = [GroupElement(group, (k,)) for k in range(scheme.n)]
+    else:
+        support = [
+            GroupElement(group, c)
+            for c in itertools.product(range(scheme.n), repeat=group.n)
+        ]
+    e_pos = w.position(identity(group))
+    count = sum(m.has(p, e_pos) for p in w.positions(support, DomainNotCovered))
+    return Fraction(count, len(support))

@@ -422,3 +422,17 @@ def test_a_cyclic_closed_relation_is_not_a_total_order(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+
+
+def test_reconstruct_needs_a_total_order(tmp_path, capsys):
+    wj = ser.window_to_json(interval_window(0, 4))
+    rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])
+    for name, window, relation, scheme in (
+        ("open", wj, {"closed": False, "pairs": []}, "cesaro"),
+        ("cyclic", wj, {"closed": True, "pairs": CYCLIC}, "cesaro"),
+        ("cyclic2", ser.window_to_json(rect), {"closed": True, "pairs": CYCLIC}, "box"),
+    ):
+        ofile = write(tmp_path / f"{name}.json", {"format": 1, "window": window, **relation})
+        code, out, err = run(capsys, "reconstruct", ofile, "--scheme", scheme, "--n", "2")
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: NotTotal: "), name

@@ -59,6 +59,15 @@ RUNS = [
                        "--x", "1/7,2/9"], []),
     ("reconstruct", ["reconstruct", "rot.json", "--n", "1,3,5", "--true-x", "3/10"], []),
     ("levels", ["levels", "rect.json"], []),
+    ("ball_heis", ["ball", "heis", "--radius", "3", "-o", "wh.json"], ["wh.json"]),
+    ("ball_sl3", ["ball", "sl3", "--radius", "2", "-o", "ws.json"], ["ws.json"]),
+    ("ball_z3", ["ball", "z3", "--radius", "3", "-o", "w3.json"], ["w3.json"]),
+    ("sample_far", ["sample", "far.json", "-N", "3", "--seed", "11"], []),
+    ("realize_bernoulli_far", ["realize", "far.json", "--action", "bernoulli",
+                               "--point-seed", "1", "-o", "bfar.json"], ["bfar.json"]),
+    ("reconstruct_box", ["reconstruct", "b1.json", "--scheme", "box", "--n", "1,2"], []),
+    ("reconstruct_box_rect", ["reconstruct", "rect.json", "--scheme", "box", "--n", "1,2,3"],
+     []),
 ]
 
 # pinned at the outputs of the commit before OrderMatrix.induced
@@ -84,6 +93,14 @@ GOLDEN = {
     "realize_torus": "ebed47f3c1cca1083d5034376d89fc50803b392cca9bf1a0070132ca92f222f7",
     "reconstruct": "9237a2b27afee15dc8a4a0afeb5e08c51d04ddf2b4a115043d1bffed2c09ed8f",
     "levels": "f599f08a010a2cec27033e2685e29b3e002d1a3a4110a41fd24a167a76bc24c1",
+    # pinned at the outputs of the commit before Window.from_payloads
+    "ball_heis": "0f70e6e437b287d00e710f4c3fdb749fdaef8fdf8bc9be5ec6a5400381f067f0",
+    "ball_sl3": "94f289104f8739412392f23e38a364eb9475772c817753b08a2f79d58897a4c7",
+    "ball_z3": "223f40e5cf96aeb9018544a9125da763f3ea931f60eea9179bd3ea532f984977",
+    "sample_far": "bb37d5e7024a9955d636a1d597b37e326bebeb3c8b8f3cb4cb83c7cfc3b35521",
+    "realize_bernoulli_far": "efcbeebeae96ec46095fabd1cfa6c37ccf6edcc82686f7916e0e380470852942",
+    "reconstruct_box": "aed3fd93b83eda2ad4e4abb9e9f18d10b63cb4f34355163e7c684e0cb8524aa0",
+    "reconstruct_box_rect": "938e2899c668f4efb1c345b880fef34e41c142efef925da9b1f42727a575b039",
 }
 
 
@@ -113,6 +130,11 @@ def _inputs():
     _write("k.json", ser.element_set_to_json(zn(2), [zn_element(0, 1)]))
     rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(4) for y in range(3)])
     _write("rect.json", ser.order_to_json(lex_functional(2).window_order(rect)))
+    big = 1 << 62
+    far = [(big, -big), (-big, big), (big - 1, 0), (0, 1 - big), (big + 7, big + 7),
+           (-big - 7, -big - 7), (1, 1), ((1 << 63) - 1, -(1 << 63))]
+    far_window = window_from_elements(zn(2), [zn_element(*p) for p in far])
+    _write("far.json", ser.window_to_json(far_window))
 
 
 def corpus_digests(capsys):
