@@ -240,10 +240,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_probe(args) -> Window:
-    return serialize.window_from_json(_read_json(args.probe))
-
-
 def cmd_estimate(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
     sampler = _load_sampler(args, window)
@@ -263,7 +259,7 @@ def cmd_estimate(args) -> int:
 def cmd_invariance(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
     sampler = _load_sampler(args, window)
-    D = _load_probe(args)
+    D = serialize.window_from_json(_read_json(args.probe))
     g = make_element(window.group, json.loads(args.element))
     report = invariance_test(sampler, g, D, args.count, _seed(args))
     lines = ["pattern_id,count_base,count_translated,freq_base,freq_translated\n"]
@@ -277,7 +273,7 @@ def cmd_invariance(args) -> int:
 def cmd_chisq(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
     sampler = _load_sampler(args, window)
-    F = _load_probe(args)
+    F = serialize.window_from_json(_read_json(args.probe))
     report = uniformity_chisq(sampler, F, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
     for pid, cnt in enumerate(report.counts):

@@ -13,6 +13,7 @@ checks them in bulk; window files and the window builders all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import add, index, neg
 from typing import Iterable, Iterator, Sequence
@@ -53,6 +54,7 @@ class GroupId:
         return f"zn:{self.n}" if self.kind == KIND_ZN else self.kind
 
 
+@lru_cache(maxsize=None, typed=True)  # one GroupId per Z^n: group checks hit `is`
 def zn(n: int) -> GroupId:
     return GroupId(KIND_ZN, n)
 
@@ -146,11 +148,9 @@ def sl3_element(rows: Iterable[Iterable[int]]) -> GroupElement:
 
 
 def identity(group: GroupId) -> GroupElement:
-    if group.kind == KIND_ZN:
-        return GroupElement(group, (0,) * group.n)
-    if group.kind == KIND_HEISENBERG:
-        return GroupElement(group, (0, 0, 0))
-    return GroupElement(group, (1, 0, 0, 0, 1, 0, 0, 0, 1))
+    if group.kind == KIND_SL3:
+        return GroupElement(group, (1, 0, 0, 0, 1, 0, 0, 0, 1))
+    return GroupElement(group, (0,) * _payload_len(group))
 
 
 def _zn_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -339,13 +339,24 @@ class Window:
         """Position of each payload, None where it is absent."""
         return list(map(self._index.get, payloads))
 
-    def preimages(
-        self, g: GroupElement, elements: Iterable[GroupElement]
-    ) -> list[int | None]:
+    def preimages(self, g: GroupElement, elements: Sequence[GroupElement]) -> list[int | None]:
         """Position of g^-1 x for each x of elements, None where it lies
-        outside the window."""
-        ginv = inverse(g)
-        return [self.find(multiply(ginv, x)) for x in elements]
+        outside the window: the one place a translate is looked up.  g and
+        the elements must be of the window's group (GroupMismatch); with no
+        elements only g's group is checked."""
+        group = self.group
+        if g.group is not group and g.group != group:
+            raise GroupMismatch("translation element from a different group")
+        if not elements:
+            return []
+        ginv = inverse(g).payload
+        product, get = _PRODUCT[group.kind], self._index.get
+        out = []
+        for x in elements:
+            if x.group is not group and x.group != group:
+                raise GroupMismatch(f"{group} vs {x.group}")
+            out.append(get(product(ginv, x.payload)))
+        return out
 
     def element(self, i: int) -> GroupElement:
         return self.elements[i]
@@ -362,6 +373,12 @@ class Window:
 
     def __repr__(self):
         return f"Window({self.group}, {len(self)} elements)"
+
+
+def missing_translate(g: GroupElement, elements: Sequence[GroupElement], pre: list) -> GroupElement:
+    """The first g^-1 x whose entry of pre, a window's preimages(g, elements),
+    is None; built only to name it in an error."""
+    return multiply(inverse(g), next(x for x, p in zip(elements, pre) if p is None))
 
 
 def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Window:

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     ContradictionError,
     DomainNotCovered,
-    GroupMismatch,
     NotRectangular,
     NotTotal,
     SizeLimitExceeded,
@@ -257,8 +256,6 @@ def translate_order(m: OrderMatrix, g: GroupElement) -> OrderMatrix:
 
     Pairs whose preimage leaves the window are dropped (undecided).
     """
-    if g.group != m.window.group:
-        raise GroupMismatch("translation element from a different group")
     if m.n > MAX_DENSE_ELEMENTS:
         raise SizeLimitExceeded(
             f"translating a {m.n}-element order needs a dense matrix"

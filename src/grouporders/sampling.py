@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby, islice, product
 from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 
@@ -34,6 +34,7 @@ from .groups import (
     element_key,
     identity,
     inverse,
+    missing_translate,
     multiply,
 )
 from .orders import OrderMatrix
@@ -97,15 +98,10 @@ def _spot_check_subgroup(w: Window, member: Callable[[GroupElement], bool]):
         gi = inverse(g)
         if gi in w and not member(gi):
             raise ValueError("subgroup test not closed under inverse on the window")
-    checked = 0
-    for g in inside:
-        for h in inside:
-            gh = multiply(g, h)
-            if gh in w and not member(gh):
-                raise ValueError("subgroup test not closed under products on the window")
-            checked += 1
-            if checked >= SUBGROUP_PRODUCT_CHECKS:
-                return
+    for g, h in islice(product(inside, inside), SUBGROUP_PRODUCT_CHECKS):
+        gh = multiply(g, h)
+        if gh in w and not member(gh):
+            raise ValueError("subgroup test not closed under products on the window")
 
 
 def coset_sampler(
@@ -124,27 +120,21 @@ def coset_sampler(
     """
     _spot_check_subgroup(w, subgroup_test)
     try:
-        inner_rank = {
-            inner.window.element(i).payload: r for i, r in enumerate(inner.ranks())
-        }
+        inner_ranks = inner.ranks()
     except NotTotal as exc:
         raise InnerOrderIncomplete("inner order must be total and closed") from exc
 
-    e = identity(w.group)
-    reps: dict[GroupElement, int] = {}  # representative -> coset index
+    reps = {identity(w.group): 0}  # representative -> coset index
     within: list[tuple[int, int]] = []  # (coset index, inner rank) per element
     for g in w:
-        if subgroup_test(g):
-            target = e
-        else:  # the first representative of g's coset, else g itself
-            target = next(
-                (r for r in reps if r != e and subgroup_test(multiply(inverse(r), g))), g
-            )
+        # the first representative of g's coset, else g itself
+        target = next((r for r in reps if subgroup_test(multiply(inverse(r), g))), g)
         coset = reps.setdefault(target, len(reps))
-        t = multiply(inverse(target), g)
-        if t.payload not in inner_rank:
+        (p,) = pre = inner.window.preimages(target, (g,))
+        if p is None:
+            t = missing_translate(target, (g,), pre)
             raise InnerOrderIncomplete(f"inner order does not cover {t!r}")
-        within.append((coset, inner_rank[t.payload]))
+        within.append((coset, inner_ranks[p]))
 
     # equal labels fall back to the representatives' canonical encodings
     eks = [element_key(r) for r in reps]
@@ -177,15 +167,14 @@ def specification_glue(
     w = m1.window
     if m2.window != w:
         raise ValueError("glue needs both orders on the same window")
-    marked = [False] * len(w)
-    inside = (multiply(inverse(k), d) for k in K for d in D)
-    for p in w.positions(inside, DomainNotCovered):
-        marked[p] = True
+    inside = set()
+    for k in K:
+        pre = w.preimages(k, D)
+        if None in pre:
+            raise DomainNotCovered(f"{missing_translate(k, D, pre)!r} not in window")
+        inside.update(pre)
     r1, r2 = m1.ranks(), m2.ranks()
-    keys = [
-        (0, r1[i]) if marked[i] else (1, r2[i])
-        for i in range(len(w))
-    ]
+    keys = [(0, r1[i]) if i in inside else (1, r2[i]) for i in range(len(w))]
     return OrderMatrix.from_keys(w, keys)
 
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import rng
-from .errors import DomainNotCovered, ElementNotInWindow, GroupMismatch
-from .groups import GroupElement, Window, inverse, multiply
+from .errors import DomainNotCovered, ElementNotInWindow
+from .groups import GroupElement, Window, missing_translate
 from .orders import CylinderSpec, OrderMatrix
 from .sampling import ProjectiveSampler
 
@@ -84,12 +84,13 @@ def _probe_positions(
     """
     probes = [w.positions(F, missing)]
     if shift is not None:
-        if shift.group != w.group:
-            raise GroupMismatch("translation element from a different group")
-        if len(F) > 1:  # a single element ranks first wherever its preimage lies
-            ginv = inverse(shift)
-            shifted = [multiply(ginv, w.element(p)) for p in probes[0]]
-            probes.append(w.positions(shifted, DomainNotCovered))
+        # a single element ranks first wherever its preimage lies, so only
+        # the shift's group is checked
+        shifted = w.preimages(shift, F if len(F) > 1 else ())
+        if None in shifted:
+            raise DomainNotCovered(f"{missing_translate(shift, F, shifted)!r} not in window")
+        if shifted:
+            probes.append(shifted)
     return probes
 
 

@@ -9,17 +9,21 @@ pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the
 recursive sign cascade that `LinearFunctionalOrder.key` replaced, a
 pair-by-pair test of strict total orders, and the element-by-element window
 builders (row decode, ball, closure, `has`-loop reconstruct) that
-`Window.from_payloads` and the payload products replaced.
+`Window.from_payloads` and the payload products replaced, and translated
+window lookups (`Window.preimages` and its callers) through that checked
+arithmetic and a payload dict.
 """
 
 import functools
 import itertools
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from grouporders.errors import (
     DomainNotCovered,
     GroupMismatch,
+    InnerOrderIncomplete,
     IntegerOverflow,
     SizeLimitExceeded,
 )
@@ -185,6 +189,117 @@ def rotation_fraction_decimal(x, k, alpha_rat, alpha_root2):
     return v - int(v.to_integral_value(rounding="ROUND_FLOOR"))
 
 
+# -- translated lookups, element by element ---------------------------------
+
+
+def translate(g, x):
+    """g^-1 x by the entry-checked reference arithmetic."""
+    kind = g.group.kind
+    return GroupElement(g.group, checked_multiply(kind, checked_inverse(kind, g.payload), x.payload))
+
+
+def preimages(w, g, elements):
+    """Window positions of g^-1 x for each x of elements, None outside w,
+    from a payload dict of w's elements.  g and every element must be of
+    w's group; g is not inverted when there are no elements."""
+    group, kind = w.group, w.group.kind
+    if g.group != group:
+        raise GroupMismatch("translation element from a different group")
+    elements = list(elements)
+    if not elements:
+        return []
+    ginv = checked_inverse(kind, g.payload)
+    index = {x.payload: i for i, x in enumerate(w.elements)}
+    out = []
+    for x in elements:
+        if x.group != group:
+            raise GroupMismatch(f"{group} vs {x.group}")
+        out.append(index.get(checked_multiply(kind, ginv, x.payload)))
+    return out
+
+
+def covered_preimages(w, g, elements):
+    """preimages(w, g, elements), where the first translate outside w
+    raises DomainNotCovered naming it."""
+    pre = preimages(w, g, elements)
+    for x, p in zip(elements, pre):
+        if p is None:
+            raise DomainNotCovered(f"{translate(g, x)!r} not in window")
+    return pre
+
+
+def translate_glue(m1, m2, K, D):
+    """specification_glue with K^-1 D looked up translate by translate."""
+    w = m1.window
+    if m2.window != w:
+        raise ValueError("glue needs both orders on the same window")
+    inside = set()
+    for k in K:
+        inside.update(covered_preimages(w, k, D))
+    r1, r2 = m1.ranks(), m2.ranks()
+    perm = sorted(range(len(w)), key=lambda i: (0, r1[i]) if i in inside else (1, r2[i]))
+    return OrderMatrix.from_perm(w, perm)
+
+
+def translate_invariance_counts(orders, g, D):
+    """(base, translated) pattern counts of invariance_test over the given
+    sample orders, each ranked pair by pair on D and on g^-1 D."""
+    w = orders[0].window
+    where = w.positions(D)
+    if len(D) > 1:
+        shifted = covered_preimages(w, g, D)
+    else:  # a single element ranks first wherever its preimage lies
+        preimages(w, g, [])  # the shift's group is checked all the same
+        shifted = where
+    k = math.factorial(len(D))
+    base, translated = [0] * k, [0] * k
+    for m in orders:
+        base[permutation_rank(pairwise_ranks_at(m, where))] += 1
+        translated[permutation_rank(pairwise_ranks_at(m, shifted))] += 1
+    return tuple(base), tuple(translated)
+
+
+def coset_representatives(w, member):
+    """The representative coset_sampler gives each element of w: the
+    identity on the subgroup, else the first element of w in its coset."""
+    e = identity(w.group)
+    firsts, reps = [], []
+    for g in w.elements:
+        if member(g):
+            reps.append(e)
+            continue
+        r = next((h for h in firsts if member(translate(h, g))), g)
+        if r is g:
+            firsts.append(g)
+        reps.append(r)
+    return reps
+
+
+def coset_translates(w, member):
+    """The distinct payloads of r^-1 g over w, r the representative of g."""
+    reps = coset_representatives(w, member)
+    return list(dict.fromkeys(translate(r, g).payload for g, r in zip(w.elements, reps)))
+
+
+def coset_inner_ranks(w, member, inner):
+    """(representative, inner rank of r^-1 g) for each g of w, looked up
+    translate by translate; the first translate the inner order misses
+    raises InnerOrderIncomplete naming it."""
+    ranks = inner.ranks()
+    out = []
+    for g, r in zip(w.elements, coset_representatives(w, member)):
+        (p,) = preimages(inner.window, r, [g])
+        if p is None:
+            raise InnerOrderIncomplete(f"inner order does not cover {translate(r, g)!r}")
+        out.append((r, ranks[p]))
+    return out
+
+
+def permutation_rank(perm):
+    """Lexicographic rank of a permutation, by listing all of them."""
+    return sorted(itertools.permutations(range(len(perm)))).index(tuple(perm))
+
+
 # -- restriction of an order, one ``has`` call per pair ---------------------
 
 
@@ -201,13 +316,11 @@ def pairwise_induced(m, positions):
 
 
 def pairwise_translate_order(m, g):
-    if g.group != m.window.group:
-        raise GroupMismatch("translation element from a different group")
     if m.n > MAX_DENSE_ELEMENTS:
         raise SizeLimitExceeded(
             f"translating a {m.n}-element order needs a dense matrix"
         )
-    pre = m.window.preimages(g, m.window)
+    pre = preimages(m.window, g, m.window)
     n = m.n
     rows = [0] * n
     for i in range(n):
@@ -267,7 +380,7 @@ def pairwise_stabilizer_check(m, w, gens):
         raise ValueError("stabilizer check needs the order's own window")
     fixed = []
     for g in gens.generators:
-        pre = w.preimages(g, w)
+        pre = preimages(w, g, w)
         overlap = [i for i, p in enumerate(pre) if p is not None]
         if pairs_agree(m, overlap, m, [pre[i] for i in overlap]):
             fixed.append(g)

@@ -281,6 +281,19 @@ def test_coset_sampler_checks_its_inputs_before_drawing(tmp_path, capsys):
     assert code == 0 and len(out.splitlines()) == 1
 
 
+def test_coset_sampler_refuses_an_inner_order_of_another_group(tmp_path, capsys):
+    w = ball(default_generators(zn(3)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    # a Heisenberg order on the same payloads covers every translate by payload
+    inner_w = ball(default_generators(HEISENBERG), 1)
+    inner = write(tmp_path / "inner.json", ser.order_to_json(uniform_order(inner_w, 4)))
+    argv = ["sample", wfile, "-N", "1", "--seed", "1", "--sampler", "coset",
+            "--inner-order", inner, "--subgroup-zero-coords", "0"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "GroupMismatch" in err
+
+
 def test_glue_cli(tmp_path, capsys):
     w = ball(default_generators(zn(2)), 2)
     m1, m2 = uniform_order(w, 1), uniform_order(w, 2)

@@ -8,10 +8,12 @@ that means to must say so and re-pin the digest.
 import hashlib
 
 from grouporders import (
+    HEISENBERG,
     OrderMatrix,
     ball,
     build_extension_system,
     default_generators,
+    heisenberg_element,
     lex_functional,
     quadrant_order,
     uniform_order,
@@ -68,6 +70,17 @@ RUNS = [
     ("reconstruct_box", ["reconstruct", "b1.json", "--scheme", "box", "--n", "1,2"], []),
     ("reconstruct_box_rect", ["reconstruct", "rect.json", "--scheme", "box", "--n", "1,2,3"],
      []),
+    ("invariance_rotation", ["invariance", *W1, "--element", "[2]", "--probe", "d1.json",
+                             "-N", "60", "--seed", "3", "--sampler", "rotation"], []),
+    ("invariance_coset", ["invariance", *W2, "--element", "[1,0]", "--probe", "d2.json",
+                          "-N", "60", "--seed", "3", *COSET], []),
+    ("realize_bernoulli_heis", ["realize", "wh.json", "--action", "bernoulli",
+                                "--point-seed", "1", "-o", "bh1.json"], ["bh1.json"]),
+    ("realize_bernoulli_heis_2", ["realize", "wh.json", "--action", "bernoulli",
+                                  "--point-seed", "2", "-o", "bh2.json"], ["bh2.json"]),
+    ("glue_heis", ["glue", "bh1.json", "bh2.json", "--k-file", "kh.json", "--d-file", "dh.json",
+                   "-o", "gluedh.json", "--report-out", "reph.json"],
+     ["gluedh.json", "reph.json"]),
 ]
 
 # pinned at the outputs of the commit before OrderMatrix.induced
@@ -101,6 +114,12 @@ GOLDEN = {
     "realize_bernoulli_far": "efcbeebeae96ec46095fabd1cfa6c37ccf6edcc82686f7916e0e380470852942",
     "reconstruct_box": "aed3fd93b83eda2ad4e4abb9e9f18d10b63cb4f34355163e7c684e0cb8524aa0",
     "reconstruct_box_rect": "938e2899c668f4efb1c345b880fef34e41c142efef925da9b1f42727a575b039",
+    # pinned at the outputs of the commit before payload-level Window.preimages
+    "invariance_rotation": "7de6176c63f91d4c73ee29828c03d8d332fd03d914a20b33a0475db97f26c68a",
+    "invariance_coset": "9df7de20a224adecd184b5d9845dfbca6787f83f2d75d1c29da03bdbec72cc33",
+    "realize_bernoulli_heis": "b6484e91f5ec493ca9d0b1ff226777c4916198c61e53a5b0e9df7ede8857bc6a",
+    "realize_bernoulli_heis_2": "43edaeda59ef6cf6e1fd74864896642baa990c280ff1047256e2db4c0a4dca21",
+    "glue_heis": "817db778b0531d2f5d7b30b6f79d9c1c4b27d5b1482e962d1814884a084af0c2",
 }
 
 
@@ -128,6 +147,12 @@ def _inputs():
         "pattern": ser.order_to_json(pattern, include_window=False),
     })
     _write("k.json", ser.element_set_to_json(zn(2), [zn_element(0, 1)]))
+    D1 = window_from_elements(zn(1), [zn_element(1), zn_element(-2)])
+    _write("d1.json", ser.window_to_json(D1))
+    # x^-1 y and y x^-1 differ in the Heisenberg group, so K^-1 D pins the side
+    _write("kh.json", ser.element_set_to_json(HEISENBERG, [heisenberg_element(1, 0, 0)]))
+    _write("dh.json", ser.window_to_json(
+        window_from_elements(HEISENBERG, [heisenberg_element(0, 1, 0)])))
     rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(4) for y in range(3)])
     _write("rect.json", ser.order_to_json(lex_functional(2).window_order(rect)))
     big = 1 << 62

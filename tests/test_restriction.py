@@ -147,7 +147,7 @@ def test_shadowing_report_matches_pairwise(data):
     D = window_from_elements(w.group, [w.element(p) for p in picked[:3]])
     all_ok, rows = shadowing_report(glued, m1, m2, K, D)
     for g, side, ok in rows:
-        pre = w.preimages(g, D)
+        pre = oracles.preimages(w, g, D)
         ref = m1 if side == "inside" else m2
         assert ok == oracles.pairs_agree(glued, pre, ref, pre)
     assert all_ok == all(ok for _, _, ok in rows)

@@ -52,6 +52,14 @@ def test_window_from_json_shares_one_group_object():
         Window(w.group, list(w) + heis)
 
 
+def test_window_files_share_one_group_object_per_zn():
+    blob = json.loads(ser.canonical_dumps(ser.window_to_json(ball(default_generators(zn(2)), 1))))
+    assert ser.window_from_json(blob).group is ser.window_from_json(blob).group is zn(2)
+    # the cache keys on the argument's type: 7.0 and True get their own objects
+    assert zn(7.0) == zn(7) and type(zn(7).n) is int
+    assert zn(True) is not zn(1) and str(zn(1)) == "zn:1"
+
+
 def test_order_roundtrip_total_and_partial():
     w = ball(default_generators(zn(2)), 2)
     total = uniform_order(w, 5)
