@@ -189,9 +189,7 @@ def cmd_verify_sl3(args) -> int:
                 "window": len(cs.window),
                 "trace_steps": len(cert.trace),
                 "cycle": list(cert.cycle),
-                "cycle_elements": [
-                    list(cs.window.element(i).payload) for i in cert.cycle
-                ],
+                "cycle_elements": [list(cs.window.payloads[i]) for i in cert.cycle],
                 "replay_ok": ok,
             }
         )

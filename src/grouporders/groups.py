@@ -8,6 +8,7 @@ so that downstream constraint indices and certificates are reproducible.
 
 Raw payloads become a window in one place, `Window.from_payloads`, which
 checks them in bulk; window files and the window builders all go through it.
+A window keeps its payloads and builds its `GroupElement`s only on demand.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class GroupId:
 
     def __post_init__(self):
         if self.kind == KIND_ZN:
-            if self.n < 1:
-                raise ValueError("Z^n needs n >= 1")
+            if type(self.n) is not int or self.n < 1:  # True or 1.0 would print as another group
+                raise ValueError(f"Z^n needs an int rank n >= 1, got {self.n!r}")
         elif self.kind in (KIND_HEISENBERG, KIND_SL3):
             if self.n != 0:
                 raise ValueError(f"{self.kind} takes no rank parameter")
@@ -72,9 +73,16 @@ class GroupElement:
         return f"<{self.group}|{','.join(map(str, self.payload))}>"
 
 
+def payload_keys(group: GroupId, payloads: Iterable[tuple[int, ...]]) -> list[bytes]:
+    """element_key of the element of group with each payload tuple; the
+    format b"<group>:<entries, comma-separated>" is built once."""
+    fmt = (f"{group}:" + ",".join(["%d"] * _payload_len(group))).encode("ascii")
+    return [fmt % p for p in payloads]
+
+
 def element_key(g: GroupElement) -> bytes:
     """Canonical byte encoding, stable across runs and windows."""
-    return f"{g.group}:{','.join(map(str, g.payload))}".encode("ascii")
+    return payload_keys(g.group, (g.payload,))[0]
 
 
 def _checked(payload: tuple[int, ...]) -> tuple[int, ...]:
@@ -113,14 +121,14 @@ def make_element(group: GroupId, data: Iterable[int]) -> GroupElement:
     return GroupElement(group, payload)
 
 
-def checked_payloads(group: GroupId, rows: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+def checked_payloads(group: GroupId, rows: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """make_element's payloads of the rows, checked in bulk.  If a check fails
     the rows go one by one through make_element, so the first bad row raises
     what make_element raises for it."""
     try:
-        payloads = list(map(tuple, rows))
+        payloads = tuple(map(tuple, rows))
         if not set(map(type, chain.from_iterable(payloads))) <= {int}:
-            payloads = [tuple(map(index, p)) for p in payloads]
+            payloads = tuple([tuple(map(index, p)) for p in payloads])
         flat = list(chain.from_iterable(payloads))
         if (
             set(map(len, payloads)) <= {_payload_len(group)}
@@ -131,7 +139,7 @@ def checked_payloads(group: GroupId, rows: Sequence[Iterable[int]]) -> list[tupl
             return payloads
     except TypeError:
         pass
-    return [make_element(group, r).payload for r in rows]
+    return tuple([make_element(group, r).payload for r in rows])
 
 
 def zn_element(*coords: int) -> GroupElement:
@@ -272,39 +280,48 @@ def default_generators(group: GroupId) -> GeneratorSet:
 
 class Window:
     """Finite indexed subset of a group; always contains the identity.
-    Built from elements (checked one by one) or, in bulk, from_payloads."""
+    Built from elements (checked one by one) or, in bulk, from_payloads.
+    The payloads are the window; its elements are built on demand."""
 
-    __slots__ = ("group", "elements", "_index")
+    __slots__ = ("group", "payloads", "_index", "_elements")
 
     def __init__(self, group: GroupId, elements: Iterable[GroupElement]):
         elems = tuple(elements)
         for g in elems:
             if g.group is not group and g.group != group:
                 raise GroupMismatch("window element from a different group")
-        self._fill(group, elems, [g.payload for g in elems])
+        self._fill(group, tuple([g.payload for g in elems]))
+        self._elements = elems
 
     @classmethod
     def from_payloads(cls, group: GroupId, rows: Sequence[Iterable[int]]) -> Window:
-        """Window over the rows, in order, each element built once: the one
+        """Window over the rows, in order, building no element: the one
         place raw payloads become a window.  Raises what Window raises over
         make_element of each row."""
-        payloads = checked_payloads(group, rows)
         w = cls.__new__(cls)
-        w._fill(group, tuple([GroupElement(group, p) for p in payloads]), payloads)
+        w._fill(group, checked_payloads(group, rows))
+        w._elements = None
         return w
 
-    def _fill(self, group: GroupId, elems: tuple, payloads: list) -> None:
+    def _fill(self, group: GroupId, payloads: tuple) -> None:
         index = dict(zip(payloads, range(len(payloads))))
         if len(index) != len(payloads):
             raise ValueError("duplicate window element")
         if identity(group).payload not in index:
             raise ValueError("window must contain the identity")
         self.group = group
-        self.elements = elems
+        self.payloads = payloads
         self._index = index
 
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        if self._elements is None:
+            group = self.group
+            self._elements = tuple([GroupElement(group, p) for p in self.payloads])
+        return self._elements
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.payloads)
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
@@ -359,17 +376,17 @@ class Window:
         return out
 
     def element(self, i: int) -> GroupElement:
-        return self.elements[i]
+        return GroupElement(self.group, self.payloads[i])
 
     def __eq__(self, other):
         return (
             isinstance(other, Window)
             and self.group == other.group
-            and self.elements == other.elements
+            and self.payloads == other.payloads
         )
 
     def __hash__(self):
-        return hash((self.group, self.elements))
+        return hash((self.group, self.payloads))
 
     def __repr__(self):
         return f"Window({self.group}, {len(self)} elements)"

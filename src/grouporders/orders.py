@@ -313,15 +313,14 @@ def render_levels(m: OrderMatrix) -> list[list[int]]:
         raise NotRectangular("level rendering needs a Z^2 window")
     if not m.closed or not is_total(m):
         raise NotTotal("level rendering needs a total order")
-    xs = sorted({g.payload[0] for g in m.window})
-    ys = sorted({g.payload[1] for g in m.window})
+    xs = sorted({p[0] for p in m.window.payloads})
+    ys = sorted({p[1] for p in m.window.payloads})
     if len(xs) * len(ys) != m.n:
         raise NotRectangular("window is not a full rectangle")
     ranks = m.ranks()
     grid = [[0] * len(xs) for _ in ys]
     x0, y0 = xs[0], ys[0]
-    for i, g in enumerate(m.window):
-        x, y = g.payload
+    for i, (x, y) in enumerate(m.window.payloads):
         if x - x0 not in range(len(xs)) or y - y0 not in range(len(ys)):
             raise NotRectangular("window is not a contiguous rectangle")
         grid[len(ys) - 1 - (y - y0)][x - x0] = ranks[i]

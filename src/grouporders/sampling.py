@@ -4,8 +4,8 @@ The uniform order draws one 64-bit value per element from a counter-based
 stream keyed by the element's canonical encoding, so restricting a larger
 window reproduces the smaller window's order exactly.  The uniform and
 rotation samplers are projective: ``uniform_keys`` and ``orbit_keys`` key any
-elements, and a ``ProjectiveSampler`` lets statistics rank a probe set
-without drawing the whole window.  Coset extension, gluing, and the
+payloads of a group, and a ``ProjectiveSampler`` lets statistics rank a probe
+set without drawing the whole window.  Coset extension, gluing, and the
 dynamical realization map are deterministic given their inputs; orbit values
 of rotations are compared with exact quadratic-irrational arithmetic, never
 floating point.
@@ -30,12 +30,13 @@ from .errors import (
 from .groups import (
     GeneratorSet,
     GroupElement,
+    GroupId,
     Window,
-    element_key,
     identity,
     inverse,
     missing_translate,
     multiply,
+    payload_keys,
 )
 from .orders import OrderMatrix
 
@@ -43,45 +44,45 @@ KEY_BITS = 64
 _MASK = (1 << KEY_BITS) - 1
 
 
-def uniform_keys(seed: int, elements: Iterable[GroupElement]) -> list[tuple[int, bytes]]:
-    """One (iid uniform 64-bit value, canonical encoding) key per element;
-    equal values fall back to the encodings."""
-    eks = [element_key(g) for g in elements]
+def uniform_keys(seed: int, group: GroupId, payloads: Iterable[tuple]) -> list[tuple[int, bytes]]:
+    """One (iid uniform 64-bit value, canonical encoding) key per payload of
+    group; equal values fall back to the encodings."""
+    eks = payload_keys(group, payloads)
     return list(zip(rng.u64_each(seed, ("elem",), eks, (0,)), eks))
 
 
 def uniform_order(w: Window, seed: int) -> OrderMatrix:
     """Total order from iid uniform values, one per window element."""
-    return OrderMatrix.from_keys(w, uniform_keys(seed, w))
+    return OrderMatrix.from_keys(w, uniform_keys(seed, w.group, w.payloads))
 
 
 @dataclass(frozen=True)
 class ProjectiveSampler:
-    """A sampler whose draw on any elements depends only on the seed and
-    those elements.
+    """A sampler whose draw on any elements of its window's group depends
+    only on the seed and those elements.
 
-    ``keys(seed, elements)`` returns one key per element; sorting elements by
-    their keys orders them as the sample drawn from ``seed`` does.  Keys
-    compare only with keys of the same call.  Calling the sampler draws the
-    whole-window order.
+    ``keys(seed, payloads)`` returns one key per payload; sorting the
+    elements by their keys orders them as the sample drawn from ``seed``
+    does.  Keys compare only with keys of the same call.  Calling the sampler
+    draws the whole-window order.
     """
 
     window: Window
-    keys: Callable[[int, Sequence[GroupElement]], list]
+    keys: Callable[[int, Sequence[tuple]], list]
 
     def __call__(self, seed: int) -> OrderMatrix:
-        return OrderMatrix.from_keys(self.window, self.keys(seed, self.window))
+        return OrderMatrix.from_keys(self.window, self.keys(seed, self.window.payloads))
 
 
 def uniform_sampler(w: Window) -> ProjectiveSampler:
-    return ProjectiveSampler(w, uniform_keys)
+    return ProjectiveSampler(w, lambda s, payloads: uniform_keys(s, w.group, payloads))
 
 
 def rotation_sampler(action: ActionSpec, w: Window) -> ProjectiveSampler:
     """Realizations of the action at the point ``unit_fraction(seed, "point")``."""
     _check_orbit_group(action, w.group)
     return ProjectiveSampler(
-        w, lambda s, elements: orbit_keys(action, rng.unit_fraction(s, "point"), elements)
+        w, lambda s, payloads: orbit_keys(action, rng.unit_fraction(s, "point"), w.group, payloads)
     )
 
 
@@ -124,12 +125,14 @@ def coset_sampler(
     except NotTotal as exc:
         raise InnerOrderIncomplete("inner order must be total and closed") from exc
 
-    reps = {identity(w.group): 0}  # representative -> coset index
+    reps = {identity(w.group): (0, identity(w.group))}  # representative -> (coset index, inverse)
     within: list[tuple[int, int]] = []  # (coset index, inner rank) per element
     for g in w:
         # the first representative of g's coset, else g itself
-        target = next((r for r in reps if subgroup_test(multiply(inverse(r), g))), g)
-        coset = reps.setdefault(target, len(reps))
+        target = next((r for r, (_, rinv) in reps.items() if subgroup_test(multiply(rinv, g))), g)
+        if target not in reps:
+            reps[target] = (len(reps), inverse(target))
+        coset = reps[target][0]
         (p,) = pre = inner.window.preimages(target, (g,))
         if p is None:
             t = missing_translate(target, (g,), pre)
@@ -137,7 +140,7 @@ def coset_sampler(
         within.append((coset, inner_ranks[p]))
 
     # equal labels fall back to the representatives' canonical encodings
-    eks = [element_key(r) for r in reps]
+    eks = payload_keys(w.group, [r.payload for r in reps])
 
     def draw(seed: int) -> OrderMatrix:
         labels = list(zip(rng.u64_each(seed, ("coset",), eks, (0,)), eks))
@@ -294,26 +297,26 @@ def _check_orbit_group(action: ActionSpec, group) -> None:
         raise ValueError(f"action needs a Z^{action.dim} window")
 
 
-def orbit_keys(action: ActionSpec, point, elements: Sequence[GroupElement]) -> list[int]:
-    """One integer key per Z^d element: sorting by key orders the elements by
-    their exact orbit values under the rotation action.
+def orbit_keys(action: ActionSpec, point, group: GroupId, payloads: Sequence[tuple]) -> list[int]:
+    """One integer key per payload of group, which must be Z^d: sorting by
+    key orders the elements by their exact orbit values under the rotation
+    action.
 
     A torus rotation compares orbit values lexicographically, one circle per
     coordinate; the circle rotation is its one-dimensional case.
     """
     if action.kind == BERNOULLI_SHIFT:
         raise ValueError("a Bernoulli shift has no orbit keys")
-    for group in {g.group for g in elements}:
-        _check_orbit_group(action, group)
+    _check_orbit_group(action, group)
     xs = [_coerce(point)] if action.kind == ROTATION else [_coerce(c) for c in point]
     if len(xs) != action.dim:
         raise ValueError("point dimension mismatch")
-    keys = [0] * len(elements)
+    keys = [0] * len(payloads)
     for c, (x, alpha) in enumerate(zip(xs, action.alphas)):
-        ks = sorted({g.payload[c] for g in elements})
+        ks = sorted({p[c] for p in payloads})
         rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
         base = len(ks)
-        keys = [key * base + rank_of[g.payload[c]] for key, g in zip(keys, elements)]
+        keys = [key * base + rank_of[p[c]] for key, p in zip(keys, payloads)]
     return keys
 
 
@@ -322,12 +325,11 @@ def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
     g-image of the point precedes the h-image."""
     if action.kind == BERNOULLI_SHIFT:
         seed = rng.check_seed(int(point))
-        keys = rng.u64_each(seed, ("site",), [element_key(g) for g in w])
+        keys = rng.u64_each(seed, ("site",), payload_keys(w.group, w.payloads))
         if len(set(keys)) < len(keys):
             raise StabilizerCollision("Bernoulli site draws collide")
         return OrderMatrix.from_keys(w, keys)
-    _check_orbit_group(action, w.group)
-    return OrderMatrix.from_keys(w, orbit_keys(action, point, w))
+    return OrderMatrix.from_keys(w, orbit_keys(action, point, w.group, w.payloads))
 
 
 CESARO_INTERVAL = "cesaro_interval"

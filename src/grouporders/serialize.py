@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .constraints import ConstraintSystem, SemigroupSpec
+from .constraints import ConstraintSystem
 from .engine import Certificate, TraceStep
 from .groups import (
     GroupElement,
@@ -67,12 +67,16 @@ def element_from_json(obj) -> GroupElement:
     return make_element(group_from_json({"kind": obj["group"], "n": len(data)}), data)
 
 
-def element_set_to_json(group: GroupId, elements) -> dict:
+def _payload_set_to_json(group: GroupId, payloads) -> dict:
     return {
         "format": FORMAT_VERSION,
         "group": group_to_json(group),
-        "elements": [list(g.payload) for g in elements],
+        "elements": list(map(list, payloads)),
     }
+
+
+def element_set_to_json(group: GroupId, elements) -> dict:
+    return _payload_set_to_json(group, [g.payload for g in elements])
 
 
 def element_set_from_json(obj) -> list[GroupElement]:
@@ -83,7 +87,7 @@ def element_set_from_json(obj) -> list[GroupElement]:
 
 
 def window_to_json(w: Window) -> dict:
-    return element_set_to_json(w.group, w)
+    return _payload_set_to_json(w.group, w.payloads)
 
 
 def window_from_json(obj) -> Window:
@@ -108,21 +112,6 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
         return OrderMatrix.from_perm(window, obj["perm"])
     return OrderMatrix.from_pairs(
         window, [tuple(p) for p in obj["pairs"]], closed=bool(obj.get("closed"))
-    )
-
-
-def semigroup_to_json(s: SemigroupSpec) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "group": group_to_json(s.group),
-        "positive": [list(g.payload) for g in s.positive_generators],
-    }
-
-
-def semigroup_from_json(obj) -> SemigroupSpec:
-    group = group_from_json(obj["group"])
-    return SemigroupSpec(
-        group, tuple(make_element(group, d) for d in obj["positive"])
     )
 
 

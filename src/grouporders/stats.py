@@ -116,11 +116,11 @@ def _probe_rankings(
     if keyed:
         w = sampler.window
         probes = _probe_positions(w, F, missing, shift)
-        elements = [w.element(p) for positions in probes for p in positions]
+        payloads = [w.payloads[p] for positions in probes for p in positions]
     for i in range(N):
         sample_seed = rng.derive_seed(seed, "sample", i)
         if keyed:
-            keys = sampler.keys(sample_seed, elements)
+            keys = sampler.keys(sample_seed, payloads)
             blocks = [keys[j * k : (j + 1) * k] for j in range(len(probes))]
             yield [tuple(sum(b < a for b in block) for a in block) for block in blocks]
         else:

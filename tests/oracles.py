@@ -9,9 +9,10 @@ pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the
 recursive sign cascade that `LinearFunctionalOrder.key` replaced, a
 pair-by-pair test of strict total orders, and the element-by-element window
 builders (row decode, ball, closure, `has`-loop reconstruct) that
-`Window.from_payloads` and the payload products replaced, and translated
+`Window.from_payloads` and the payload products replaced, translated
 window lookups (`Window.preimages` and its callers) through that checked
-arithmetic and a payload dict.
+arithmetic and a payload dict, and the element-based uniform and orbit keys
+that the payload-based ones replaced.
 """
 
 import functools
@@ -37,7 +38,9 @@ from grouporders.groups import (
     make_element,
     multiply,
 )
-from grouporders.exactnum import Sqrt2Num
+from grouporders import rng
+from grouporders.exactnum import Sqrt2Num, _coerce
+from grouporders.sampling import BERNOULLI_SHIFT, ROTATION, _check_orbit_group, _circle_order
 from grouporders.orders import MAX_DENSE_ELEMENTS, OrderMatrix
 
 getcontext().prec = 60
@@ -534,3 +537,35 @@ def has_loop_reconstruct(m, scheme):
     e_pos = w.position(identity(group))
     count = sum(m.has(p, e_pos) for p in w.positions(support, DomainNotCovered))
     return Fraction(count, len(support))
+
+
+# -- element-based keys --------------------------------------------------------
+
+
+def element_key(g):
+    """The canonical encoding as first written: one f-string per element."""
+    return f"{g.group}:{','.join(map(str, g.payload))}".encode("ascii")
+
+
+def uniform_keys(seed, elements):
+    """(uniform 64-bit value, encoding) per element, keyed element by element."""
+    eks = [element_key(g) for g in elements]
+    return list(zip(rng.u64_each(seed, ("elem",), eks, (0,)), eks))
+
+
+def orbit_keys(action, point, elements):
+    """Orbit keys read from the elements, each element's group checked."""
+    if action.kind == BERNOULLI_SHIFT:
+        raise ValueError("a Bernoulli shift has no orbit keys")
+    for group in {g.group for g in elements}:
+        _check_orbit_group(action, group)
+    xs = [_coerce(point)] if action.kind == ROTATION else [_coerce(c) for c in point]
+    if len(xs) != action.dim:
+        raise ValueError("point dimension mismatch")
+    keys = [0] * len(elements)
+    for c, (x, alpha) in enumerate(zip(xs, action.alphas)):
+        ks = sorted({g.payload[c] for g in elements})
+        rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
+        base = len(ks)
+        keys = [key * base + rank_of[g.payload[c]] for key, g in zip(keys, elements)]
+    return keys

@@ -265,6 +265,19 @@ def test_probe_from_another_group_is_outside_the_window(tmp_path, capsys):
     assert "ElementNotInWindow" in err
 
 
+def test_a_window_file_with_a_non_int_rank_is_refused(tmp_path, capsys):
+    blob = ser.window_to_json(interval_window(-1, 2))
+    good = write(tmp_path / "w.json", blob)
+    code, out, _ = run(capsys, "sample", good, "-N", "2", "--seed", "5")
+    assert code == 0 and out
+    # `true` and `1.0` printed as other groups and keyed other orders
+    for n in (True, 1.0):
+        bad = write(tmp_path / "bad.json", {**blob, "group": {"kind": "zn", "n": n}})
+        code, out, err = run(capsys, "sample", bad, "-N", "2", "--seed", "5")
+        assert (code, out) == (2, "")
+        assert "int rank" in err
+
+
 def test_coset_sampler_checks_its_inputs_before_drawing(tmp_path, capsys):
     w = ball(default_generators(zn(2)), 1)
     wfile = write(tmp_path / "w.json", ser.window_to_json(w))

@@ -80,8 +80,9 @@ def test_uniform_order_inclusion_survives_value_collisions(monkeypatch):
     sub = interval_window(0, 2)
     pos = [big.position(g) for g in sub]
     collided = 0
+    big_payloads = [g.payload for g in big]
     for seed in range(30):
-        collided += len({v for v, _ in sampling.uniform_keys(seed, big)}) < len(big)
+        collided += len({v for v, _ in sampling.uniform_keys(seed, big.group, big_payloads)}) < len(big)
         ranks = uniform_order(big, seed).ranks()
         restricted = sorted(range(len(sub)), key=lambda a: ranks[pos[a]])
         assert restricted == uniform_order(sub, seed).perm()
@@ -249,7 +250,9 @@ def test_projective_samplers_draw_the_order_of_their_keys():
     rot = rotation_action(ALPHA)
     tor = torus_action([ALPHA, Sqrt2Num.of(Fraction(1, 3), 2)])
     point = (Fraction(1, 7), Fraction(2, 5))
-    torus = sampling.ProjectiveSampler(W2, lambda s, els: sampling.orbit_keys(tor, point, els))
+    torus = sampling.ProjectiveSampler(
+        W2, lambda s, ps: sampling.orbit_keys(tor, point, W2.group, ps)
+    )
     drawn = {
         "uniform": lambda s: uniform_order(W2, s),
         "rotation": lambda s: realize(rot, rng.unit_fraction(s, "point"), wz),
@@ -267,7 +270,7 @@ def test_projective_samplers_draw_the_order_of_their_keys():
             assert m == drawn[name](seed)
             # keys of any elements order them as the drawn order does
             sub = [w.element(i) for i in range(0, len(w), 3)][::-1]
-            keys = sampler.keys(seed, sub)
+            keys = sampler.keys(seed, [g.payload for g in sub])
             pos = [w.position(x) for x in sub]
             for a in range(len(sub)):
                 for b in range(len(sub)):
@@ -277,7 +280,7 @@ def test_projective_samplers_draw_the_order_of_their_keys():
 def test_orbit_keys_checks_the_action():
     rot = rotation_action(ALPHA)
     with pytest.raises(ValueError, match="Z\\^1"):
-        sampling.orbit_keys(rot, Fraction(1, 3), list(W2))
+        sampling.orbit_keys(rot, Fraction(1, 3), W2.group, [g.payload for g in W2])
     # the window's group decides, even when the window is empty
     empty = window_from_elements(zn(2), [])
     for w in (W2, empty):
@@ -285,8 +288,9 @@ def test_orbit_keys_checks_the_action():
             realize(rot, Fraction(1, 3), w)
         with pytest.raises(ValueError, match="Z\\^1"):
             sampling.rotation_sampler(rot, w)
+    w1 = interval_window(0, 3)
     with pytest.raises(ValueError, match="Bernoulli"):
-        sampling.orbit_keys(bernoulli_action(1), 5, list(interval_window(0, 3)))
+        sampling.orbit_keys(bernoulli_action(1), 5, w1.group, [g.payload for g in w1])
 
 
 def test_realize_torus_lexicographic(monkeypatch):

@@ -186,7 +186,9 @@ def _sampler_pairs(w):
         pairs.append(
             (
                 "torus",
-                ProjectiveSampler(w, lambda s, els: orbit_keys(tor, _torus_point(s), els)),
+                ProjectiveSampler(
+                    w, lambda s, ps: orbit_keys(tor, _torus_point(s), w.group, ps)
+                ),
                 lambda s: realize(tor, _torus_point(s), w),
             )
         )

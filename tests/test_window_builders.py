@@ -1,8 +1,11 @@
 """Window.from_payloads and the builders routed through it (window files,
 element-set files, ball, window_closure, window_from_elements,
-interval_window) and the rank-vector reconstruct, against the
-element-by-element code they replaced (tests/oracles.py)."""
+interval_window), the rank-vector reconstruct, and the payload keys
+(payload_keys, uniform_keys, orbit_keys), against the element-by-element
+code they replaced (tests/oracles.py); and the windows read from files,
+whose elements the keying, realizing and writing paths never build."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,22 +21,33 @@ from grouporders import (
     OrderMatrix,
     ball,
     box,
+    Sqrt2Num,
+    bernoulli_action,
     cesaro,
     default_generators,
+    make_element,
+    realize,
     reconstruct,
+    render_levels,
+    rotation_action,
+    torus_action,
     uniform_order,
+    uniform_sampler,
     window_closure,
     window_from_elements,
     zn,
 )
+from grouporders import sampling
 from grouporders import serialize as ser
 from grouporders.groups import (
     INT64_MAX,
     INT64_MIN,
     GroupElement,
     Window,
+    element_key,
     identity,
     interval_window,
+    payload_keys,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -228,3 +242,140 @@ def test_reconstruct_rejects_an_order_that_is_not_total():
     assert oracles.has_loop_reconstruct(lower, cesaro(3)) == 0
     with pytest.raises(NotTotal):
         reconstruct(lower, cesaro(3))
+
+
+# -- payload-first windows ------------------------------------------------------
+
+
+@st.composite
+def valid_windows(draw):
+    """Distinct valid rows of one group, the identity among them."""
+    group = draw(st.sampled_from(GROUPS))
+    rows = draw(st.lists(valid_row(group), max_size=8, unique_by=tuple))
+    e = list(identity(group).payload)
+    if e not in rows:
+        rows.insert(draw(st.integers(0, len(rows))), e)
+    return group, rows
+
+
+@SETTINGS
+@given(valid_windows(), st.data())
+def test_lazy_elements_equal_the_eager_ones(case, data):
+    group, rows = case
+    given_elements = [make_element(group, r) for r in rows]
+    eager = Window(group, given_elements)
+    lazy = Window.from_payloads(group, rows)
+    assert lazy._elements is None
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert lazy.payloads == eager.payloads == tuple(map(tuple, rows))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    assert lazy.element(i) == eager.element(i) and lazy.element(i).group is group
+    assert lazy._elements is None  # element(i) builds one element, not the tuple
+    assert list(lazy) == list(eager) and lazy.elements == eager.elements
+    assert all(g.group is lazy.group for g in lazy.elements)
+    assert lazy.elements is lazy.elements  # built once, then kept
+    assert all(a is b for a, b in zip(eager.elements, given_elements))
+    other = Window.from_payloads(group, rows[::-1]) if len(rows) > 1 else None
+    if other is not None:
+        assert other != lazy and other != eager
+
+
+def _key_entry():
+    return st.one_of(st.integers(-12, 12), st.sampled_from(EDGES))
+
+
+@SETTINGS
+@given(st.sampled_from(GROUPS), st.data())
+def test_payload_keys_equal_the_element_keys_byte_for_byte(group, data):
+    if group == SL3Z:
+        rows = data.draw(st.lists(st.sampled_from(SL3_ROWS), max_size=5))
+    else:
+        d = len(identity(group).payload)
+        rows = data.draw(st.lists(st.lists(_key_entry(), min_size=d, max_size=d), max_size=5))
+    payloads = [tuple(r) for r in rows]
+    elements = [GroupElement(group, p) for p in payloads]
+    assert payload_keys(group, payloads) == [oracles.element_key(g) for g in elements]
+    assert [element_key(g) for g in elements] == [oracles.element_key(g) for g in elements]
+
+
+def test_payload_keys_at_the_ends_of_the_range():
+    keys = payload_keys(zn(3), [(-1, INT64_MAX, INT64_MIN), (0, -(INT64_MAX), 7)])
+    assert keys == [
+        b"zn:3:-1,9223372036854775807,-9223372036854775808",
+        b"zn:3:0,-9223372036854775807,7",
+    ]
+    assert payload_keys(HEISENBERG, [(1, -2, 3)]) == [b"heis:1,-2,3"]
+    assert payload_keys(SL3Z, [identity(SL3Z).payload]) == [b"sl3:1,0,0,0,1,0,0,0,1"]
+
+
+ANGLES = [Sqrt2Num.of(-1, 1), Sqrt2Num.of(Fraction(1, 3), Fraction(1, 2)),
+          Sqrt2Num.of(Fraction(1, 5), Fraction(-1, 3)), Sqrt2Num.of(Fraction(-2, 7), 3)]
+POINTS = st.fractions(0, 1, max_denominator=1000)
+
+
+@st.composite
+def keyed_elements(draw, groups):
+    """A window of one of the groups and a nonempty sub-sequence of it in
+    random order."""
+    group, rows = draw(valid_windows().filter(lambda c: c[0] in groups))
+    w = Window.from_payloads(group, rows)
+    picks = draw(st.lists(st.integers(0, len(w) - 1), min_size=1, max_size=len(w), unique=True))
+    return w, [w.element(i) for i in picks]
+
+
+@SETTINGS
+@given(keyed_elements(GROUPS), st.integers(0, (1 << 64) - 1))
+def test_uniform_keys_equal_the_element_keyed_reference(case, seed):
+    w, sub = case
+    for elements in (list(w), sub):
+        payloads = [g.payload for g in elements]
+        new = sampling.uniform_keys(seed, w.group, payloads)
+        assert new == oracles.uniform_keys(seed, elements)
+
+
+@SETTINGS
+@given(keyed_elements([zn(1), zn(2), zn(3)]), st.data())
+def test_orbit_keys_equal_the_element_keyed_reference(case, data):
+    w, sub = case
+    d = w.group.n
+    if d == 1 and data.draw(st.booleans()):
+        action, point = rotation_action(data.draw(st.sampled_from(ANGLES))), data.draw(POINTS)
+    else:
+        action = torus_action(data.draw(st.lists(st.sampled_from(ANGLES), min_size=d, max_size=d)))
+        point = tuple(data.draw(st.lists(POINTS, min_size=d, max_size=d)))
+    for elements in (list(w), sub):
+        payloads = [g.payload for g in elements]
+        assert sampling.orbit_keys(action, point, w.group, payloads) == oracles.orbit_keys(
+            action, point, elements
+        )
+
+
+def _loaded(window):
+    """The window read back from its file, with no element built."""
+    w = ser.window_from_json(json.loads(ser.canonical_dumps(ser.window_to_json(window))))
+    assert w == window and w._elements is None
+    return w
+
+
+def test_keying_realizing_and_writing_a_window_file_builds_no_element():
+    z1 = _loaded(interval_window(-30, 31))
+    rect = _loaded(window_from_elements(
+        zn(2), [GroupElement(zn(2), (x, y)) for x in range(-3, 4) for y in range(-2, 3)]
+    ))
+    alpha = Sqrt2Num.of(-1, 1)
+    orders = [
+        uniform_order(z1, 5),
+        uniform_sampler(rect)(7),
+        realize(rotation_action(alpha), Fraction(1, 7), z1),
+        realize(torus_action([alpha, Sqrt2Num.of(0, 1)]), (Fraction(1, 3), Fraction(2, 9)), rect),
+        realize(bernoulli_action(1), 11, z1),
+        realize(bernoulli_action(2), 11, rect),
+    ]
+    for m in orders:
+        ser.order_to_json(m)
+    ser.window_to_json(z1)
+    render_levels(ser.order_from_json(ser.order_to_json(orders[1], include_window=False), rect))
+    for m in orders[0], orders[2], orders[4]:
+        reconstruct(m, cesaro(20))
+    reconstruct(orders[3], box(3))
+    assert z1._elements is None and rect._elements is None
