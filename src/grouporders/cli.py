@@ -9,6 +9,7 @@ byte-identical.  Exit codes: 0 success/SAT, 1 UNSAT, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,8 +112,20 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _refuse(args, flags, reason):
+    """UsageError naming the first of flags that was given: its value would
+    be ignored."""
+    for name in flags:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name.replace('_', '-')} {reason}")
+
+
 def _load_sampler(args, window: Window):
     kind = args.sampler
+    if kind != "rotation":
+        _refuse(args, ["alpha"], "needs --sampler rotation")
+    if kind != "coset":
+        _refuse(args, ["inner_order", "subgroup_zero_coords"], "needs --sampler coset")
     if kind == "uniform":
         return uniform_sampler(window)
     if kind == "coset":
@@ -303,6 +316,12 @@ def cmd_glue(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    unused = {
+        "rotation": ["alphas", "point_seed"],
+        "torus": ["alpha", "point_seed"],
+        "bernoulli": ["alpha", "alphas", "x"],
+    }
+    _refuse(args, unused[args.action], f"does not apply to --action {args.action}")
     window = serialize.window_from_json(_read_json(args.window))
     seed = _seed(args)
     if args.action == "rotation":
@@ -322,8 +341,6 @@ def cmd_realize(args) -> int:
     elif args.action == "bernoulli":
         action = bernoulli_action(window.group.n if window.group.kind == "zn" else 0)
         point = args.point_seed if args.point_seed is not None else seed
-    else:
-        raise UsageError(f"unknown action {args.action!r}")
     m = realize(action, point, window)
     _write_text(args.output, serialize.canonical_dumps(serialize.order_to_json(m)))
     return 0
@@ -356,6 +373,10 @@ def cmd_levels(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+# Built once per process and reused by every ``main`` call.  Each
+# subcommand's handler is bound at that first build, so replacing a
+# ``cmd_*`` function afterwards does not reach ``main``.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="grouporders",

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from . import rng
-from .exactnum import Sqrt2Num, _coerce, _floor_ratio
+from .exactnum import Sqrt2Num, _coerce, _floor_ratio, _sign_int_pair
 from .errors import (
     DomainNotCovered,
     InnerOrderIncomplete,
@@ -257,20 +257,31 @@ def bernoulli_action(dim: int) -> ActionSpec:
     return ActionSpec(BERNOULLI_SHIFT, dim)
 
 
-def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
-    """Positions of ks sorted by frac(x + k*alpha), decided exactly."""
-    # with L the common denominator, the orbit value at k is
-    # ((ax0 + k*astep) + (cx0 + k*cstep) * sqrt2) / L
+def _scaled(x: Sqrt2Num, alpha: Sqrt2Num) -> tuple[int, int, int, int, int]:
+    """Integers with x = (ax + cx*sqrt2)/L and alpha = (aa + ca*sqrt2)/L."""
     L = lcm(
         x.rational.denominator,
         x.root2.denominator,
         alpha.rational.denominator,
         alpha.root2.denominator,
     )
-    ax0 = x.rational.numerator * (L // x.rational.denominator)
-    cx0 = x.root2.numerator * (L // x.root2.denominator)
-    astep = alpha.rational.numerator * (L // alpha.rational.denominator)
-    cstep = alpha.root2.numerator * (L // alpha.root2.denominator)
+
+    def num(q: Fraction) -> int:
+        return q.numerator * (L // q.denominator)
+
+    return num(x.rational), num(x.root2), num(alpha.rational), num(alpha.root2), L
+
+
+def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
+    """Positions of ks sorted by frac(x + k*alpha), decided exactly.
+
+    Each value is keyed by the top KEY_BITS bits of its fractional part (one
+    big-integer floor per k); only equal keys compare exact values.  Used
+    for sparse value sets, where the hull walk of ``_hull_order`` would
+    visit far more points than there are values.
+    """
+    # the orbit value at k is ((ax0 + k*astep) + (cx0 + k*cstep) * sqrt2) / L
+    ax0, cx0, astep, cstep, L = _scaled(x, alpha)
     keys, floors = [], []
     for k in ks:
         scaled = _floor_ratio((ax0 + k * astep) << KEY_BITS, (cx0 + k * cstep) << KEY_BITS, L)
@@ -292,6 +303,107 @@ def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
     return order
 
 
+def _gallop(ok: Callable[[int], bool]) -> int:
+    """Largest t with ok(t), for ok true at 1 and monotone (true, then false)."""
+    lo, hi = 1, 2
+    while ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _farey_steps(a: int, c: int, L: int, n: int) -> tuple[int, int]:
+    """Denominators (q, r) of the neighbours p/q < alpha < s/r of
+    alpha = (a + c*sqrt2)/L, irrational in (0, 1), in the Farey sequence of
+    order n.
+
+    A Stern-Brocot descent from 0/1 and 1/1 that takes each partial quotient
+    in one gallop; every comparison is the sign of one integer pair.
+    """
+
+    def below(p, q):  # p/q < alpha
+        return _sign_int_pair(a * q - L * p, c * q) > 0
+
+    p0, q0, p1, q1 = 0, 1, 1, 1
+    while q0 + q1 <= n:
+        if below(p0 + p1, q0 + q1):
+            t = _gallop(lambda t: q0 + t * q1 <= n and below(p0 + t * p1, q0 + t * q1))
+            p0, q0 = p0 + t * p1, q0 + t * q1
+        else:
+            t = _gallop(lambda t: q1 + t * q0 <= n and not below(p1 + t * p0, q1 + t * q0))
+            p1, q1 = p1 + t * p0, q1 + t * q0
+    return q0, q1
+
+
+def _hull_order(x: Sqrt2Num, alpha: Sqrt2Num, lo: int, size: int) -> list[int]:
+    """Offsets j in range(size) sorted by frac(x + (lo + j)*alpha), decided
+    exactly, in O(size) integer steps and O(log size) exact comparisons.
+
+    By the three-distance theorem (Sos 1958, Swierczkowski 1959; Slater
+    1967) the points frac(j*alpha), j < size, go round the circle from 0 by
+    the successor rule j -> j+q if j+q < size, else j-r if j >= r, else
+    j+q-r, where q and r are the denominators of alpha's Farey neighbours
+    of order size-1.  The offset x + lo*alpha only rotates that circular
+    order: it starts at the first point whose sum with frac(x + lo*alpha)
+    reaches 1, found by binary search.
+    """
+    ax, cx, aa, ca, L = _scaled(x, alpha)
+    aa -= _floor_ratio(aa, ca, L) * L  # frac(alpha) orders the same points
+    ax, cx = ax + lo * aa, cx + lo * ca
+    ax -= _floor_ratio(ax, cx, L) * L + L  # frac(x + lo*alpha) - 1
+    q, r = _farey_steps(aa, ca, L, size - 1)
+    walk, j = [], 0
+    for _ in range(size):
+        walk.append(j)
+        if j + q < size:
+            j += q
+        elif j >= r:
+            j -= r
+        else:
+            j += q - r
+    # the first walk position with frac(j*alpha) + frac(x + lo*alpha) >= 1
+    first, last = 0, size
+    while first < last:
+        mid = (first + last) // 2
+        j = walk[mid]
+        a, c = j * aa, j * ca
+        if _sign_int_pair(a - _floor_ratio(a, c, L) * L + ax, c + cx) >= 0:
+            last = mid
+        else:
+            first = mid + 1
+    return walk[first:] + walk[:first]
+
+
+def _circle_ranks(x: Sqrt2Num, alpha: Sqrt2Num, col: list[int]) -> tuple[int, list[int]]:
+    """(number of distinct values in col, rank of each entry among them by
+    frac(x + k*alpha)), decided exactly.
+
+    A value set dense in its hull [lo, hi] (hi - lo + 1 <= 2 * count, as in
+    every ball and rectangle) is ranked by the linear ``_hull_order`` walk
+    and read back by index k - lo; a sparser set is sorted by
+    ``_circle_order``.
+    """
+    ks = set(col)
+    lo, hi = min(ks), max(ks)
+    size = hi - lo + 1
+    if size <= 2 * len(ks):
+        order = _hull_order(x, alpha, lo, size)
+        if size > len(ks):
+            order = [j for j in order if lo + j in ks]
+        at = [0] * size
+        for rank, j in enumerate(order):
+            at[j] = rank
+        return len(ks), [at[k - lo] for k in col]
+    ks = sorted(ks)
+    rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
+    return len(ks), [rank_of[k] for k in col]
+
+
 def _check_orbit_group(action: ActionSpec, group) -> None:
     if group.kind != "zn" or group.n != action.dim:
         raise ValueError(f"action needs a Z^{action.dim} window")
@@ -303,7 +415,9 @@ def orbit_keys(action: ActionSpec, point, group: GroupId, payloads: Sequence[tup
     action.
 
     A torus rotation compares orbit values lexicographically, one circle per
-    coordinate; the circle rotation is its one-dimensional case.
+    coordinate; the circle rotation is its one-dimensional case.  Each
+    coordinate is ranked by ``_circle_ranks``: linear time on the
+    contiguous coordinates of balls and rectangles, a sort on sparse ones.
     """
     if action.kind == BERNOULLI_SHIFT:
         raise ValueError("a Bernoulli shift has no orbit keys")
@@ -311,12 +425,12 @@ def orbit_keys(action: ActionSpec, point, group: GroupId, payloads: Sequence[tup
     xs = [_coerce(point)] if action.kind == ROTATION else [_coerce(c) for c in point]
     if len(xs) != action.dim:
         raise ValueError("point dimension mismatch")
-    keys = [0] * len(payloads)
+    if not payloads:
+        return []
+    keys = None
     for c, (x, alpha) in enumerate(zip(xs, action.alphas)):
-        ks = sorted({p[c] for p in payloads})
-        rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
-        base = len(ks)
-        keys = [key * base + rank_of[p[c]] for key, p in zip(keys, payloads)]
+        base, ranks = _circle_ranks(x, alpha, [p[c] for p in payloads])
+        keys = ranks if keys is None else [key * base + rank for key, rank in zip(keys, ranks)]
     return keys
 
 

@@ -11,8 +11,9 @@ pair-by-pair test of strict total orders, and the element-by-element window
 builders (row decode, ball, closure, `has`-loop reconstruct) that
 `Window.from_payloads` and the payload products replaced, translated
 window lookups (`Window.preimages` and its callers) through that checked
-arithmetic and a payload dict, and the element-based uniform and orbit keys
-that the payload-based ones replaced.
+arithmetic and a payload dict, the element-based uniform and orbit keys
+that the payload-based ones replaced, and the circle order of a rotation
+sorted by exact `Sqrt2Num` fractional parts.
 """
 
 import functools
@@ -40,7 +41,7 @@ from grouporders.groups import (
 )
 from grouporders import rng
 from grouporders.exactnum import Sqrt2Num, _coerce
-from grouporders.sampling import BERNOULLI_SHIFT, ROTATION, _check_orbit_group, _circle_order
+from grouporders.sampling import BERNOULLI_SHIFT, ROTATION, _check_orbit_group
 from grouporders.orders import MAX_DENSE_ELEMENTS, OrderMatrix
 
 getcontext().prec = 60
@@ -183,6 +184,12 @@ def solve_by_closure_branching(n, atoms):
                 if t == i or rows[t] >> i & 1:
                     rows[t] |= reach
     return [n - 1 - rows[i].bit_count() for i in range(n)]
+
+
+def circle_order_reference(x, alpha, ks):
+    """Positions of ks sorted by the exact value frac(x + alpha*k)."""
+    x, alpha = _coerce(x), _coerce(alpha)
+    return sorted(range(len(ks)), key=lambda i: (x + alpha * ks[i]).frac())
 
 
 def rotation_fraction_decimal(x, k, alpha_rat, alpha_root2):
@@ -565,7 +572,7 @@ def orbit_keys(action, point, elements):
     keys = [0] * len(elements)
     for c, (x, alpha) in enumerate(zip(xs, action.alphas)):
         ks = sorted({g.payload[c] for g in elements})
-        rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
+        rank_of = {ks[i]: r for r, i in enumerate(circle_order_reference(x, alpha, ks))}
         base = len(ks)
         keys = [key * base + rank_of[g.payload[c]] for key, g in zip(keys, elements)]
     return keys

@@ -462,3 +462,83 @@ def test_reconstruct_needs_a_total_order(tmp_path, capsys):
         code, out, err = run(capsys, "reconstruct", ofile, "--scheme", scheme, "--n", "2")
         assert (code, out) == (2, ""), name
         assert err.startswith("error: NotTotal: "), name
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    from grouporders.cli import build_parser
+
+    assert build_parser() is build_parser()
+    w = ball(default_generators(zn(2)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    # a usage error leaves the parser fit for the next call
+    code, out, _ = run(capsys, "sample", wfile, "--encoding", "nope", "-N", "1")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "sample", wfile, "-N", "2", "--seed", "5")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_a_coset_run_leaves_no_flag_to_the_next_call(tmp_path, capsys):
+    from grouporders import rng
+    from grouporders.sampling import uniform_sampler
+
+    w = ball(default_generators(zn(2)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    inner_w = window_from_elements(zn(2), [zn_element(0, y) for y in (-1, 1)])
+    inner = write(tmp_path / "inner.json", ser.order_to_json(uniform_order(inner_w, 1)))
+    code, _, _ = run(
+        capsys, "sample", wfile, "-N", "2", "--seed", "5", "--sampler", "coset",
+        "--inner-order", inner, "--subgroup-zero-coords", "0",
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "sample", wfile, "-N", "2", "--seed", "5")
+    draw = uniform_sampler(w)
+    expected = [draw(rng.derive_seed(5, "sample", i)).perm() for i in range(2)]
+    assert code == 0 and [json.loads(line) for line in out.splitlines()[1:]] == expected
+
+
+def test_flags_the_chosen_action_or_sampler_ignores_are_refused(tmp_path, capsys):
+    wz = write(tmp_path / "wz.json", ser.window_to_json(ball(default_generators(zn(1)), 4)))
+    w2 = write(tmp_path / "w2.json", ser.window_to_json(ball(default_generators(zn(2)), 1)))
+    realize = ["realize", "--seed", "3", "-o", str(tmp_path / "ord.json")]
+    refused = [
+        (wz, "rotation", ["--alphas", "0,1"]),
+        (wz, "rotation", ["--point-seed", "4"]),
+        (w2, "torus", ["--alphas", "0,1;0,2", "--alpha", "0,1"]),
+        (w2, "torus", ["--alphas", "0,1;0,2", "--point-seed", "4"]),
+        (wz, "bernoulli", ["--alpha", "0,1"]),
+        (wz, "bernoulli", ["--alphas", "0,1"]),
+        (wz, "bernoulli", ["--x", "1/3"]),
+    ]
+    for wfile, action, flags in refused:
+        code, out, err = run(capsys, *realize, wfile, "--action", action, *flags)
+        assert (code, out) == (2, "") and f"does not apply to --action {action}" in err
+    accepted = [
+        (wz, "rotation", ["--alpha", "0,1", "--x", "1/3"]),
+        (w2, "torus", ["--alphas", "0,1;0,2", "--x", "1/3,1/5"]),
+        (wz, "bernoulli", ["--point-seed", "4"]),
+    ]
+    for wfile, action, flags in accepted:
+        assert run(capsys, *realize, wfile, "--action", action, *flags)[0] == 0
+
+    dz = write(tmp_path / "dz.json", ser.window_to_json(window_from_elements(zn(1), [zn_element(1)])))
+    inner = write(tmp_path / "inner.json", ser.order_to_json(uniform_order(window_from_elements(zn(1), []), 1)))
+    D = window_from_elements(zn(1), [zn_element(1)])
+    cyl = {"format": 1, "window": ser.window_to_json(D), "pattern": ser.order_to_json(uniform_order(D, 1))}
+    cfile = write(tmp_path / "cyl.json", cyl)
+    for argv in (
+        ["sample", wz],
+        ["estimate", wz, "--cylinder", cfile],
+        ["chisq", wz, "--probe", dz],
+        ["invariance", wz, "--element", "[1]", "--probe", dz],
+    ):
+        for sampler, flags, reason in (
+            ("uniform", ["--alpha", "0,1"], "needs --sampler rotation"),
+            ("coset", ["--alpha", "0,1", "--inner-order", inner, "--subgroup-zero-coords", "0"],
+             "needs --sampler rotation"),
+            ("uniform", ["--inner-order", inner], "needs --sampler coset"),
+            ("rotation", ["--subgroup-zero-coords", "0"], "needs --sampler coset"),
+        ):
+            code, out, err = run(capsys, *argv, "-N", "2", "--seed", "3", "--sampler", sampler, *flags)
+            assert (code, out) == (2, "") and reason in err
+        code, _, _ = run(capsys, *argv, "-N", "2", "--seed", "3", "--sampler", "rotation", "--alpha", "0,1")
+        assert code == 0

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from grouporders import (
@@ -321,6 +322,109 @@ def test_realize_torus_lexicographic(monkeypatch):
     monkeypatch.setattr(sampling, "_MASK", 7)
     assert realize(act, x, w).perm() == expected
     assert realize(rot, xz, wz).perm() == expected_z
+
+
+def test_sparse_coordinates_keep_the_key_path_under_key_collisions(monkeypatch):
+    # hulls far wider than twice the number of values are sorted by keys;
+    # with 3-bit keys most values collide and exact values decide
+    def no_walk(*args):
+        raise AssertionError("a sparse value set took the hull walk")
+
+    act = torus_action([ALPHA, Sqrt2Num.of(Fraction(-5, 3), 2)])
+    x = (Fraction(1, 5), Sqrt2Num.of(Fraction(2, 5), Fraction(-1, 7)))
+    w = window_from_elements(
+        zn(2), [zn_element(7 * a, 10**12 * (b % 2) + 5 * b) for a in range(-6, 7) for b in range(-6, 7)]
+    )
+    exact = [
+        tuple((alpha * k + xc).frac() for xc, alpha, k in zip(x, act.alphas, g.payload)) for g in w
+    ]
+    expected = sorted(range(len(w)), key=exact.__getitem__)
+    rot, xz = rotation_action(ALPHA), Fraction(1, 5)
+    wz = window_from_elements(zn(1), [zn_element(3 * k) for k in range(-40, 41)])
+    exact_z = [(Sqrt2Num.of(xz) + ALPHA * g.payload[0]).frac() for g in wz]
+    expected_z = sorted(range(len(wz)), key=exact_z.__getitem__)
+    monkeypatch.setattr(sampling, "_hull_order", no_walk)
+    monkeypatch.setattr(sampling, "KEY_BITS", 3)
+    monkeypatch.setattr(sampling, "_MASK", 7)
+    assert realize(act, x, w).perm() == expected
+    assert realize(rot, xz, wz).perm() == expected_z
+
+
+def test_the_switch_rule_between_walk_and_sort(monkeypatch):
+    calls = []
+    for name in ("_hull_order", "_circle_order"):
+        real = getattr(sampling, name)
+        monkeypatch.setattr(sampling, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    # the hull [lo, hi] is walked while hi - lo + 1 <= 2 * (number of values)
+    for values, path in (
+        ([0, 1, 3, 5], "_hull_order"),  # hull 6, 4 values
+        ([0, 1, 5], "_hull_order"),  # hull 6, 3 values
+        ([0, 1, 6], "_circle_order"),  # hull 7, 3 values
+        ([0, 10**12], "_circle_order"),
+        ([-(10**12)], "_hull_order"),
+    ):
+        calls.clear()
+        rot, payloads = rotation_action(ALPHA), [(v,) for v in values]
+        keys = sampling.orbit_keys(rot, Fraction(1, 3), zn(1), payloads)
+        assert calls == [path]
+        assert keys == oracles.orbit_keys(rot, Fraction(1, 3), [zn_element(v) for v in values])
+
+
+def _fractions(bound, den):
+    return st.builds(Fraction, st.integers(-bound * den, bound * den), st.integers(1, den))
+
+
+# angles with negative parts and rational parts beyond 1; points with a
+# 2^64 denominator (as the rotation sampler draws them) or with sqrt2 parts
+CIRCLE_ANGLES = st.builds(Sqrt2Num.of, _fractions(7, 40), _fractions(3, 40).filter(bool))
+CIRCLE_POINTS = st.one_of(
+    st.integers(0, (1 << 64) - 1).map(lambda v: Sqrt2Num.of(Fraction(v, 1 << 64))),
+    st.builds(Sqrt2Num.of, _fractions(3, 50), _fractions(2, 50)),
+)
+CIRCLE_OFFSETS = st.one_of(st.sampled_from([0, 10**12, -(10**12)]), st.integers(-300, 300))
+CIRCLE_SIZES = st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 80))
+SEEDS = st.integers(0, 2**32)
+
+
+@st.composite
+def circle_values(draw):
+    """Sorted distinct values spanning a hull of 1 to 80 points, at offset
+    0, +-10^12 or a small one, with any number of values or about half the
+    hull (either side of the switch rule)."""
+    lo, size = draw(CIRCLE_OFFSETS), draw(CIRCLE_SIZES)
+    near_half = draw(st.sampled_from([None, -1, 0, 1]))
+    rnd = random.Random(draw(SEEDS))
+    count = rnd.randint(1, size) if near_half is None else (size + 1) // 2 + near_half
+    inner = rnd.sample(range(1, size - 1), min(max(count - 2, 0), max(size - 2, 0)))
+    return [lo + k for k in sorted({0, size - 1, *inner})]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(circle_values(), CIRCLE_ANGLES, CIRCLE_POINTS, SEEDS)
+def test_walk_sort_and_exact_reference_give_one_circle_order(ks, alpha, x, seed):
+    ref = oracles.circle_order_reference(x, alpha, ks)
+    assert sampling._circle_order(x, alpha, ks) == ref
+    lo, size = ks[0], ks[-1] - ks[0] + 1
+    position = {k - lo: i for i, k in enumerate(ks)}
+    walked = [position[j] for j in sampling._hull_order(x, alpha, lo, size) if j in position]
+    assert walked == ref
+    # either path of orbit_keys ranks a shuffled column with repeats alike
+    rnd = random.Random(seed)
+    col = ks + rnd.sample(ks, len(ks) // 2)
+    rnd.shuffle(col)
+    rank = {ks[i]: r for r, i in enumerate(ref)}
+    assert sampling._circle_ranks(x, alpha, col) == (len(ks), [rank[k] for k in col])
+
+
+def test_an_orbit_value_on_zero_comes_first():
+    # frac(x + k0*alpha) == 0 exactly: the cut lands on k0 itself
+    ks = list(range(-10, 11))
+    for alpha in (ALPHA, Sqrt2Num.of(Fraction(-9, 4), Fraction(2, 3))):
+        for k0 in (-10, -7, 0, 5, 10):
+            x = 2 - alpha * k0
+            ref = oracles.circle_order_reference(x, alpha, ks)
+            assert ks[ref[0]] == k0
+            assert sampling._hull_order(x, alpha, -10, 21) == ref == sampling._circle_order(x, alpha, ks)
 
 
 def test_reconstruct_examples():
