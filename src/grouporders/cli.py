@@ -44,6 +44,7 @@ from .sampling import (
     reconstruct,
     rotation_action,
     rotation_sampler,
+    sample_seed,
     shadowing_report,
     specification_glue,
     torus_action,
@@ -228,10 +229,12 @@ def cmd_verify_sl3(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"-N must be >= 0, got {args.count}")
     window = serialize.window_from_json(_read_json(args.window))
     sampler = _load_sampler(args, window)
     seed = _seed(args)
-    orders = [sampler(rng.derive_seed(seed, "sample", i)) for i in range(args.count)]
+    orders = [sampler(sample_seed(seed, i)) for i in range(args.count)]
     lines = [
         serialize.canonical_dumps(
             {"format": serialize.FORMAT_VERSION, "window": serialize.window_to_json(window)}

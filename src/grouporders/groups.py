@@ -6,8 +6,9 @@ checked against the signed 64-bit range: overflow raises, it never wraps.
 Window enumeration is deterministic (BFS layer, then lexicographic payload)
 so that downstream constraint indices and certificates are reproducible.
 
-Raw payloads become a window in one place, `Window.from_payloads`, which
-checks them in bulk; window files and the window builders all go through it.
+Raw payloads become a window in one place, the constructor `Window(group,
+rows)`, which checks them in bulk; window files and the window builders all
+go through it, and element lists go through `window_from_elements`.
 A window keeps its payloads and builds its `GroupElement`s only on demand.
 """
 
@@ -74,15 +75,11 @@ class GroupElement:
 
 
 def payload_keys(group: GroupId, payloads: Iterable[tuple[int, ...]]) -> list[bytes]:
-    """element_key of the element of group with each payload tuple; the
-    format b"<group>:<entries, comma-separated>" is built once."""
+    """The canonical byte encoding, stable across runs and windows, of the
+    element of group with each payload tuple; the format
+    b"<group>:<entries, comma-separated>" is built once."""
     fmt = (f"{group}:" + ",".join(["%d"] * _payload_len(group))).encode("ascii")
     return [fmt % p for p in payloads]
-
-
-def element_key(g: GroupElement) -> bytes:
-    """Canonical byte encoding, stable across runs and windows."""
-    return payload_keys(g.group, (g.payload,))[0]
 
 
 def _checked(payload: tuple[int, ...]) -> tuple[int, ...]:
@@ -280,30 +277,16 @@ def default_generators(group: GroupId) -> GeneratorSet:
 
 class Window:
     """Finite indexed subset of a group; always contains the identity.
-    Built from elements (checked one by one) or, in bulk, from_payloads.
     The payloads are the window; its elements are built on demand."""
 
     __slots__ = ("group", "payloads", "_index", "_elements")
 
-    def __init__(self, group: GroupId, elements: Iterable[GroupElement]):
-        elems = tuple(elements)
-        for g in elems:
-            if g.group is not group and g.group != group:
-                raise GroupMismatch("window element from a different group")
-        self._fill(group, tuple([g.payload for g in elems]))
-        self._elements = elems
-
-    @classmethod
-    def from_payloads(cls, group: GroupId, rows: Sequence[Iterable[int]]) -> Window:
-        """Window over the rows, in order, building no element: the one
-        place raw payloads become a window.  Raises what Window raises over
-        make_element of each row."""
-        w = cls.__new__(cls)
-        w._fill(group, checked_payloads(group, rows))
-        w._elements = None
-        return w
-
-    def _fill(self, group: GroupId, payloads: tuple) -> None:
+    def __init__(self, group: GroupId, rows: Sequence[Iterable[int]]):
+        """Window over the payload rows, in order: the one place raw payloads
+        become a window.  Raises what make_element raises for the first bad
+        row (a GroupElement is not a row: TypeError), then ValueError on a
+        duplicate or a missing identity."""
+        payloads = checked_payloads(group, rows)
         index = dict(zip(payloads, range(len(payloads))))
         if len(index) != len(payloads):
             raise ValueError("duplicate window element")
@@ -312,6 +295,7 @@ class Window:
         self.group = group
         self.payloads = payloads
         self._index = index
+        self._elements = None
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -429,7 +413,7 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
         frontier = layer
         if not layer:
             break
-    return Window.from_payloads(group, ordered)
+    return Window(group, ordered)
 
 
 def window_closure(
@@ -456,7 +440,7 @@ def window_closure(
                 fresh.add(h)
     if len(w) + len(fresh) > size_limit:
         raise SizeLimitExceeded(f"closure exceeds the {size_limit}-element cap")
-    return Window.from_payloads(w.group, [*have, *sorted(fresh)])
+    return Window(w.group, [*have, *sorted(fresh)])
 
 
 def window_from_elements(group: GroupId, elements: Iterable[GroupElement]) -> Window:
@@ -467,11 +451,11 @@ def window_from_elements(group: GroupId, elements: Iterable[GroupElement]) -> Wi
         if g.group != group:
             raise GroupMismatch("element from a different group")
         pool.add(g.payload)
-    return Window.from_payloads(group, sorted(pool))
+    return Window(group, sorted(pool))
 
 
 def interval_window(lo: int, hi: int) -> Window:
     """Window {lo, ..., hi-1} in Z, in natural order; must contain 0."""
     if not lo <= 0 < hi:
         raise ValueError("interval window must contain 0")
-    return Window.from_payloads(zn(1), [(k,) for k in range(lo, hi)])
+    return Window(zn(1), [(k,) for k in range(lo, hi)])

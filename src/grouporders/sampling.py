@@ -44,6 +44,11 @@ KEY_BITS = 64
 _MASK = (1 << KEY_BITS) - 1
 
 
+def sample_seed(seed: int, i: int) -> int:
+    """Seed of the i-th sample of a batch drawn from seed."""
+    return rng.derive_seed(seed, "sample", i)
+
+
 def uniform_keys(seed: int, group: GroupId, payloads: Iterable[tuple]) -> list[tuple[int, bytes]]:
     """One (iid uniform 64-bit value, canonical encoding) key per payload of
     group; equal values fall back to the encodings."""

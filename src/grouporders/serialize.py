@@ -91,7 +91,7 @@ def window_to_json(w: Window) -> dict:
 
 
 def window_from_json(obj) -> Window:
-    return Window.from_payloads(group_from_json(obj["group"]), obj["elements"])
+    return Window(group_from_json(obj["group"]), obj["elements"])
 
 
 def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from . import rng
 from .errors import DomainNotCovered, ElementNotInWindow
 from .groups import GroupElement, Window, missing_translate
 from .orders import CylinderSpec, OrderMatrix
-from .sampling import ProjectiveSampler
+from .sampling import ProjectiveSampler, sample_seed
 
 Sampler = Union[ProjectiveSampler, Callable[[int], OrderMatrix]]
 
@@ -118,13 +117,13 @@ def _probe_rankings(
         probes = _probe_positions(w, F, missing, shift)
         payloads = [w.payloads[p] for positions in probes for p in positions]
     for i in range(N):
-        sample_seed = rng.derive_seed(seed, "sample", i)
+        sub = sample_seed(seed, i)
         if keyed:
-            keys = sampler.keys(sample_seed, payloads)
+            keys = sampler.keys(sub, payloads)
             blocks = [keys[j * k : (j + 1) * k] for j in range(len(probes))]
             yield [tuple(sum(b < a for b in block) for a in block) for block in blocks]
         else:
-            m = sampler(sample_seed)
+            m = sampler(sub)
             yield [m.ranking(ps) for ps in _probe_positions(m.window, F, missing, shift)]
 
 

@@ -8,9 +8,9 @@ arithmetic that the straight-line `multiply`/`inverse` replaced, the
 pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the
 recursive sign cascade that `LinearFunctionalOrder.key` replaced, a
 pair-by-pair test of strict total orders, and the element-by-element window
-builders (row decode, ball, closure, `has`-loop reconstruct) that
-`Window.from_payloads` and the payload products replaced, translated
-window lookups (`Window.preimages` and its callers) through that checked
+builders (row decode, ball, closure, `has`-loop reconstruct) that the
+bulk payload check and the payload products replaced, translated window
+lookups (`Window.preimages` and its callers) through that checked
 arithmetic and a payload dict, the element-based uniform and orbit keys
 that the payload-based ones replaced, and the circle order of a rotation
 sorted by exact `Sqrt2Num` fractional parts.
@@ -459,7 +459,7 @@ def rowwise_elements(group, rows):
 
 def rowwise_window(group, rows):
     """The window of the rows, decoded one make_element at a time."""
-    return Window(group, rowwise_elements(group, rows))
+    return Window(group, [g.payload for g in rowwise_elements(group, rows)])
 
 
 def elementwise_ball(gens, radius, size_limit=DEFAULT_SIZE_LIMIT):
@@ -496,7 +496,7 @@ def elementwise_ball(gens, radius, size_limit=DEFAULT_SIZE_LIMIT):
         frontier = layer
         if not layer:
             break
-    return Window(gens.group, ordered)
+    return Window(gens.group, [g.payload for g in ordered])
 
 
 def elementwise_window_closure(w, multipliers, size_limit=DEFAULT_SIZE_LIMIT):
@@ -513,7 +513,7 @@ def elementwise_window_closure(w, multipliers, size_limit=DEFAULT_SIZE_LIMIT):
     if len(w) + len(fresh) > size_limit:
         raise SizeLimitExceeded(f"closure exceeds the {size_limit}-element cap")
     appended = sorted(fresh.values(), key=lambda g: g.payload)
-    return Window(w.group, list(w.elements) + appended)
+    return Window(w.group, [g.payload for g in (*w.elements, *appended)])
 
 
 def elementwise_window_from_elements(group, elements):
@@ -522,7 +522,7 @@ def elementwise_window_from_elements(group, elements):
         if g.group != group:
             raise GroupMismatch("element from a different group")
         pool[g.payload] = g
-    return Window(group, sorted(pool.values(), key=lambda g: g.payload))
+    return Window(group, sorted(pool))
 
 
 def has_loop_reconstruct(m, scheme):

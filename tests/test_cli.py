@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import grouporders
 from grouporders import (
     HEISENBERG,
@@ -17,7 +19,7 @@ from grouporders import (
     zn_element,
 )
 from grouporders import serialize as ser
-from grouporders.cli import main
+from grouporders.cli import DEFAULT_ALPHA, main
 from grouporders.constraints import ConstraintSystem
 from grouporders.groups import interval_window
 
@@ -542,3 +544,66 @@ def test_flags_the_chosen_action_or_sampler_ignores_are_refused(tmp_path, capsys
             assert (code, out) == (2, "") and reason in err
         code, _, _ = run(capsys, *argv, "-N", "2", "--seed", "3", "--sampler", "rotation", "--alpha", "0,1")
         assert code == 0
+
+
+def test_pairs_encoding_is_capped_as_dense_rows_are(tmp_path, capsys, monkeypatch):
+    from grouporders import SizeLimitExceeded, orders
+    from grouporders.orders import OrderMatrix
+
+    w = ball(default_generators(zn(2)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    monkeypatch.setattr(orders, "MAX_DENSE_ELEMENTS", len(w) - 1)
+    with pytest.raises(SizeLimitExceeded, match="pair list"):
+        list(uniform_order(w, 5).pairs())
+    # a relation kept as rows lists what it holds, whatever the cap
+    assert list(OrderMatrix.from_pairs(w, [(0, 1)]).pairs()) == [(0, 1)]
+    out = tmp_path / "pairs.txt"
+    code, stdout, err = run(capsys, "sample", wfile, "-N", "1", "--seed", "5",
+                            "--encoding", "pairs", "-o", str(out))
+    assert (code, stdout) == (2, "") and "SizeLimitExceeded" in err
+    assert not out.exists()
+    code, stdout, _ = run(capsys, "sample", wfile, "-N", "1", "--seed", "5", "--encoding", "perm")
+    assert code == 0 and sorted(json.loads(stdout.splitlines()[1])) == list(range(len(w)))
+
+
+def test_sample_refuses_a_negative_count(tmp_path, capsys):
+    wfile = write(tmp_path / "w.json", ser.window_to_json(ball(default_generators(zn(2)), 1)))
+    code, out, err = run(capsys, "sample", wfile, "-N", "-3", "--seed", "5")
+    assert (code, out) == (2, "") and "-N must be >= 0" in err
+    code, out, _ = run(capsys, "sample", wfile, "-N", "0", "--seed", "5")
+    assert code == 0 and len(out.splitlines()) == 1
+
+
+def test_chisq_and_sample_draw_the_same_order_from_a_seed(tmp_path, capsys):
+    from grouporders.sampling import rotation_action, rotation_sampler, sample_seed, uniform_sampler
+    from grouporders.stats import permutation_rank
+
+    wz = ball(default_generators(zn(1)), 4)
+    w2 = ball(default_generators(zn(2)), 1)
+    inner_w = window_from_elements(zn(2), [zn_element(0, y) for y in (-1, 1)])
+    inner = write(tmp_path / "inner.json", ser.order_to_json(uniform_order(inner_w, 1)))
+    cases = [
+        ("uniform", w2, [(0, 0), (1, 0), (0, 1)], [], uniform_sampler(w2)),
+        ("rotation", wz, [(0,), (1,), (-2,)], [],
+         rotation_sampler(rotation_action(DEFAULT_ALPHA), wz)),
+        ("coset", w2, [(0, 0), (-1, 0), (0, 1)],
+         ["--inner-order", inner, "--subgroup-zero-coords", "0"], None),
+    ]
+    for sampler, w, probe, extra, draw in cases:
+        wfile = write(tmp_path / f"{sampler}-w.json", ser.window_to_json(w))
+        F = window_from_elements(w.group, [grouporders.make_element(w.group, p) for p in probe])
+        ffile = write(tmp_path / f"{sampler}-f.json", ser.window_to_json(F))
+        for seed in (3, 17, 2024):
+            flags = ["--sampler", sampler, *extra, "-N", "1", "--seed", str(seed)]
+            code, out, _ = run(capsys, "sample", wfile, *flags)
+            assert code == 0
+            perm = json.loads(out.splitlines()[1])
+            if draw is not None:
+                assert perm == draw(sample_seed(seed, 0)).perm()
+            rank = {p: r for r, p in enumerate(perm)}
+            ranks = [rank[w.position(f)] for f in F]
+            cell = permutation_rank([sorted(ranks).index(r) for r in ranks])
+            code, out, _ = run(capsys, "chisq", wfile, "--probe", ffile, *flags)
+            assert code == 0
+            counts = [int(line.split(",")[1]) for line in out.splitlines()[1:-1]]
+            assert counts == [int(i == cell) for i in range(6)]

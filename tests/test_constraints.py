@@ -92,7 +92,7 @@ def test_build_extension_system_trivial_and_dedup():
 
 def test_extension_system_invariant_under_reordering():
     w = ball(default_generators(zn(2)), 1)
-    permuted = Window(zn(2), [w.element(i) for i in (2, 0, 4, 1, 3)])
+    permuted = Window(zn(2), [w.payloads[i] for i in (2, 0, 4, 1, 3)])
     cs1 = build_extension_system(w, quadrant_order(2))
     cs2 = build_extension_system(permuted, quadrant_order(2))
     named1 = {(w.element(i).payload, w.element(j).payload) for i, j in cs1.atoms}

@@ -374,16 +374,34 @@ def test_fast_paths_accept_an_equal_group_object():
     assert twin == zn(2) and twin is not zn(2)
     a, b = make_element(twin, [1, 2]), zn_element(3, 4)
     assert multiply(a, b).payload == multiply(b, a).payload == (4, 6)
-    w = Window(zn(2), [identity(zn(2)), a])
+    w = window_from_elements(zn(2), [a])
     assert w.position(GroupElement(zn(2), (1, 2))) == 1
-    assert Window(twin, [identity(zn(2))]).find(identity(twin)) == 0
+    assert Window(twin, [(0, 0)]).find(identity(twin)) == 0
     # another group, even with the same payload length, is still refused
     with pytest.raises(GroupMismatch, match="heis vs zn:3"):
         multiply(X, zn_element(1, 2, 3))
     with pytest.raises(GroupMismatch, match="zn:2 vs zn:3"):
         multiply(a, zn_element(1, 2, 3))
     with pytest.raises(GroupMismatch):
-        Window(zn(3), [identity(zn(3)), X])
+        window_from_elements(zn(3), [identity(zn(3)), X])
+
+
+def test_window_takes_payload_rows_and_checks_each_one():
+    e = identity(zn(2))
+    # a GroupElement is not a payload row, so its payload is never
+    # left unchecked (the short one here could not be read back)
+    with pytest.raises(TypeError):
+        Window(zn(2), [e, GroupElement(zn(2), (1,))])
+    with pytest.raises(TypeError):
+        Window(zn(2), [e, zn_element(1, 2)])
+    with pytest.raises(ValueError, match="zn:2 payload needs 2 entries"):
+        Window(zn(2), [(0, 0), (1,)])
+    with pytest.raises(IntegerOverflow):
+        Window(zn(1), [(0,), (2**70,)])
+    with pytest.raises(ValueError, match="determinant 1"):
+        Window(SL3Z, [identity(SL3Z).payload, (2, 0, 0, 0, 1, 0, 0, 0, 1)])
+    w = Window(zn(2), [(1, 2), [0, 0]])
+    assert w.payloads == ((1, 2), (0, 0)) and w.element(0) == zn_element(1, 2)
 
 
 def test_overflow_names_the_first_entry_out_of_range():

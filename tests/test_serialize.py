@@ -20,7 +20,7 @@ from grouporders import (
 from grouporders import serialize as ser
 from grouporders.constraints import ConstraintSystem
 from grouporders.engine import propagate_only
-from grouporders.groups import Window, interval_window
+from grouporders.groups import interval_window, window_from_elements
 
 
 def test_element_roundtrip():
@@ -49,7 +49,7 @@ def test_window_from_json_shares_one_group_object():
     heis = ser.element_set_from_json(ser.element_set_to_json(HEISENBERG, [x]))
     assert w.find(heis[0]) is None
     with pytest.raises(GroupMismatch):
-        Window(w.group, list(w) + heis)
+        window_from_elements(w.group, list(w) + heis)
 
 
 def test_window_files_share_one_group_object_per_zn():
