@@ -29,7 +29,6 @@ from .errors import GroupOrderError
 from .exactnum import Sqrt2Num
 from .groups import (
     GeneratorSet,
-    Window,
     ball,
     default_generators,
     make_element,
@@ -80,6 +79,10 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
+def _write_json(path: str | None, obj):
+    _write_text(path, serialize.canonical_dumps(obj))
+
+
 def _parse_group(name: str):
     from . import groups
 
@@ -121,14 +124,16 @@ def _refuse(args, flags, reason):
             raise UsageError(f"--{name.replace('_', '-')} {reason}")
 
 
-def _load_sampler(args, window: Window):
+def _load_sampler(args):
+    """The window file and the sampler the flags choose over it."""
+    window = serialize.window_from_json(_read_json(args.window))
     kind = args.sampler
     if kind != "rotation":
         _refuse(args, ["alpha"], "needs --sampler rotation")
     if kind != "coset":
         _refuse(args, ["inner_order", "subgroup_zero_coords"], "needs --sampler coset")
     if kind == "uniform":
-        return uniform_sampler(window)
+        return window, uniform_sampler(window)
     if kind == "coset":
         if not args.inner_order:
             raise UsageError("coset sampler needs --inner-order")
@@ -142,11 +147,9 @@ def _load_sampler(args, window: Window):
         def member(g):
             return all(g.payload[c] == 0 for c in zero)
 
-        return coset_sampler(window, member, inner)
-    if kind == "rotation":
-        alpha = _parse_alpha(args.alpha) if args.alpha else DEFAULT_ALPHA
-        return rotation_sampler(rotation_action(alpha), window)
-    raise UsageError(f"unknown sampler {kind!r}")
+        return window, coset_sampler(window, member, inner)
+    alpha = _parse_alpha(args.alpha) if args.alpha else DEFAULT_ALPHA
+    return window, rotation_sampler(rotation_action(alpha), window)
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -164,17 +167,14 @@ def cmd_ball(args) -> int:
     else:
         gens = default_generators(group)
     w = ball(gens, args.radius, size_limit=args.size_limit)
-    _write_text(args.output, serialize.canonical_dumps(serialize.window_to_json(w)))
+    _write_json(args.output, serialize.window_to_json(w))
     return 0
 
 
 def cmd_check_extend(args) -> int:
     cs = serialize.system_from_json(_read_json(args.system))
     cert = solve(cs, timeout=args.timeout, size_limit=args.size_limit)
-    _write_text(
-        args.output,
-        serialize.canonical_dumps(serialize.certificate_to_json(cert)),
-    )
+    _write_json(args.output, serialize.certificate_to_json(cert))
     return 0 if cert.verdict == "sat" else 1
 
 
@@ -184,7 +184,6 @@ def cmd_verify_sl3(args) -> int:
     )
     results = []
     any_unsat = False
-    artifacts_written = False
     for conv in conventions:
         cs = build_sl3_instance(SL3Instance(args.q, tuple(args.n), args.trunc, conv))
         cert = propagate_only(cs)
@@ -193,7 +192,6 @@ def cmd_verify_sl3(args) -> int:
                 {"convention": conv, "verdict": "inconclusive", "atoms": len(cs.atoms)}
             )
             continue
-        any_unsat = True
         ok = verify_certificate(cs, cert)
         results.append(
             {
@@ -207,39 +205,29 @@ def cmd_verify_sl3(args) -> int:
                 "replay_ok": ok,
             }
         )
-        if not artifacts_written:
-            artifacts_written = True
+        if not any_unsat:
             if args.certificate_out:
-                _write_text(
-                    args.certificate_out,
-                    serialize.canonical_dumps(serialize.certificate_to_json(cert)),
-                )
+                _write_json(args.certificate_out, serialize.certificate_to_json(cert))
             if args.system_out:
-                _write_text(
-                    args.system_out,
-                    serialize.canonical_dumps(serialize.system_to_json(cs)),
-                )
+                _write_json(args.system_out, serialize.system_to_json(cs))
+        any_unsat = True
     report = {
         "format": serialize.FORMAT_VERSION,
         "instance": {"q": args.q, "n": list(args.n), "truncation": args.trunc},
         "results": results,
     }
-    _write_text(args.output, serialize.canonical_dumps(report))
+    _write_json(args.output, report)
     return 1 if any_unsat else 0
 
 
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise UsageError(f"-N must be >= 0, got {args.count}")
-    window = serialize.window_from_json(_read_json(args.window))
-    sampler = _load_sampler(args, window)
+    window, sampler = _load_sampler(args)
     seed = _seed(args)
     orders = [sampler(sample_seed(seed, i)) for i in range(args.count)]
-    lines = [
-        serialize.canonical_dumps(
-            {"format": serialize.FORMAT_VERSION, "window": serialize.window_to_json(window)}
-        )
-    ]
+    header = {"format": serialize.FORMAT_VERSION, "window": serialize.window_to_json(window)}
+    lines = [serialize.canonical_dumps(header)]
     for m in orders:
         if args.encoding == "perm":
             lines.append(json.dumps(m.perm()) + "\n")
@@ -255,8 +243,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    window = serialize.window_from_json(_read_json(args.window))
-    sampler = _load_sampler(args, window)
+    _, sampler = _load_sampler(args)
     cyl_data = _read_json(args.cylinder)
     D = serialize.window_from_json(cyl_data["window"])
     pattern = serialize.order_from_json(cyl_data["pattern"], window=D)
@@ -271,8 +258,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_invariance(args) -> int:
-    window = serialize.window_from_json(_read_json(args.window))
-    sampler = _load_sampler(args, window)
+    window, sampler = _load_sampler(args)
     D = serialize.window_from_json(_read_json(args.probe))
     g = make_element(window.group, json.loads(args.element))
     report = invariance_test(sampler, g, D, args.count, _seed(args))
@@ -285,8 +271,7 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_chisq(args) -> int:
-    window = serialize.window_from_json(_read_json(args.window))
-    sampler = _load_sampler(args, window)
+    _, sampler = _load_sampler(args)
     F = serialize.window_from_json(_read_json(args.probe))
     report = uniformity_chisq(sampler, F, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
@@ -306,7 +291,7 @@ def cmd_glue(args) -> int:
     D = serialize.window_from_json(_read_json(args.d_file))
     glued = specification_glue(m1, m2, K, D)
     all_ok, rows = shadowing_report(glued, m1, m2, K, D)
-    _write_text(args.output, serialize.canonical_dumps(serialize.order_to_json(glued)))
+    _write_json(args.output, serialize.order_to_json(glued))
     report = {
         "format": serialize.FORMAT_VERSION,
         "all_ok": all_ok,
@@ -314,7 +299,7 @@ def cmd_glue(args) -> int:
             {"element": list(g.payload), "side": side, "ok": ok} for g, side, ok in rows
         ],
     }
-    _write_text(args.report_out, serialize.canonical_dumps(report))
+    _write_json(args.report_out, report)
     return 0
 
 
@@ -341,11 +326,11 @@ def cmd_realize(args) -> int:
             point = tuple(
                 rng.unit_fraction(seed, "point", i) for i in range(action.dim)
             )
-    elif args.action == "bernoulli":
+    else:
         action = bernoulli_action(window.group.n if window.group.kind == "zn" else 0)
         point = args.point_seed if args.point_seed is not None else seed
     m = realize(action, point, window)
-    _write_text(args.output, serialize.canonical_dumps(serialize.order_to_json(m)))
+    _write_json(args.output, serialize.order_to_json(m))
     return 0
 
 
@@ -418,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_sl3)
 
     def add_sampler_flags(p):
-        p.add_argument("--sampler", default="uniform", help="uniform, coset, rotation")
+        p.add_argument("--sampler", choices=["uniform", "coset", "rotation"], default="uniform")
         p.add_argument("--inner-order")
         p.add_argument("--subgroup-zero-coords")
         p.add_argument("--alpha", help="rotation angle 'rat,root2'")

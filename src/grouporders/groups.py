@@ -118,14 +118,17 @@ def make_element(group: GroupId, data: Iterable[int]) -> GroupElement:
     return GroupElement(group, payload)
 
 
-def checked_payloads(group: GroupId, rows: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """make_element's payloads of the rows, checked in bulk.  If a check fails
-    the rows go one by one through make_element, so the first bad row raises
+def checked_payloads(group: GroupId, rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """make_element's payloads of the rows, checked in bulk.  Each row is read
+    once: if a check fails, the tuples already built and then the rows not
+    yet read go one by one through make_element, so the first bad row raises
     what make_element raises for it."""
+    rows = list(rows)
+    payloads = []
     try:
-        payloads = tuple(map(tuple, rows))
+        payloads.extend(map(tuple, rows))  # a row that is no iterable stops it here
         if not set(map(type, chain.from_iterable(payloads))) <= {int}:
-            payloads = tuple([tuple(map(index, p)) for p in payloads])
+            payloads = [tuple(map(index, p)) for p in payloads]
         flat = list(chain.from_iterable(payloads))
         if (
             set(map(len, payloads)) <= {_payload_len(group)}
@@ -133,10 +136,10 @@ def checked_payloads(group: GroupId, rows: Sequence[Iterable[int]]) -> tuple[tup
             and max(flat, default=0) <= INT64_MAX
             and (group.kind != KIND_SL3 or all(_det3(p) == 1 for p in payloads))
         ):
-            return payloads
+            return tuple(payloads)
     except TypeError:
         pass
-    return tuple([make_element(group, r).payload for r in rows])
+    return tuple([make_element(group, r).payload for r in chain(payloads, rows[len(payloads):])])
 
 
 def zn_element(*coords: int) -> GroupElement:
@@ -281,7 +284,7 @@ class Window:
 
     __slots__ = ("group", "payloads", "_index", "_elements")
 
-    def __init__(self, group: GroupId, rows: Sequence[Iterable[int]]):
+    def __init__(self, group: GroupId, rows: Iterable[Iterable[int]]):
         """Window over the payload rows, in order: the one place raw payloads
         become a window.  Raises what make_element raises for the first bad
         row (a GroupElement is not a row: TypeError), then ValueError on a

@@ -81,24 +81,13 @@ class OrderMatrix:
         return self.has(i, j) or self.has(j, i)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        """Every decided pair (i, j), i below j; on a rank-vector order that
-        is n(n-1)/2 pairs, guarded as rows() is."""
-        if self._ranks is not None:
-            if self.n > MAX_DENSE_ELEMENTS:
-                raise SizeLimitExceeded(
-                    f"pair list for {self.n} elements exceeds the {MAX_DENSE_ELEMENTS} cap"
-                )
-            order = self.perm()
-            for a in range(len(order)):
-                for b in range(a + 1, len(order)):
-                    yield (order[a], order[b])
-            return
-        for i, row in enumerate(self._rows):
-            r = row
-            while r:
-                low = r & -r
+        """Every decided pair (i, j), i below j, in row order; read from
+        rows(), so a rank-vector order is capped as rows() is."""
+        for i, row in enumerate(self.rows()):
+            while row:
+                low = row & -row
                 yield (i, low.bit_length() - 1)
-                r ^= low
+                row ^= low
 
     def decided_count(self) -> int:
         if self._ranks is not None:

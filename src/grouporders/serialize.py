@@ -1,12 +1,11 @@
-"""Versioned JSON encodings for elements, windows, orders, constraint
+"""Versioned JSON encodings for element sets, windows, orders, constraint
 systems, and certificates.
 
-Element encoding: {"group": "zn"|"heis"|"sl3", "data": [ints]} with 3x3
-matrices flattened row-major.  Windows serialize their elements in index
-order.  Total orders serialize compactly as "perm" (window indices listed
-from smallest to largest); partial relations serialize as "pairs".  All
-dumps are canonical (sorted keys, fixed separators), so identical inputs
-produce byte-identical files.
+Windows and element sets serialize their payloads in index order, 3x3
+matrices flattened row-major.  Total orders serialize compactly as "perm"
+(window indices listed from smallest to largest); partial relations
+serialize as "pairs".  All dumps are canonical (sorted keys, fixed
+separators), so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .groups import (
     SL3Z,
     Window,
     checked_payloads,
-    make_element,
     zn,
 )
 from .orders import OrderMatrix, is_total
@@ -56,15 +54,6 @@ def group_from_json(obj) -> GroupId:
     if kind == KIND_SL3:
         return SL3Z
     raise ValueError(f"unknown group {obj!r}")
-
-
-def element_to_json(g: GroupElement) -> dict:
-    return {"group": g.group.kind, "data": list(g.payload)}
-
-
-def element_from_json(obj) -> GroupElement:
-    data = obj["data"]
-    return make_element(group_from_json({"kind": obj["group"], "n": len(data)}), data)
 
 
 def _payload_set_to_json(group: GroupId, payloads) -> dict:
@@ -106,8 +95,15 @@ def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
 
 
 def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
+    """The order on its own window, or on ``window``; a file that names
+    another window than ``window`` raises ValueError."""
     if window is None:
         window = window_from_json(obj["window"])
+    elif "window" in obj and (
+        group_from_json(obj["window"]["group"]) != window.group
+        or tuple(map(tuple, obj["window"]["elements"])) != window.payloads
+    ):
+        raise ValueError("the order is written on another window")
     if "perm" in obj:
         return OrderMatrix.from_perm(window, obj["perm"])
     return OrderMatrix.from_pairs(

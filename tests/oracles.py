@@ -5,9 +5,10 @@ products, word enumeration for balls, permutation scans and a bitset
 closure with branching for satisfiability, high-precision decimal
 arithmetic for rotation values, the entry-by-entry checked group
 arithmetic that the straight-line `multiply`/`inverse` replaced, the
-pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the
-recursive sign cascade that `LinearFunctionalOrder.key` replaced, a
-pair-by-pair test of strict total orders, and the element-by-element window
+pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the walk
+over ``perm()`` that listed a rank vector's pairs, the recursive sign
+cascade that `LinearFunctionalOrder.key` replaced, a pair-by-pair test of
+strict total orders, and the element-by-element window
 builders (row decode, ball, closure, `has`-loop reconstruct) that the
 bulk payload check and the payload products replaced, translated window
 lookups (`Window.preimages` and its callers) through that checked
@@ -323,6 +324,14 @@ def pairwise_induced(m, positions):
             if pa is not None and pb is not None and m.has(pa, pb):
                 rows[a] |= 1 << b
     return rows
+
+
+def perm_walk_pairs(m):
+    """The pairs (perm[a], perm[b]), a < b, of a total closed order: the
+    double loop over ``perm()`` that ``OrderMatrix.pairs`` ran on rank
+    vectors before it read ``rows()``."""
+    order = m.perm()
+    return [(order[a], order[b]) for a in range(len(order)) for b in range(a + 1, len(order))]
 
 
 def pairwise_translate_order(m, g):

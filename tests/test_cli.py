@@ -349,6 +349,22 @@ def test_glue_cli(tmp_path, capsys):
     assert code == 2
 
 
+def test_glue_refuses_orders_on_different_windows(tmp_path, capsys):
+    from grouporders.orders import OrderMatrix
+
+    w1 = window_from_elements(zn(1), [zn_element(k) for k in (0, 1, 2)])
+    w2 = window_from_elements(zn(1), [zn_element(k) for k in (0, 5, 7)])
+    o1 = write(tmp_path / "o1.json", ser.order_to_json(OrderMatrix.from_perm(w1, [0, 1, 2])))
+    o2 = write(tmp_path / "o2.json", ser.order_to_json(OrderMatrix.from_perm(w2, [2, 1, 0])))
+    k0 = write(tmp_path / "k0.json", ser.element_set_to_json(zn(1), []))
+    d = write(tmp_path / "d.json", ser.window_to_json(window_from_elements(zn(1), [])))
+    glued, report = tmp_path / "glued.json", tmp_path / "rep.json"
+    code, out, err = run(capsys, "glue", o1, o2, "--k-file", k0, "--d-file", d,
+                         "-o", str(glued), "--report-out", str(report))
+    assert (code, out) == (2, "") and "another window" in err
+    assert not glued.exists() and not report.exists()
+
+
 def test_realize_reconstruct_cli(tmp_path, capsys):
     code, _, _ = run(capsys, "ball", "z1", "--radius", "4", "-o", str(tmp_path / "wz.json"))
     assert code == 0
@@ -539,6 +555,7 @@ def test_flags_the_chosen_action_or_sampler_ignores_are_refused(tmp_path, capsys
              "needs --sampler rotation"),
             ("uniform", ["--inner-order", inner], "needs --sampler coset"),
             ("rotation", ["--subgroup-zero-coords", "0"], "needs --sampler coset"),
+            ("bogus", [], "invalid choice: 'bogus'"),
         ):
             code, out, err = run(capsys, *argv, "-N", "2", "--seed", "3", "--sampler", sampler, *flags)
             assert (code, out) == (2, "") and reason in err
@@ -553,7 +570,7 @@ def test_pairs_encoding_is_capped_as_dense_rows_are(tmp_path, capsys, monkeypatc
     w = ball(default_generators(zn(2)), 1)
     wfile = write(tmp_path / "w.json", ser.window_to_json(w))
     monkeypatch.setattr(orders, "MAX_DENSE_ELEMENTS", len(w) - 1)
-    with pytest.raises(SizeLimitExceeded, match="pair list"):
+    with pytest.raises(SizeLimitExceeded, match="dense matrix"):
         list(uniform_order(w, 5).pairs())
     # a relation kept as rows lists what it holds, whatever the cap
     assert list(OrderMatrix.from_pairs(w, [(0, 1)]).pairs()) == [(0, 1)]

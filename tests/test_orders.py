@@ -9,6 +9,7 @@ import oracles
 from grouporders import (
     ContradictionError,
     CylinderSpec,
+    SizeLimitExceeded,
     DomainNotCovered,
     ElementNotInWindow,
     HEISENBERG,
@@ -283,3 +284,46 @@ def test_totality_rule_matches_the_pairwise_oracle(m, data):
     else:
         with pytest.raises(DomainNotCovered):
             m.ranking(positions)
+
+
+@st.composite
+def relations(draw):
+    """A rank-vector order, a total order kept as rows, or a partial relation
+    (closed or not), on a window of at most 13 elements."""
+    w = draw(st.sampled_from([interval_window(0, 1), interval_window(-2, 4), W2]))
+    n = len(w)
+    kind = draw(st.sampled_from(["ranks", "rows", "partial"]))
+    perm = draw(st.permutations(range(n)))
+    if kind == "ranks":
+        return kind, OrderMatrix.from_perm(w, perm)
+    if kind == "rows":
+        return kind, OrderMatrix.from_pairs(
+            w, [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)], closed=True
+        )
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]), max_size=12))
+    return kind, OrderMatrix.from_pairs(w, pairs, closed=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(relations())
+def test_pairs_are_the_decided_pairs_in_row_order(case):
+    kind, m = case
+    n = m.n
+    pairs = list(m.pairs())
+    assert pairs == [(i, j) for i in range(n) for j in range(n) if m.has(i, j)]
+    if kind != "partial":
+        assert pairs == sorted(oracles.perm_walk_pairs(m))
+
+
+def test_rank_vector_pairs_are_capped_as_rows_are(monkeypatch):
+    from grouporders import orders
+
+    w = interval_window(0, 5)
+    ranked = OrderMatrix.from_perm(w, [4, 2, 0, 1, 3])
+    kept = OrderMatrix.from_pairs(w, oracles.perm_walk_pairs(ranked), closed=True)
+    monkeypatch.setattr(orders, "MAX_DENSE_ELEMENTS", 4)
+    for dense in (ranked.pairs, ranked.rows):
+        with pytest.raises(SizeLimitExceeded, match="dense matrix for 5 elements exceeds the 4 cap"):
+            list(dense())
+    assert list(kept.pairs()) == sorted(oracles.perm_walk_pairs(ranked))

@@ -11,23 +11,14 @@ from grouporders import (
     default_generators,
     heisenberg_element,
     quadrant_order,
-    sl3_unipotent,
     solve,
     uniform_order,
     zn,
-    zn_element,
 )
 from grouporders import serialize as ser
 from grouporders.constraints import ConstraintSystem
 from grouporders.engine import propagate_only
-from grouporders.groups import interval_window, window_from_elements
-
-
-def test_element_roundtrip():
-    for g in (zn_element(3, -1), heisenberg_element(1, 2, 3), sl3_unipotent(4)):
-        blob = json.loads(json.dumps(ser.element_to_json(g)))
-        assert ser.element_from_json(blob) == g
-    assert ser.element_to_json(zn_element(1, 2)) == {"group": "zn", "data": [1, 2]}
+from grouporders.groups import Window, interval_window, window_from_elements
 
 
 def test_window_roundtrip():
@@ -96,6 +87,29 @@ def test_system_and_certificate_roundtrip():
     ublob = json.loads(ser.canonical_dumps(ser.certificate_to_json(ucert)))
     urestored = ser.certificate_from_json(ublob, bad.window)
     assert urestored.trace == ucert.trace and urestored.cycle == ucert.cycle
+
+
+def test_an_order_or_witness_on_another_window_is_refused():
+    w = Window(zn(3), [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    others = [
+        Window(HEISENBERG, w.payloads),  # same rows, another group
+        Window(zn(3), [[0, 0, 0], [0, 1, 0], [1, 0, 0]]),  # same set, another order
+        Window(zn(3), [[0, 0, 0], [1, 0, 0], [0, 0, 1]]),
+    ]
+    blob = json.loads(ser.canonical_dumps(ser.order_to_json(uniform_order(w, 1))))
+    assert ser.order_from_json(blob, w) == ser.order_from_json(blob)
+    for other in others:
+        with pytest.raises(ValueError, match="another window"):
+            ser.order_from_json(blob, other)
+        # a pattern without a window is read on the window it is given
+        assert ser.order_from_json({"perm": blob["perm"]}, other).window is other
+
+    cs = ConstraintSystem(w, ((0, 1),))
+    cblob = json.loads(ser.canonical_dumps(ser.certificate_to_json(solve(cs))))
+    assert ser.certificate_from_json(cblob, w).witness is not None
+    for other in others:
+        with pytest.raises(ValueError, match="another window"):
+            ser.certificate_from_json(cblob, other)
 
 
 def test_canonical_dumps_stable():

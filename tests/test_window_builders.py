@@ -141,6 +141,11 @@ def test_window_decode_matches_the_rowwise_loop(case):
     same(outcome(Window, group, rows), ref)
     same(outcome(ser.element_set_from_json, obj),
          outcome(oracles.rowwise_elements, group, rows))
+    # rows that can be read only once: an iterator of rows, and rows that are
+    # iterators themselves
+    same(outcome(Window, group, iter(rows)), ref)
+    row_iters = [iter(r) if isinstance(r, list) else r for r in rows]
+    same(outcome(Window, group, row_iters), ref)
 
 
 def test_range_edges_decode_and_one_past_raises():
