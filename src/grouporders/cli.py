@@ -97,11 +97,19 @@ def _parse_group(name: str):
     raise UsageError(f"unknown group {name!r} (use z2, zn:4, heis, sl3)")
 
 
-def _parse_alpha(text: str) -> Sqrt2Num:
+def _fraction(text: str, flag: str) -> Fraction:
+    """Fraction(text); UsageError naming flag on bad text or a zero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag} needs fractions such as 3/10, got {text!r}") from None
+
+
+def _parse_alpha(text: str, flag: str) -> Sqrt2Num:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("angle must be 'rat,root2' (meaning rat + root2*sqrt2)")
-    return Sqrt2Num(Fraction(parts[0]), Fraction(parts[1]))
+    return Sqrt2Num(*(_fraction(t, flag) for t in parts))
 
 
 def _add_common(p, with_seed=True):
@@ -143,12 +151,14 @@ def _load_sampler(args):
         zero = [int(c) for c in args.subgroup_zero_coords.split(",")]
         if window.group.kind != "zn":
             raise UsageError("the coordinate subgroup test needs a Z^n window")
+        if not all(c in range(window.group.n) for c in zero):
+            raise UsageError(f"--subgroup-zero-coords takes coordinates 0..{window.group.n - 1}")
 
         def member(g):
             return all(g.payload[c] == 0 for c in zero)
 
         return window, coset_sampler(window, member, inner)
-    alpha = _parse_alpha(args.alpha) if args.alpha else DEFAULT_ALPHA
+    alpha = _parse_alpha(args.alpha, "--alpha") if args.alpha else DEFAULT_ALPHA
     return window, rotation_sampler(rotation_action(alpha), window)
 
 
@@ -159,11 +169,8 @@ def cmd_ball(args) -> int:
     group = _parse_group(args.group)
     if args.generators:
         data = _read_json(args.generators)
-        gens = GeneratorSet(
-            group,
-            tuple(make_element(group, d) for d in data["elements"]),
-            bool(data.get("symmetric", False)),
-        )
+        elements = tuple(make_element(group, d) for d in data["elements"])
+        gens = GeneratorSet(group, elements, data.get("symmetric", False))
     else:
         gens = default_generators(group)
     w = ball(gens, args.radius, size_limit=args.size_limit)
@@ -235,7 +242,7 @@ def cmd_sample(args) -> int:
             record = {
                 "format": serialize.FORMAT_VERSION,
                 "closed": m.closed,
-                "pairs": sorted(m.pairs()),
+                "pairs": list(m.pairs()),
             }
             lines.append(serialize.canonical_dumps(record))
     _write_text(args.output, "".join(lines))
@@ -313,15 +320,15 @@ def cmd_realize(args) -> int:
     window = serialize.window_from_json(_read_json(args.window))
     seed = _seed(args)
     if args.action == "rotation":
-        alpha = _parse_alpha(args.alpha) if args.alpha else DEFAULT_ALPHA
+        alpha = _parse_alpha(args.alpha, "--alpha") if args.alpha else DEFAULT_ALPHA
         action = rotation_action(alpha)
-        point = Fraction(args.x) if args.x else rng.unit_fraction(seed, "point")
+        point = _fraction(args.x, "--x") if args.x else rng.unit_fraction(seed, "point")
     elif args.action == "torus":
         if not args.alphas:
             raise UsageError("torus action needs --alphas 'a,b;a,b;...'")
-        action = torus_action([_parse_alpha(t) for t in args.alphas.split(";")])
+        action = torus_action([_parse_alpha(t, "--alphas") for t in args.alphas.split(";")])
         if args.x:
-            point = tuple(Fraction(t) for t in args.x.split(","))
+            point = tuple(_fraction(t, "--x") for t in args.x.split(","))
         else:
             point = tuple(
                 rng.unit_fraction(seed, "point", i) for i in range(action.dim)
@@ -337,7 +344,7 @@ def cmd_realize(args) -> int:
 def cmd_reconstruct(args) -> int:
     m = serialize.order_from_json(_read_json(args.order))
     sizes = [int(t) for t in args.n.split(",")]
-    true_x = Fraction(args.true_x) if args.true_x else None
+    true_x = _fraction(args.true_x, "--true-x") if args.true_x else None
     lines = ["n,estimate,abs_error\n"]
     for n in sizes:
         scheme = cesaro(n) if args.scheme == "cesaro" else box(n)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -41,6 +41,13 @@ def _floor_ratio(a: int, c: int, q: int) -> int:
     else:
         e = -isqrt(2 * c * c) - 1  # c*sqrt(2) is irrational, never an integer
     return (a + e) // q
+
+
+def int_form(*nums: "Sqrt2Num") -> tuple[int, ...]:
+    """Integers a1, c1, a2, c2, ..., L > 0 with nums[i] = (a_i + c_i*sqrt(2)) / L."""
+    parts = [q for n in nums for q in (n.rational, n.root2)]
+    L = lcm(*(q.denominator for q in parts))
+    return (*(q.numerator * (L // q.denominator) for q in parts), L)
 
 
 @dataclass(frozen=True)
@@ -78,28 +85,17 @@ class Sqrt2Num:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        a, c, q = self._int_form()
-        return _sign_int_pair(a, c)
-
-    def _int_form(self) -> tuple[int, int, int]:
-        """Integers (a, c, q) with self = (a + c*sqrt(2)) / q and q > 0."""
-        from math import lcm
-
-        qa, qc = self.rational.denominator, self.root2.denominator
-        q = lcm(qa, qc)
-        return self.rational.numerator * (q // qa), self.root2.numerator * (q // qc), q
+        return _sign_int_pair(*int_form(self)[:2])
 
     def floor(self) -> int:
-        a, c, q = self._int_form()
-        return _floor_ratio(a, c, q)
+        return _floor_ratio(*int_form(self))
 
     def frac(self) -> "Sqrt2Num":
         return self - self.floor()
 
     def scaled_floor(self, bits: int) -> int:
         """floor(self * 2**bits), computed exactly."""
-        a, c, q = self._int_form()
-        return _floor_ratio(a << bits, c << bits, q)
+        return (self * (1 << bits)).floor()
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -239,6 +239,8 @@ class GeneratorSet:
     symmetric: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.symmetric, bool):
+            raise TypeError(f"symmetric must be true or false, got {self.symmetric!r}")
         e = identity(self.group)
         seen = set()
         for g in self.generators:

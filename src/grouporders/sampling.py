@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, islice, product
-from math import lcm
+from itertools import islice, product
 from typing import Callable, Iterable, Sequence, Union
 
 from . import rng
-from .exactnum import Sqrt2Num, _coerce, _floor_ratio, _sign_int_pair
+from .exactnum import Sqrt2Num, _coerce, _floor_ratio, _sign_int_pair, int_form
 from .errors import (
     DomainNotCovered,
     InnerOrderIncomplete,
@@ -39,10 +38,6 @@ from .groups import (
     payload_keys,
 )
 from .orders import OrderMatrix
-
-KEY_BITS = 64
-_MASK = (1 << KEY_BITS) - 1
-
 
 def sample_seed(seed: int, i: int) -> int:
     """Seed of the i-th sample of a batch drawn from seed."""
@@ -262,50 +257,25 @@ def bernoulli_action(dim: int) -> ActionSpec:
     return ActionSpec(BERNOULLI_SHIFT, dim)
 
 
-def _scaled(x: Sqrt2Num, alpha: Sqrt2Num) -> tuple[int, int, int, int, int]:
-    """Integers with x = (ax + cx*sqrt2)/L and alpha = (aa + ca*sqrt2)/L."""
-    L = lcm(
-        x.rational.denominator,
-        x.root2.denominator,
-        alpha.rational.denominator,
-        alpha.root2.denominator,
-    )
-
-    def num(q: Fraction) -> int:
-        return q.numerator * (L // q.denominator)
-
-    return num(x.rational), num(x.root2), num(alpha.rational), num(alpha.root2), L
-
-
 def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
-    """Positions of ks sorted by frac(x + k*alpha), decided exactly.
+    """Positions of the distinct ks sorted by frac(x + k*alpha), decided
+    exactly by one sort of the top ``bits`` bits of each fractional part;
+    for sparse ks, where the ``_hull_order`` walk would visit far more points.
 
-    Each value is keyed by the top KEY_BITS bits of its fractional part (one
-    big-integer floor per k); only equal keys compare exact values.  Used
-    for sparse value sets, where the hull walk of ``_hull_order`` would
-    visit far more points than there are values.
+    No two keys tie.  Over one denominator L, two orbit values differ by
+    (a + c*sqrt2)/L with |a + c*sqrt2| < L and 0 < |c| <= span*|cstep|
+    (cstep the sqrt2 part of alpha, span = max(ks) - min(ks)), so
+    |a - c*sqrt2| < L + 2*sqrt2*|c| < L + 3|c|.  As a^2 - 2c^2 is a nonzero
+    integer, |a + c*sqrt2| = |a^2 - 2c^2| / |a - c*sqrt2| > 1/(L + 3|c|): the
+    values lie more than 1/(L*(L + 3*span*|cstep|)) > 2**-bits apart.
     """
     # the orbit value at k is ((ax0 + k*astep) + (cx0 + k*cstep) * sqrt2) / L
-    ax0, cx0, astep, cstep, L = _scaled(x, alpha)
-    keys, floors = [], []
-    for k in ks:
-        scaled = _floor_ratio((ax0 + k * astep) << KEY_BITS, (cx0 + k * cstep) << KEY_BITS, L)
-        keys.append(scaled & _MASK)
-        floors.append(scaled >> KEY_BITS)
-
-    def exact(i):  # key collisions compare exact fractional parts
-        return x + alpha * ks[i] - floors[i]
-
-    by_key = sorted(range(len(ks)), key=keys.__getitem__)
-    if len(set(keys)) == len(keys):
-        return by_key
-    # runs of equal keys are sorted by exact value; alpha is irrational and
-    # the ks distinct, so exact values never tie
-    order = []
-    for _, run in groupby(by_key, keys.__getitem__):
-        run = list(run)
-        order.extend(sorted(run, key=exact) if len(run) > 1 else run)
-    return order
+    ax0, cx0, astep, cstep, L = int_form(x, alpha)
+    bits = (L * (L + 3 * (max(ks) - min(ks)) * abs(cstep))).bit_length()
+    ax0, cx0, astep, cstep = (v << bits for v in (ax0, cx0, astep, cstep))
+    mask = (1 << bits) - 1
+    keys = [_floor_ratio(ax0 + k * astep, cx0 + k * cstep, L) & mask for k in ks]
+    return sorted(range(len(ks)), key=keys.__getitem__)
 
 
 def _gallop(ok: Callable[[int], bool]) -> int:
@@ -357,7 +327,7 @@ def _hull_order(x: Sqrt2Num, alpha: Sqrt2Num, lo: int, size: int) -> list[int]:
     order: it starts at the first point whose sum with frac(x + lo*alpha)
     reaches 1, found by binary search.
     """
-    ax, cx, aa, ca, L = _scaled(x, alpha)
+    ax, cx, aa, ca, L = int_form(x, alpha)
     aa -= _floor_ratio(aa, ca, L) * L  # frac(alpha) orders the same points
     ax, cx = ax + lo * aa, cx + lo * ca
     ax -= _floor_ratio(ax, cx, L) * L + L  # frac(x + lo*alpha) - 1
@@ -390,8 +360,8 @@ def _circle_ranks(x: Sqrt2Num, alpha: Sqrt2Num, col: list[int]) -> tuple[int, li
 
     A value set dense in its hull [lo, hi] (hi - lo + 1 <= 2 * count, as in
     every ball and rectangle) is ranked by the linear ``_hull_order`` walk
-    and read back by index k - lo; a sparser set is sorted by
-    ``_circle_order``.
+    and read back by index k - lo; a sparser set is sorted once by the
+    tie-free keys of ``_circle_order``.
     """
     ks = set(col)
     lo, hi = min(ks), max(ks)

@@ -90,7 +90,7 @@ def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
     if m.closed and is_total(m):
         out["perm"] = m.perm()
     else:
-        out["pairs"] = sorted(m.pairs())
+        out["pairs"] = list(m.pairs())
     return out
 
 

@@ -296,6 +296,54 @@ def test_coset_sampler_checks_its_inputs_before_drawing(tmp_path, capsys):
     assert code == 0 and len(out.splitlines()) == 1
 
 
+def test_subgroup_zero_coords_must_be_coordinates_of_the_window(tmp_path, capsys):
+    w = ball(default_generators(zn(2)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    inner = write(tmp_path / "inner.json", ser.order_to_json(uniform_order(window_from_elements(zn(2), []), 1)))
+    argv = ["sample", wfile, "-N", "1", "--seed", "1", "--sampler", "coset", "--inner-order", inner]
+    # negative coordinates must not count from the end of the payload
+    for coords in ("5", "-1", "-2", "0,2"):
+        code, out, err = run(capsys, *argv, "--subgroup-zero-coords", coords)
+        assert (code, out) == (2, "") and "takes coordinates 0..1" in err
+    assert run(capsys, *argv, "--subgroup-zero-coords", "0,1")[0] == 0
+
+
+def test_generator_files_need_a_json_boolean_symmetric(tmp_path, capsys):
+    default = ser.window_to_json(ball(default_generators(zn(2)), 2))
+    half, full = [[1, 0], [0, 1]], [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    for elements, symmetric in ((half, False), (full, True)):
+        gfile = write(tmp_path / "g.json", {"elements": elements, "symmetric": symmetric})
+        code, out, _ = run(capsys, "ball", "z2", "--radius", "2", "--generators", gfile)
+        assert code == 0 and json.loads(out) == default
+    # "false" must not be read as true, nor 0 as false
+    for symmetric in ("false", 0, None):
+        gfile = write(tmp_path / "g.json", {"elements": half, "symmetric": symmetric})
+        code, out, err = run(capsys, "ball", "z2", "--radius", "2", "--generators", gfile)
+        assert (code, out) == (2, "") and "symmetric must be true or false" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "wz", "--action", "rotation", "--x", "1/0"],
+        ["realize", "wz", "--action", "rotation", "--alpha", "1/0,1"],
+        ["realize", "w2", "--action", "torus", "--alphas", "0,1;1/0,1"],
+        ["realize", "w2", "--action", "torus", "--alphas", "0,1;0,2", "--x", "1/3,2/0"],
+        ["reconstruct", "ord", "--n", "1", "--true-x", "1/0"],
+    ],
+)
+def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
+    files = {
+        "wz": ser.window_to_json(ball(default_generators(zn(1)), 4)),
+        "w2": ser.window_to_json(ball(default_generators(zn(2)), 1)),
+        "ord": ser.order_to_json(uniform_order(ball(default_generators(zn(1)), 4), 1)),
+    }
+    argv = [write(tmp_path / f"{a}.json", files[a]) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    # the last flag holds the fraction with the zero denominator
+    assert (code, out) == (2, "") and f"{argv[-2]} needs fractions" in err
+
+
 def test_coset_sampler_refuses_an_inner_order_of_another_group(tmp_path, capsys):
     w = ball(default_generators(zn(3)), 1)
     wfile = write(tmp_path / "w.json", ser.window_to_json(w))

@@ -288,6 +288,8 @@ def test_generator_set_validation():
     with pytest.raises(ValueError):
         GeneratorSet(zn(2), (zn_element(1, 0),), symmetric=True)
     GeneratorSet(zn(2), (zn_element(1, 0), zn_element(-1, 0)), symmetric=True)
+    with pytest.raises(TypeError, match="true or false"):
+        GeneratorSet(zn(2), (zn_element(1, 0),), symmetric="false")
 
 
 # -- straight-line arithmetic against the entry-by-entry checked reference --

@@ -294,13 +294,12 @@ def test_orbit_keys_checks_the_action():
         sampling.orbit_keys(bernoulli_action(1), 5, w1.group, [g.payload for g in w1])
 
 
-def test_realize_torus_lexicographic(monkeypatch):
+def test_realize_torus_lexicographic():
     act = torus_action([ALPHA, Sqrt2Num.of(0, 2)])
     x = (Fraction(1, 5), Fraction(2, 5))
     m = realize(act, x, W2)
     assert is_total(m)
-    # with 3-bit keys most orbit values tie on their key; the exact values
-    # must still decide the lexicographic order
+    # the exact values decide the lexicographic order
     w = window_from_elements(
         zn(2), [zn_element(a, b) for a in range(-6, 7) for b in range(-6, 7)]
     )
@@ -318,15 +317,11 @@ def test_realize_torus_lexicographic(monkeypatch):
     expected_z = sorted(range(len(wz)), key=exact_z.__getitem__)
     assert realize(act, x, w).perm() == expected
     assert realize(rot, xz, wz).perm() == expected_z
-    monkeypatch.setattr(sampling, "KEY_BITS", 3)
-    monkeypatch.setattr(sampling, "_MASK", 7)
-    assert realize(act, x, w).perm() == expected
-    assert realize(rot, xz, wz).perm() == expected_z
 
 
-def test_sparse_coordinates_keep_the_key_path_under_key_collisions(monkeypatch):
-    # hulls far wider than twice the number of values are sorted by keys;
-    # with 3-bit keys most values collide and exact values decide
+def test_sparse_coordinates_take_the_key_path(monkeypatch):
+    # hulls far wider than twice the number of values are sorted by keys,
+    # which must order them as the exact values do
     def no_walk(*args):
         raise AssertionError("a sparse value set took the hull walk")
 
@@ -344,10 +339,19 @@ def test_sparse_coordinates_keep_the_key_path_under_key_collisions(monkeypatch):
     exact_z = [(Sqrt2Num.of(xz) + ALPHA * g.payload[0]).frac() for g in wz]
     expected_z = sorted(range(len(wz)), key=exact_z.__getitem__)
     monkeypatch.setattr(sampling, "_hull_order", no_walk)
-    monkeypatch.setattr(sampling, "KEY_BITS", 3)
-    monkeypatch.setattr(sampling, "_MASK", 7)
     assert realize(act, x, w).perm() == expected
     assert realize(rot, xz, wz).perm() == expected_z
+
+
+def test_orbit_values_closer_than_2_to_the_minus_64_are_ordered_exactly():
+    # frac(1/3 - k * 2^-70 * sqrt2) falls with k, and all four values share
+    # one 64-bit cell: 64-bit keys alone would tie them all
+    alpha, x, ks = Sqrt2Num.of(0, Fraction(-1, 2**70)), Sqrt2Num.of(Fraction(1, 3)), [0, 1, 2, 7]
+    values = [x + alpha * k for k in ks]
+    assert len({v.scaled_floor(64) for v in values}) == 1
+    assert all(v.floor() == 0 for v in values)
+    assert sampling._circle_order(x, alpha, ks) == oracles.circle_order_reference(x, alpha, ks)
+    assert sampling._circle_order(x, alpha, ks) == [3, 2, 1, 0]
 
 
 def test_the_switch_rule_between_walk_and_sort(monkeypatch):
