@@ -4,12 +4,15 @@ Every subcommand is a thin wrapper over the library: numeric outputs equal
 the library call's outputs exactly, all randomness flows from --seed
 (default from GROUPORDERS_SEED), and identical invocations are
 byte-identical.  Exit codes: 0 success/SAT, 1 UNSAT, 2 usage or I/O error.
+Each command runs with the cyclic garbage collector paused; ``main``
+restores the caller's collector state on the way out.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -232,10 +235,11 @@ def cmd_sample(args) -> int:
         raise UsageError(f"-N must be >= 0, got {args.count}")
     window, sampler = _load_sampler(args)
     seed = _seed(args)
-    orders = [sampler(sample_seed(seed, i)) for i in range(args.count)]
     header = {"format": serialize.FORMAT_VERSION, "window": serialize.window_to_json(window)}
     lines = [serialize.canonical_dumps(header)]
-    for m in orders:
+    # each draw is encoded as it is made, so only one order is alive at a time
+    for i in range(args.count):
+        m = sampler(sample_seed(seed, i))
         if args.encoding == "perm":
             lines.append(json.dumps(m.perm()) + "\n")
         else:
@@ -490,6 +494,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    # The handlers build no reference cycles, so collection passes during one
+    # would only walk its many small containers and reclaim nothing.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -498,6 +506,9 @@ def main(argv=None) -> int:
     except (GroupOrderError, OSError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

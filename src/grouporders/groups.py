@@ -150,11 +150,6 @@ def heisenberg_element(a: int, b: int, c: int) -> GroupElement:
     return make_element(HEISENBERG, (a, b, c))
 
 
-def sl3_element(rows: Iterable[Iterable[int]]) -> GroupElement:
-    flat = [v for row in rows for v in row]
-    return make_element(SL3Z, flat)
-
-
 def identity(group: GroupId) -> GroupElement:
     if group.kind == KIND_SL3:
         return GroupElement(group, (1, 0, 0, 0, 1, 0, 0, 0, 1))

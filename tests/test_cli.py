@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from grouporders import serialize as ser
 from grouporders.cli import DEFAULT_ALPHA, main
 from grouporders.constraints import ConstraintSystem
 from grouporders.groups import interval_window
+from test_golden import RUNS, _inputs
 
 
 def run(capsys, *argv):
@@ -672,3 +674,59 @@ def test_chisq_and_sample_draw_the_same_order_from_a_seed(tmp_path, capsys):
             assert code == 0
             counts = [int(line.split(",")[1]) for line in out.splitlines()[1:-1]]
             assert counts == [int(i == cell) for i in range(6)]
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector state the test started with."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys, monkeypatch, collector):
+    # main pauses the collector while a command runs: that is free only while
+    # reference counting alone frees everything a command allocates
+    from grouporders.cli import build_parser
+
+    build_parser()  # built once per process, before any pause; argparse leaves cycles
+    monkeypatch.chdir(tmp_path)
+    _inputs()
+    failing = {
+        "unknown_group": ["ball", "nope", "--radius", "1"],
+        "missing_window": ["sample", "missing.json", "-N", "1"],
+    }
+    for name, argv in [(name, argv) for name, argv, _ in RUNS] + list(failing.items()):
+        gc.collect()
+        gc.disable()
+        code = main(list(argv))
+        capsys.readouterr()
+        assert gc.collect() == 0, name
+        assert (code == 2) == (name in failing), name
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch, collector, enabled):
+    w = interval_window(0, 3)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    unsat = ConstraintSystem(w, ((0, 1), (1, 2), (2, 0)))
+    sys_file = write(tmp_path / "unsat.json", ser.system_to_json(unsat))
+    set_state = gc.enable if enabled else gc.disable
+    for argv, expected in [
+        (["ball", "z1", "--radius", "1"], 0),
+        (["check-extend", sys_file], 1),
+        (["ball", "nope", "--radius", "1"], 2),
+    ]:
+        set_state()
+        assert run(capsys, *argv)[0] == expected
+        assert gc.isenabled() is enabled, argv
+
+    def fail(data):
+        raise RuntimeError("internal fault")
+
+    # realize looks the loader up at call time, so the fault escapes main
+    monkeypatch.setattr(ser, "window_from_json", fail)
+    set_state()
+    with pytest.raises(RuntimeError):
+        main(["realize", wfile, "--action", "bernoulli"])
+    assert gc.isenabled() is enabled
