@@ -134,7 +134,7 @@ class ConstraintSystem:
     def __post_init__(self):
         n = len(self.window)
         for i, j in self.atoms:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid atom ({i},{j})")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atoms must be deduplicated")

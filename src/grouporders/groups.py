@@ -178,7 +178,7 @@ def _sl3_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # The group law on payloads, one checked product per kind: `multiply`, `ball`
-# and `window_closure` all compute through these.
+# and `Window.preimages` all compute through these.
 _PRODUCT = {KIND_ZN: _zn_product, KIND_HEISENBERG: _heisenberg_product, KIND_SL3: _sl3_product}
 
 
@@ -388,6 +388,8 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
         raise ValueError("ball needs a nonempty generator set")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if size_limit < 1:  # the identity alone is one element
+        raise SizeLimitExceeded(f"ball exceeds the {size_limit}-element cap")
     group = gens.group
     product = _PRODUCT[group.kind]
     steps = sorted({p for g in gens.generators for p in (g.payload, inverse(g).payload)})
@@ -414,33 +416,6 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
         if not layer:
             break
     return Window(group, ordered)
-
-
-def window_closure(
-    w: Window,
-    multipliers: Iterable[GroupElement],
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-) -> Window:
-    """Extend w with g*m for every g in w and multiplier m.
-
-    One closure round over the original window; appended elements follow the
-    existing ones in lexicographic payload order.
-    """
-    mults = list(multipliers)
-    for m in mults:
-        if m.group != w.group:
-            raise GroupMismatch("multiplier from a different group")
-    product = _PRODUCT[w.group.kind]
-    have = w._index
-    fresh = set()
-    for p in have:
-        for m in mults:
-            h = product(p, m.payload)
-            if h not in have:
-                fresh.add(h)
-    if len(w) + len(fresh) > size_limit:
-        raise SizeLimitExceeded(f"closure exceeds the {size_limit}-element cap")
-    return Window(w.group, [*have, *sorted(fresh)])
 
 
 def window_from_elements(group: GroupId, elements: Iterable[GroupElement]) -> Window:

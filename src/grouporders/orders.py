@@ -40,7 +40,7 @@ class OrderMatrix:
         n = len(window)
         rows = [0] * n
         for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
+            if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i},{j}) out of range")
             if i == j:
                 raise ValueError("reflexive pair rejected")
@@ -168,7 +168,7 @@ class OrderMatrix:
 def _permutation(values: Iterable[int], n: int, what: str) -> list[int]:
     """The values as a list, checked to hold each of 0..n-1 exactly once."""
     out = list(values)
-    if sorted(out) != list(range(n)):
+    if not set(map(type, out)) <= {int} or sorted(out) != list(range(n)):  # JSON true is not 1
         raise ValueError(f"{what} must be a permutation of 0..n-1")
     return out
 

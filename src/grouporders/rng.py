@@ -46,16 +46,16 @@ def u64(seed: int, *parts) -> int:
     return int.from_bytes(_prefix(seed, parts).digest(), "little")
 
 
-def u64_each(seed: int, head: tuple, items: Iterable, tail: tuple = ()) -> list[int]:
-    """``[u64(seed, *head, item, *tail) for item in items]``, keying the hash
-    and absorbing ``head`` once and copying that state per item (RFC 7693's
-    incremental interface)."""
+def u64_each(seed: int, head: tuple, items: Iterable[bytes], tail: tuple = ()) -> list[int]:
+    """``[u64(seed, *head, item, *tail) for item in items]`` for bytes items
+    (such as ``groups.payload_keys``), keying the hash and absorbing ``head``
+    once and copying that state per item (RFC 7693's incremental interface)."""
     h = _prefix(seed, head)
     rest = _SEP + b"".join(_as_bytes(part) + _SEP for part in tail)
     out = []
     for item in items:
         d = h.copy()
-        d.update(_as_bytes(item) + rest)
+        d.update(item + rest)
         out.append(int.from_bytes(d.digest(), "little"))
     return out
 

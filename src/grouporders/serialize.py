@@ -14,7 +14,7 @@ import json
 from typing import Any
 
 from .constraints import ConstraintSystem
-from .engine import Certificate, TraceStep
+from .engine import Certificate
 from .groups import (
     GroupElement,
     GroupId,
@@ -43,12 +43,9 @@ def group_to_json(group: GroupId) -> dict:
 
 
 def group_from_json(obj) -> GroupId:
-    if isinstance(obj, str):
-        kind, n = obj, 0
-    else:
-        kind, n = obj["kind"], obj.get("n", 0)
+    kind = obj["kind"]
     if kind == "zn":
-        return zn(n)
+        return zn(obj.get("n", 0))
     if kind == KIND_HEISENBERG:
         return HEISENBERG
     if kind == KIND_SL3:
@@ -104,11 +101,12 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
         or tuple(map(tuple, obj["window"]["elements"])) != window.payloads
     ):
         raise ValueError("the order is written on another window")
+    closed = obj.get("closed", False)
+    if not isinstance(closed, bool):
+        raise TypeError(f"closed must be true or false, got {closed!r}")
     if "perm" in obj:
         return OrderMatrix.from_perm(window, obj["perm"])
-    return OrderMatrix.from_pairs(
-        window, [tuple(p) for p in obj["pairs"]], closed=bool(obj.get("closed"))
-    )
+    return OrderMatrix.from_pairs(window, [tuple(p) for p in obj["pairs"]], closed=closed)
 
 
 def system_to_json(cs: ConstraintSystem) -> dict:
@@ -132,13 +130,6 @@ def _rule_to_json(rule: tuple):
     return {"trans": [rule[1], rule[2], rule[3]]}
 
 
-def _rule_from_json(obj) -> tuple:
-    if "atom" in obj:
-        return ("atom", obj["atom"])
-    u, v, w = obj["trans"]
-    return ("trans", u, v, w)
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     out: dict[str, Any] = {"format": FORMAT_VERSION, "verdict": cert.verdict}
     out["witness"] = None if cert.witness is None else order_to_json(cert.witness)
@@ -148,14 +139,3 @@ def certificate_to_json(cert: Certificate) -> dict:
     ]
     out["cycle"] = list(cert.cycle)
     return out
-
-
-def certificate_from_json(obj, window: Window) -> Certificate:
-    witness = None
-    if obj.get("witness") is not None:
-        witness = order_from_json(obj["witness"], window=window)
-    trace = tuple(
-        TraceStep(tuple(step["pair"]), _rule_from_json(step["rule"]))
-        for step in obj["trace"]
-    )
-    return Certificate(obj["verdict"], witness, trace, tuple(obj["cycle"]))

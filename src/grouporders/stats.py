@@ -13,7 +13,6 @@ below 1e-8.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,18 +39,6 @@ class EstimateReport:
             raise ValueError("hit count out of range")
         if self.frequency != Fraction(self.hits, self.samples):
             raise ValueError("frequency must equal hits/samples")
-
-
-def pattern_from_permutation(D: Window, perm: Sequence[int]) -> CylinderSpec:
-    """Cylinder whose pattern ranks D's elements by the given permutation."""
-    return CylinderSpec(D, OrderMatrix.from_ranks(D, list(perm)))
-
-
-def all_total_patterns(D: Window) -> list[CylinderSpec]:
-    return [
-        pattern_from_permutation(D, perm)
-        for perm in itertools.permutations(range(len(D)))
-    ]
 
 
 def permutation_rank(perm: Sequence[int]) -> int:

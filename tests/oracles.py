@@ -9,7 +9,7 @@ pair-by-pair ``has`` loops that `OrderMatrix.induced` replaced, the walk
 over ``perm()`` that listed a rank vector's pairs, the recursive sign
 cascade that `LinearFunctionalOrder.key` replaced, a pair-by-pair test of
 strict total orders, and the element-by-element window
-builders (row decode, ball, closure, `has`-loop reconstruct) that the
+builders (row decode, ball, `has`-loop reconstruct) that the
 bulk payload check and the payload products replaced, translated window
 lookups (`Window.preimages` and its callers) through that checked
 arithmetic and a payload dict, the element-based uniform and orbit keys
@@ -506,23 +506,6 @@ def elementwise_ball(gens, radius, size_limit=DEFAULT_SIZE_LIMIT):
         if not layer:
             break
     return Window(gens.group, [g.payload for g in ordered])
-
-
-def elementwise_window_closure(w, multipliers, size_limit=DEFAULT_SIZE_LIMIT):
-    mults = list(multipliers)
-    for m in mults:
-        if m.group != w.group:
-            raise GroupMismatch("multiplier from a different group")
-    fresh = {}
-    for g in w:
-        for m in mults:
-            h = multiply(g, m)
-            if h not in w and h.payload not in fresh:
-                fresh[h.payload] = h
-    if len(w) + len(fresh) > size_limit:
-        raise SizeLimitExceeded(f"closure exceeds the {size_limit}-element cap")
-    appended = sorted(fresh.values(), key=lambda g: g.payload)
-    return Window(w.group, [g.payload for g in (*w.elements, *appended)])
 
 
 def elementwise_window_from_elements(group, elements):

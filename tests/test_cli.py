@@ -44,6 +44,9 @@ def test_ball_and_errors(tmp_path, capsys):
     assert len(json.loads(out.read_text())["elements"]) == 13
     code, _, _ = run(capsys, "ball", "z2", "--radius", "0")
     assert code == 0
+    for radius in ("0", "1"):  # the identity alone exceeds a cap of 0
+        code, out, err = run(capsys, "ball", "z1", "--radius", radius, "--size-limit", "0")
+        assert (code, out) == (2, "") and "SizeLimitExceeded" in err
     code, _, err = run(capsys, "ball", "nope", "--radius", "1")
     assert code == 2 and "unknown group" in err
     code, _, _ = run(capsys, "ball")  # missing required flag
@@ -479,7 +482,7 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
 def test_order_files_must_list_each_index_once(tmp_path, capsys):
     wj = ser.window_to_json(interval_window(-1, 2))
     rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])
-    for perm in ([0, 0, 2], [-1, 1, 2], [0, 1, 3]):
+    for perm in ([0, 0, 2], [-1, 1, 2], [0, 1, 3], [True, False, 2], [1.0, 0, 2]):
         ofile = write(tmp_path / "o.json", {"format": 1, "closed": True, "window": wj, "perm": perm})
         lfile = write(
             tmp_path / "l.json",
@@ -489,6 +492,24 @@ def test_order_files_must_list_each_index_once(tmp_path, capsys):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), (argv, perm)
             assert "ValueError: perm must be a permutation" in err
+
+
+def test_index_fields_are_json_integers_and_closed_a_json_boolean(tmp_path, capsys):
+    wj = ser.window_to_json(interval_window(-1, 2))
+    total = [[0, 1], [0, 2], [1, 2]]
+    cases = {
+        "atoms": ({"window": wj, "atoms": [[True, False], [0, True]]}, "check-extend"),
+        "pairs": ({"closed": True, "window": wj, "pairs": [[False, True], *total[1:]]}, "reconstruct"),
+        "closed": ({"closed": "false", "window": wj, "pairs": total}, "reconstruct"),
+    }
+    for name, (body, command) in cases.items():
+        f = write(tmp_path / "in.json", {"format": 1, **body})
+        argv = [command, f] if command == "check-extend" else [command, f, "--n", "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ") and "NotTotal" not in err, name
+    f = write(tmp_path / "ok.json", {"format": 1, "closed": True, "window": wj, "pairs": total})
+    assert run(capsys, "reconstruct", f, "--n", "1")[0] == 0
 
 
 # 0 below everything and 3 above, while 1 < 2 and 2 < 1: every pair is

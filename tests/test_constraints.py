@@ -7,6 +7,7 @@ import oracles
 
 from grouporders import (
     Comparison,
+    ConstraintSystem,
     LinearFunctionalOrder,
     OrderMatrix,
     SemigroupSpec,
@@ -88,6 +89,14 @@ def test_build_extension_system_trivial_and_dedup():
     e, ex = zn_element(0, 0), zn_element(1, 0)
     cs = build_extension_system(w1, quadrant_order(2), [(e, ex)])
     assert len(cs.atoms) == 4  # duplicate of a rule is absorbed
+
+
+def test_atoms_are_pairs_of_int_indices():
+    w = window_from_elements(zn(1), [zn_element(1)])
+    assert ConstraintSystem(w, ((0, 1),)).atoms == ((0, 1),)
+    for atom in ((True, False), (0, True), (0, 1.0), (0, 2), (1, 1)):
+        with pytest.raises(ValueError, match="invalid atom"):
+            ConstraintSystem(w, (atom,))
 
 
 def test_extension_system_invariant_under_reordering():

@@ -5,8 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from grouporders import (
+    HEISENBERG,
+    Certificate,
     ConstraintSystem,
+    OrderMatrix,
     SL3Instance,
+    Window,
     ball,
     build_extension_system,
     build_sl3_instance,
@@ -170,6 +174,23 @@ def test_verify_rejects_tampering():
         cert.cycle,
     )
     assert not verify_certificate(cs, bogus)
+
+
+def test_verify_refuses_a_missing_foreign_or_open_witness():
+    w = Window(zn(3), [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    cs = ConstraintSystem(w, ((0, 1),))
+    cert = solve(cs)
+    ranks = cert.witness.ranks()
+    assert cert.verdict == "sat" and verify_certificate(cs, cert)
+    pairs = list(cert.witness.pairs())
+    assert verify_certificate(cs, Certificate("sat", OrderMatrix.from_pairs(w, pairs, closed=True)))
+    for witness in (
+        None,
+        OrderMatrix.from_ranks(Window(HEISENBERG, w.payloads), ranks),  # same rows, another group
+        OrderMatrix.from_ranks(Window(zn(3), [[0, 0, 0], [0, 1, 0], [1, 0, 0]]), ranks),  # same set
+        OrderMatrix.from_pairs(w, pairs, closed=False),  # the same relation, not closed
+    ):
+        assert not verify_certificate(cs, Certificate("sat", witness)), witness
 
 
 def test_solve_budget_errors():

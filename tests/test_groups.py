@@ -25,7 +25,6 @@ from grouporders import (
     multiply,
     power,
     sl3_unipotent,
-    window_closure,
     window_from_elements,
     zn,
     zn_element,
@@ -249,6 +248,14 @@ def test_ball_deterministic_and_monotone():
         ball(gens, 5, size_limit=10)
 
 
+def test_ball_counts_the_identity_against_the_cap():
+    gens = default_generators(zn(1))
+    assert len(ball(gens, 0, size_limit=1)) == 1
+    for radius in (0, 1):
+        with pytest.raises(SizeLimitExceeded, match="0-element cap"):
+            ball(gens, radius, size_limit=0)
+
+
 def test_window_lookup_checks_the_group():
     w = ball(default_generators(HEISENBERG), 1)
     x = heisenberg_element(1, 0, 0)
@@ -262,22 +269,6 @@ def test_window_lookup_checks_the_group():
     assert w.positions([x, identity(HEISENBERG)]) == [w.position(x), 0]
     with pytest.raises(DomainNotCovered, match="not in window"):
         w.positions([x, z3], DomainNotCovered)
-
-
-def test_window_closure_examples():
-    w0 = window_from_elements(SL3Z, [])
-    assert len(window_closure(w0, [A[1]])) == 2
-    w1 = ball(default_generators(zn(2)), 1)
-    w1c = window_closure(w1, [zn_element(1, 0)])
-    assert len(w1c) == 8
-    assert {g.payload for g in w1c} - {g.payload for g in w1} == {
-        (2, 0),
-        (1, 1),
-        (1, -1),
-    }
-    assert window_closure(w1, []) == w1
-    # original element order is preserved as a prefix
-    assert w1c.elements[: len(w1)] == w1.elements
 
 
 def test_generator_set_validation():

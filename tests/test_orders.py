@@ -245,6 +245,19 @@ def test_from_perm_lists_each_index_once():
     assert OrderMatrix.from_perm(w, [2, 0, 1]).ranks() == [1, 2, 0]
 
 
+def test_indices_are_ints_not_bools_or_floats():
+    w = interval_window(-1, 2)
+    for values in ([True, False, 2], [1.0, 0, 2]):  # equal to [1, 0, 2] as numbers
+        with pytest.raises(ValueError, match="perm must be a permutation"):
+            OrderMatrix.from_perm(w, values)
+        with pytest.raises(ValueError, match="ranks must be a permutation"):
+            OrderMatrix.from_ranks(w, values)
+    for pair in ((True, False), (0, True), (0.0, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            OrderMatrix.from_pairs(w, [pair])
+    assert OrderMatrix.from_pairs(w, [(1, 0)]).has(1, 0)
+
+
 @st.composite
 def closed_relations(draw):
     """A relation on at most 6 elements marked closed whatever it is: a total

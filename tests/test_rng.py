@@ -22,12 +22,15 @@ def test_derive_seed_and_unit_fraction_golden_values():
 
 @pytest.mark.parametrize("seed", [0, 1, 101, 2**64 - 1])
 def test_u64_each_equals_u64(seed):
-    items = [b"zn1:0", b"zn2:3,-4", "text", 17, b""]
+    items = [b"zn1:0", b"zn2:3,-4", b"text", b"17", b""]
     for head, tail in (((), ()), (("site",), ()), (("elem",), (0,)), (("a", 2), ("b", 3))):
         assert rng.u64_each(seed, head, items, tail) == [
             rng.u64(seed, *head, item, *tail) for item in items
         ]
     assert rng.u64_each(seed, ("elem",), [], (0,)) == []
+    for item in ("text", 17):  # items are payload keys: bytes only
+        with pytest.raises(TypeError):
+            rng.u64_each(seed, ("elem",), [b"zn1:0", item], (0,))
 
 
 def test_u64_each_checks_the_seed():

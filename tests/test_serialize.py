@@ -11,13 +11,10 @@ from grouporders import (
     default_generators,
     heisenberg_element,
     quadrant_order,
-    solve,
     uniform_order,
     zn,
 )
 from grouporders import serialize as ser
-from grouporders.constraints import ConstraintSystem
-from grouporders.engine import propagate_only
 from grouporders.groups import Window, interval_window, window_from_elements
 
 
@@ -70,26 +67,15 @@ def test_order_roundtrip_total_and_partial():
     assert back == partial and not back.closed
 
 
-def test_system_and_certificate_roundtrip():
+def test_system_roundtrip():
     w = ball(default_generators(zn(2)), 2)
     cs = build_extension_system(w, quadrant_order(2))
     blob = json.loads(ser.canonical_dumps(ser.system_to_json(cs)))
     back = ser.system_from_json(blob)
     assert back.window == cs.window and back.atoms == cs.atoms
 
-    cert = solve(cs)
-    cblob = json.loads(ser.canonical_dumps(ser.certificate_to_json(cert)))
-    restored = ser.certificate_from_json(cblob, cs.window)
-    assert restored.verdict == "sat" and restored.witness == cert.witness
 
-    bad = ConstraintSystem(interval_window(0, 3), ((0, 1), (1, 2), (2, 0)))
-    ucert = propagate_only(bad)
-    ublob = json.loads(ser.canonical_dumps(ser.certificate_to_json(ucert)))
-    urestored = ser.certificate_from_json(ublob, bad.window)
-    assert urestored.trace == ucert.trace and urestored.cycle == ucert.cycle
-
-
-def test_an_order_or_witness_on_another_window_is_refused():
+def test_an_order_on_another_window_is_refused():
     w = Window(zn(3), [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     others = [
         Window(HEISENBERG, w.payloads),  # same rows, another group
@@ -104,12 +90,21 @@ def test_an_order_or_witness_on_another_window_is_refused():
         # a pattern without a window is read on the window it is given
         assert ser.order_from_json({"perm": blob["perm"]}, other).window is other
 
-    cs = ConstraintSystem(w, ((0, 1),))
-    cblob = json.loads(ser.canonical_dumps(ser.certificate_to_json(solve(cs))))
-    assert ser.certificate_from_json(cblob, w).witness is not None
-    for other in others:
-        with pytest.raises(ValueError, match="another window"):
-            ser.certificate_from_json(cblob, other)
+
+def test_closed_is_a_json_boolean_and_group_an_object():
+    w = interval_window(-1, 2)
+    total = [[0, 1], [0, 2], [1, 2]]
+    assert ser.order_from_json({"pairs": total}, w).closed is False  # absent means false
+    for closed in (True, False):
+        assert ser.order_from_json({"closed": closed, "pairs": total}, w).closed is closed
+    for closed in ("false", 1, None):
+        for body in ({"pairs": total}, {"perm": [0, 1, 2]}):
+            with pytest.raises(TypeError, match="closed must be true or false"):
+                ser.order_from_json({"closed": closed, **body}, w)
+    sl3 = ser.window_to_json(ball(default_generators(SL3Z), 1))
+    assert sl3["group"] == {"kind": "sl3"}
+    with pytest.raises(TypeError):  # the bare string form is not read
+        ser.window_from_json({**sl3, "group": "sl3"})
 
 
 def test_canonical_dumps_stable():

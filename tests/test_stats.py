@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from grouporders import (
     OrderMatrix,
     ProjectiveSampler,
     Sqrt2Num,
-    all_total_patterns,
     ball,
     chi2_quantile,
     default_generators,
@@ -37,10 +37,14 @@ from grouporders import (
 )
 from grouporders import rng, sampling
 from grouporders.orders import MAX_DENSE_ELEMENTS
-from grouporders.stats import chi2_cdf, gamma_p, pattern_from_permutation, permutation_rank
+from grouporders.stats import chi2_cdf, gamma_p, permutation_rank
 
 W = ball(default_generators(zn(2)), 2)
 D3 = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0), zn_element(0, 1)])
+
+
+def total_patterns(D):
+    return [CylinderSpec(D, OrderMatrix.from_ranks(D, p)) for p in itertools.permutations(range(len(D)))]
 
 
 def uniform_sampler(seed):
@@ -48,8 +52,6 @@ def uniform_sampler(seed):
 
 
 def test_permutation_rank_is_lexicographic():
-    import itertools
-
     perms = list(itertools.permutations(range(3)))
     assert [permutation_rank(p) for p in perms] == list(range(6))
 
@@ -65,20 +67,20 @@ def test_estimate_cylinder_pair_symmetry():
 def test_estimate_cylinder_deterministic_sampler():
     lex = lex_functional(2).window_order(W)
     sampler = lambda seed: lex
-    for c in all_total_patterns(D3):
+    for c in total_patterns(D3):
         rep = estimate_cylinder(sampler, c, 50, 3)
         assert rep.frequency in (0, 1)
 
 
 def test_estimate_frequencies_sum_to_one():
     total = Fraction(0)
-    for c in all_total_patterns(D3):
+    for c in total_patterns(D3):
         total += estimate_cylinder(uniform_sampler, c, 400, 5).frequency
     assert total == 1
 
 
 def test_reports_deterministic():
-    c = all_total_patterns(D3)[2]
+    c = total_patterns(D3)[2]
     a = estimate_cylinder(uniform_sampler, c, 500, 11)
     b = estimate_cylinder(uniform_sampler, c, 500, 11)
     assert (a.hits, a.frequency) == (b.hits, b.frequency)
@@ -142,7 +144,7 @@ def test_chisq_singleton_probe():
 
 
 def test_pattern_id_matches_cell_indexing():
-    pats = all_total_patterns(D3)
+    pats = total_patterns(D3)
     assert sorted(pattern_id(c) for c in pats) == list(range(6))
 
 
@@ -230,7 +232,7 @@ def _probe_cases(draw):
 @given(case=_probe_cases())
 def test_projective_samplers_match_drawn_orders(bits, case):
     w, D, perm, g, seed, N = case
-    c = pattern_from_permutation(D, perm)
+    c = CylinderSpec(D, OrderMatrix.from_ranks(D, perm))
     with pytest.MonkeyPatch.context() as mp:
         if bits < 64:  # ties in every draw: uniform keys fall back to encodings
             mask = (1 << bits) - 1
@@ -254,7 +256,7 @@ def test_probe_outside_window_errors_on_both_paths():
     for _, keyed, plain in _sampler_pairs(w):
         for sampler in (keyed, plain):
             for probe in (outside, foreign):
-                c = pattern_from_permutation(probe, range(len(probe)))
+                c = CylinderSpec(probe, OrderMatrix.from_ranks(probe, range(len(probe))))
                 with pytest.raises(DomainNotCovered):
                     estimate_cylinder(sampler, c, 3, 1)
                 with pytest.raises(ElementNotInWindow):

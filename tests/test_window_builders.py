@@ -1,5 +1,5 @@
 """The window constructor Window(group, rows) and the builders routed
-through it (window files, element-set files, ball, window_closure,
+through it (window files, element-set files, ball,
 window_from_elements, interval_window), the rank-vector reconstruct, and the payload keys
 (payload_keys, uniform_keys, orbit_keys), against the element-by-element
 code they replaced (tests/oracles.py); and the windows read from files,
@@ -33,7 +33,6 @@ from grouporders import (
     torus_action,
     uniform_order,
     uniform_sampler,
-    window_closure,
     window_from_elements,
     zn,
 )
@@ -193,12 +192,9 @@ def test_ball_rejects_an_sl3_generator_of_determinant_other_than_1():
 
 
 @SETTINGS
-@given(generator_sets(), st.integers(0, 2), st.sampled_from([5, 30, 100_000]), st.data())
-def test_closure_and_from_elements_match_the_elementwise_builders(gens, radius, limit, data):
+@given(generator_sets(), st.integers(0, 2), st.data())
+def test_from_elements_matches_the_elementwise_builder(gens, radius, data):
     w = ball(default_generators(gens.group), radius)
-    mults = data.draw(st.lists(st.sampled_from(gens.generators), max_size=3))
-    same(outcome(window_closure, w, mults, limit),
-         outcome(oracles.elementwise_window_closure, w, mults, limit))
     picks = data.draw(st.lists(st.sampled_from(w.elements + gens.generators), max_size=6))
     same(window_from_elements(gens.group, picks),
          oracles.elementwise_window_from_elements(gens.group, picks))
