@@ -6,7 +6,9 @@ answer carries a propagation trace: every step derives one pair, justified
 either by an atom or by transitivity over two earlier pairs, and the final
 step closes a cycle.  Propagation runs in synchronous rounds (path length
 doubles per round), so short consequences always enter the trace before any
-long cycle can close it.
+long cycle can close it.  The trace is written in one pass: each candidate
+pair is tested as it is generated, in round order, and the trace steps are
+built only once a cycle closes.
 
 A SAT answer carries a total closed witness: the linear extension that
 places index 0 as low as the atoms allow, then index 1, and so on.  It is
@@ -20,7 +22,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .constraints import (
     CONVENTIONS,
@@ -43,8 +45,7 @@ from .orders import OrderMatrix
 DEFAULT_TIMEOUT = 10.0
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     pair: tuple[int, int]
     rule: tuple  # ("atom", k) or ("trans", u, v, w): (u,v) and (v,w) give (u,w)
 
@@ -55,41 +56,6 @@ class Certificate:
     witness: Optional[OrderMatrix]
     trace: tuple[TraceStep, ...] = ()
     cycle: tuple[int, ...] = ()
-
-
-class _Tracer:
-    """Incremental pair derivation with justification bookkeeping."""
-
-    def __init__(self):
-        self.step_of: dict[tuple[int, int], int] = {}
-        self.trace: list[TraceStep] = []
-
-    def add(self, pair: tuple[int, int], rule: tuple) -> bool:
-        """Record a new pair; returns True when it closes a cycle."""
-        if pair in self.step_of:
-            return False
-        self.step_of[pair] = len(self.trace)
-        self.trace.append(TraceStep(pair, rule))
-        u, v = pair
-        return u == v or (v, u) in self.step_of
-
-    def expand(self, pair: tuple[int, int]) -> list[int]:
-        """Element path realizing a derived pair through atom steps."""
-        step = self.trace[self.step_of[pair]]
-        if step.rule[0] == "atom":
-            return [pair[0], pair[1]]
-        _, u, v, w = step.rule
-        left = self.expand((u, v))
-        right = self.expand((v, w))
-        return left + right[1:]
-
-    def cycle_from(self, pair: tuple[int, int]) -> tuple[int, ...]:
-        u, v = pair
-        if u == v:
-            return tuple(self.expand(pair))
-        fwd = self.expand(pair)
-        back = self.expand((v, u))
-        return tuple(fwd + back[1:])
 
 
 def propagate_only(cs: ConstraintSystem) -> Optional[Certificate]:
@@ -103,42 +69,70 @@ def propagate_only(cs: ConstraintSystem) -> Optional[Certificate]:
 
 def _propagate(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[Certificate]:
     """``propagate_only`` calling ``check`` before each round (the atoms
-    are the first)."""
+    are the first).
+
+    Step i derives ``pairs[i]`` by ``rules[i]``; ``step_of`` inverts
+    ``pairs``.  A round tests each candidate as it is generated, from the
+    successor and predecessor lists as they stood when the round began.
+    A pair and its reverse are never both recorded (the second one ends
+    the run), so no (i, i) is ever generated.
+    """
     check()
-    tracer = _Tracer()
-    for k, pair in enumerate(cs.atoms):
-        if tracer.add(pair, ("atom", k)):
-            return Certificate(
-                "unsat", None, tuple(tracer.trace), tracer.cycle_from(pair)
-            )
+    step_of: dict[tuple[int, int], int] = {}
+    pairs: list[tuple[int, int]] = []
+    rules: list[tuple] = []
+    # atoms are distinct and never (i, i) (ConstraintSystem checks), so
+    # atom k is step k, and only its reverse can close a cycle
+    for k, (u, v) in enumerate(cs.atoms):
+        step_of[u, v] = k
+        pairs.append((u, v))
+        rules.append(("atom", k))
+        if (v, u) in step_of:
+            return _unsat(step_of, pairs, rules, (u, v))
     out: dict[int, list[int]] = {}
     inc: dict[int, list[int]] = {}
-    for u, v in cs.atoms:
-        out.setdefault(u, []).append(v)
-        inc.setdefault(v, []).append(u)
-    delta = sorted(tracer.step_of)
+    start = 0
+    delta = sorted(pairs)
     while delta:
         check()
-        fresh: list[tuple[tuple[int, int], tuple]] = []
+        for u, v in pairs[start:]:
+            out.setdefault(u, []).append(v)
+            inc.setdefault(v, []).append(u)
+        start = len(pairs)
         for u, v in delta:
             for w in out.get(v, ()):
-                fresh.append(((u, w), ("trans", u, v, w)))
+                if (u, w) not in step_of:
+                    step_of[u, w] = len(pairs)
+                    pairs.append((u, w))
+                    rules.append(("trans", u, v, w))
+                    if (w, u) in step_of:
+                        return _unsat(step_of, pairs, rules, (u, w))
             for t in inc.get(u, ()):
-                fresh.append(((t, v), ("trans", t, u, v)))
-        added = []
-        for pair, rule in fresh:
-            if pair in tracer.step_of:
-                continue
-            closed_cycle = tracer.add(pair, rule)
-            if closed_cycle:
-                return Certificate(
-                    "unsat", None, tuple(tracer.trace), tracer.cycle_from(pair)
-                )
-            added.append(pair)
-            out.setdefault(pair[0], []).append(pair[1])
-            inc.setdefault(pair[1], []).append(pair[0])
-        delta = added
+                if (t, v) not in step_of:
+                    step_of[t, v] = len(pairs)
+                    pairs.append((t, v))
+                    rules.append(("trans", t, u, v))
+                    if (v, t) in step_of:
+                        return _unsat(step_of, pairs, rules, (t, v))
+        delta = pairs[start:]
     return None
+
+
+def _unsat(step_of, pairs, rules, pair) -> Certificate:
+    """The certificate whose trace ends at ``pair``, which closes a cycle
+    with the earlier reverse pair."""
+    u, v = pair
+    cycle = _path(step_of, rules, pair) + _path(step_of, rules, (v, u))[1:]
+    return Certificate("unsat", None, tuple(map(TraceStep, pairs, rules)), tuple(cycle))
+
+
+def _path(step_of, rules, pair) -> list[int]:
+    """Element path realizing a derived pair through atom steps."""
+    rule = rules[step_of[pair]]
+    if rule[0] == "atom":
+        return list(pair)
+    _, u, v, w = rule
+    return _path(step_of, rules, (u, v)) + _path(step_of, rules, (v, w))[1:]
 
 
 def solve(
@@ -148,10 +142,13 @@ def solve(
 ) -> Certificate:
     """Decide the system: a topological-sort witness, or the propagation
     trace of a cycle.  The deadline is checked at every step of the sort
-    and every propagation round."""
+    and every propagation round; an infinite timeout sets none, and a NaN
+    one is refused."""
     n = len(cs.window)
     if n > size_limit:
         raise SizeLimitExceeded(f"window of {n} elements exceeds the cap")
+    if timeout != timeout:
+        raise ValueError("the timeout is NaN")
     deadline = time.monotonic() + timeout
 
     def check():
@@ -203,28 +200,28 @@ def verify_certificate(cs: ConstraintSystem, cert: Certificate) -> bool:
     if not cert.trace:
         return False
     derived: set[tuple[int, int]] = set()
-    for pos, step in enumerate(cert.trace):
-        u, v = step.pair
-        if not (0 <= u < n and 0 <= v < n):
+    for pos, (pair, rule) in enumerate(cert.trace):
+        # only a pair of two ints, ("atom", k) or ("trans", a, b, c)
+        if type(pair) is not tuple or len(pair) != 2 or type(rule) is not tuple:
             return False
-        rule = step.rule
-        if rule[0] == "atom":
+        u, v = pair
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            return False
+        if len(rule) == 2 and rule[0] == "atom":
             k = rule[1]
-            if not (0 <= k < len(cs.atoms)) or cs.atoms[k] != step.pair:
+            if type(k) is not int or not (0 <= k < len(cs.atoms)) or cs.atoms[k] != pair:
                 return False
-        elif rule[0] == "trans":
+        elif len(rule) == 4 and rule[0] == "trans":
             _, a, b, c = rule
-            if (a, c) != step.pair:
+            if type(a) is not int or type(b) is not int or type(c) is not int:
                 return False
-            if (a, b) not in derived or (b, c) not in derived:
+            if (a, c) != pair or (a, b) not in derived or (b, c) not in derived:
                 return False
         else:
             return False
-        is_last = pos == len(cert.trace) - 1
-        if is_last:
-            if not (u == v or (v, u) in derived):
-                return False
-        derived.add(step.pair)
+        if pos == len(cert.trace) - 1 and not (u == v or (v, u) in derived):
+            return False
+        derived.add(pair)
     cyc = cert.cycle
     if len(cyc) < 3 or cyc[0] != cyc[-1]:
         return False

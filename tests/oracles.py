@@ -13,8 +13,10 @@ builders (row decode, ball, `has`-loop reconstruct) that the
 bulk payload check and the payload products replaced, translated window
 lookups (`Window.preimages` and its callers) through that checked
 arithmetic and a payload dict, the element-based uniform and orbit keys
-that the payload-based ones replaced, and the circle order of a rotation
-sorted by exact `Sqrt2Num` fractional parts.
+that the payload-based ones replaced, the circle order of a rotation
+sorted by exact `Sqrt2Num` fractional parts, and the propagation loop
+that listed every round's candidates before recording them through a
+tracer object.
 """
 
 import functools
@@ -31,6 +33,7 @@ from grouporders.errors import (
     SizeLimitExceeded,
 )
 from grouporders.constraints import Comparison
+from grouporders.engine import Certificate, TraceStep
 from grouporders.groups import (
     DEFAULT_SIZE_LIMIT,
     GroupElement,
@@ -185,6 +188,82 @@ def solve_by_closure_branching(n, atoms):
                 if t == i or rows[t] >> i & 1:
                     rows[t] |= reach
     return [n - 1 - rows[i].bit_count() for i in range(n)]
+
+
+class _Tracer:
+    """Incremental pair derivation with justification bookkeeping."""
+
+    def __init__(self):
+        self.step_of: dict[tuple[int, int], int] = {}
+        self.trace: list[TraceStep] = []
+
+    def add(self, pair: tuple[int, int], rule: tuple) -> bool:
+        """Record a new pair; returns True when it closes a cycle."""
+        if pair in self.step_of:
+            return False
+        self.step_of[pair] = len(self.trace)
+        self.trace.append(TraceStep(pair, rule))
+        u, v = pair
+        return u == v or (v, u) in self.step_of
+
+    def expand(self, pair: tuple[int, int]) -> list[int]:
+        """Element path realizing a derived pair through atom steps."""
+        step = self.trace[self.step_of[pair]]
+        if step.rule[0] == "atom":
+            return [pair[0], pair[1]]
+        _, u, v, w = step.rule
+        left = self.expand((u, v))
+        right = self.expand((v, w))
+        return left + right[1:]
+
+    def cycle_from(self, pair: tuple[int, int]) -> tuple[int, ...]:
+        u, v = pair
+        if u == v:
+            return tuple(self.expand(pair))
+        fwd = self.expand(pair)
+        back = self.expand((v, u))
+        return tuple(fwd + back[1:])
+
+
+def traced_propagation(cs, check):
+    """The propagation loop that `engine._propagate` replaced: every round
+    lists all its candidate pairs first, then records each new one through
+    a `_Tracer`."""
+    check()
+    tracer = _Tracer()
+    for k, pair in enumerate(cs.atoms):
+        if tracer.add(pair, ("atom", k)):
+            return Certificate(
+                "unsat", None, tuple(tracer.trace), tracer.cycle_from(pair)
+            )
+    out: dict[int, list[int]] = {}
+    inc: dict[int, list[int]] = {}
+    for u, v in cs.atoms:
+        out.setdefault(u, []).append(v)
+        inc.setdefault(v, []).append(u)
+    delta = sorted(tracer.step_of)
+    while delta:
+        check()
+        fresh: list[tuple[tuple[int, int], tuple]] = []
+        for u, v in delta:
+            for w in out.get(v, ()):
+                fresh.append(((u, w), ("trans", u, v, w)))
+            for t in inc.get(u, ()):
+                fresh.append(((t, v), ("trans", t, u, v)))
+        added = []
+        for pair, rule in fresh:
+            if pair in tracer.step_of:
+                continue
+            closed_cycle = tracer.add(pair, rule)
+            if closed_cycle:
+                return Certificate(
+                    "unsat", None, tuple(tracer.trace), tracer.cycle_from(pair)
+                )
+            added.append(pair)
+            out.setdefault(pair[0], []).append(pair[1])
+            inc.setdefault(pair[1], []).append(pair[0])
+        delta = added
+    return None
 
 
 def circle_order_reference(x, alpha, ks):

@@ -103,6 +103,15 @@ def test_check_extend_timeout_on_an_unsat_system(tmp_path, capsys):
     assert code == 1 and json.loads(out)["verdict"] == "unsat"
 
 
+def test_check_extend_refuses_a_nan_timeout(tmp_path, capsys):
+    cs = ConstraintSystem(interval_window(0, 3), ((0, 1), (1, 2), (2, 0)))
+    sys_file = write(tmp_path / "cyc.json", ser.system_to_json(cs))
+    code, out, err = run(capsys, "check-extend", sys_file, "--timeout", "nan")
+    assert code == 2 and out == "" and "ValueError" in err and "NaN" in err
+    code, out, _ = run(capsys, "check-extend", sys_file, "--timeout", "inf")
+    assert code == 1 and json.loads(out)["verdict"] == "unsat"
+
+
 def test_cli_imports_only_the_standard_library():
     # a fresh interpreter that imports this same copy of the package
     src = os.path.dirname(os.path.dirname(grouporders.__file__))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from grouporders import (
@@ -25,6 +25,7 @@ from grouporders import (
     verify_certificate,
     zn,
 )
+from grouporders.engine import TraceStep, _propagate
 from grouporders.serialize import canonical_dumps, certificate_to_json
 
 A = {i: sl3_unipotent(i) for i in range(1, 7)}
@@ -72,6 +73,54 @@ def test_solve_matches_closure_branching_reference(cs):
         assert cert.verdict == "unsat"
     else:
         assert cert.verdict == "sat" and cert.witness.ranks() == expected
+
+
+@st.composite
+def propagation_systems(draw):
+    """Atoms in drawn order (the successor lists follow it): mostly oriented
+    by a hidden permutation, so often inconclusive, plus a few random ones
+    that may close 2-cycles among the atoms or longer ones in later rounds."""
+    n = draw(st.integers(2, 12))
+    hidden = draw(st.permutations(range(n)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    atoms = [
+        (i, j) if hidden[i] < hidden[j] else (j, i)
+        for i, j in draw(st.lists(pair, max_size=3 * n))
+        if i != j
+    ]
+    atoms += [(i, j) for i, j in draw(st.lists(pair, max_size=2)) if i != j]
+    atoms = draw(st.permutations(list(dict.fromkeys(atoms))))
+    return ConstraintSystem(interval_window(0, n), tuple(atoms))
+
+
+def propagations_agree(cs):
+    """`_propagate` and the loop it replaced give equal certificates (every
+    trace step and the cycle) or both None, checking the deadline as often."""
+    new, old = [], []
+    cert = _propagate(cs, lambda: new.append(None))
+    assert cert == oracles.traced_propagation(cs, lambda: old.append(None))
+    assert len(new) == len(old) >= 1
+    return cert
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(propagation_systems())
+@example(ConstraintSystem(interval_window(0, 3), ((0, 1), (1, 2), (2, 1))))  # 2-cycle among the atoms
+@example(ConstraintSystem(interval_window(0, 4), ((0, 2), (1, 0), (2, 3), (3, 1))))  # the inc branch closes it
+@example(ConstraintSystem(interval_window(0, 5), ((3, 4), (0, 1), (2, 3), (1, 2))))  # inconclusive
+def test_propagate_matches_the_traced_loop_it_replaced(cs):
+    cert = propagations_agree(cs)
+    if cert is not None:
+        assert verify_certificate(cs, cert)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("convention", ["plain_left", "inverse_left"])
+def test_propagate_matches_the_traced_loop_on_sl3_instances(q, convention):
+    ns = [q + 1, q + 1, q + 2, q + 2, q + 3, q + 3]
+    random.Random(q).shuffle(ns)
+    cs = build_sl3_instance(SL3Instance(q, tuple(ns), q + 4, convention))
+    propagations_agree(cs)
 
 
 def test_solve_quadrant_system_sat_with_lex_witness():
@@ -176,6 +225,37 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(cs, bogus)
 
 
+def test_verify_refuses_malformed_steps():
+    w = interval_window(0, 3)
+    cs = ConstraintSystem(w, ((0, 1), (1, 2), (2, 0)))
+    cert = propagate_only(cs)
+    assert verify_certificate(cs, cert) and cert.trace[0] == TraceStep((0, 1), ("atom", 0))
+
+    def with_first_step(pair, rule):
+        trace = (TraceStep(pair, rule),) + cert.trace[1:]
+        return Certificate("unsat", None, trace, cert.cycle)
+
+    for rule in (
+        ("trans", 0, 1),
+        ("atom",),
+        (),
+        ("atom", 0, 1),
+        ("atom", True),
+        ("atom", 0.0),
+        ["atom", 0],
+        ("trans", 0, 1, 2, 3),
+        ("other", 0),
+    ):
+        assert not verify_certificate(cs, with_first_step((0, 1), rule)), rule
+    for pair in ((0,), (0, 1, 2), (0.0, 1), (False, 1), [0, 1], "01"):
+        assert not verify_certificate(cs, with_first_step(pair, ("atom", 0))), pair
+    # the closing "trans" step with one index that is not an int
+    *steps, (pair, (_, a, b, c)) = cert.trace
+    for bad in ((float(a), b, c), (a, float(b), c), (a, b, float(c))):
+        trace = (*steps, TraceStep(pair, ("trans", *bad)))
+        assert not verify_certificate(cs, Certificate("unsat", None, trace, cert.cycle)), bad
+
+
 def test_verify_refuses_a_missing_foreign_or_open_witness():
     w = Window(zn(3), [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     cs = ConstraintSystem(w, ((0, 1),))
@@ -202,6 +282,14 @@ def test_solve_budget_errors():
         solve(cs, timeout=-1.0)
     with pytest.raises(SizeLimitExceeded):
         solve(cs, size_limit=10)
+
+
+def test_solve_refuses_a_nan_timeout_and_takes_infinity_as_none():
+    for atoms in (((0, 1),), ((0, 1), (1, 2), (2, 0))):
+        cs = ConstraintSystem(interval_window(0, 3), atoms)
+        with pytest.raises(ValueError, match="NaN"):
+            solve(cs, timeout=float("nan"))
+        assert verify_certificate(cs, solve(cs, timeout=float("inf")))
 
 
 def test_solve_deadline_holds_on_the_unsat_path():
