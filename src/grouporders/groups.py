@@ -107,9 +107,15 @@ def _det3(p: tuple[int, ...]) -> int:
     )
 
 
+def _entry(v) -> int:
+    if type(v) is bool:  # JSON true is not 1
+        raise TypeError(f"payload entries are integers, got {v!r}")
+    return index(v)  # floats, strings and the like raise TypeError
+
+
 def make_element(group: GroupId, data: Iterable[int]) -> GroupElement:
     """Validated element constructor for user-supplied data."""
-    payload = tuple(map(index, data))  # floats, strings and the like raise TypeError
+    payload = tuple(map(_entry, data))
     if len(payload) != _payload_len(group):
         raise ValueError(f"{group} payload needs {_payload_len(group)} entries")
     _checked(payload)
@@ -128,7 +134,7 @@ def checked_payloads(group: GroupId, rows: Iterable[Iterable[int]]) -> tuple[tup
     try:
         payloads.extend(map(tuple, rows))  # a row that is no iterable stops it here
         if not set(map(type, chain.from_iterable(payloads))) <= {int}:
-            payloads = [tuple(map(index, p)) for p in payloads]
+            payloads = [tuple(map(_entry, p)) for p in payloads]
         flat = list(chain.from_iterable(payloads))
         if (
             set(map(len, payloads)) <= {_payload_len(group)}

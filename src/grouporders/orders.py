@@ -1,9 +1,10 @@
 """Strict partial and total orders restricted to a finite window.
 
 The relation is a bit matrix packed into Python integers, one bitmask per
-row (rel[i] bit j set means element_i < element_j).  Total closed orders may
-instead be stored as a rank vector, which keeps huge windows cheap; dense
-rows are materialized only on demand and only below a size guard.
+row (rel[i] bit j set means element_i < element_j).  ``closed`` claims that
+the relation is transitive; whether it is total is read from the rows alone.
+Total orders may instead be stored as a rank vector, which keeps huge
+windows cheap; dense rows are materialized only on demand, below a size guard.
 """
 
 from __future__ import annotations
@@ -135,18 +136,16 @@ class OrderMatrix:
         return tuple(ranks)
 
     def ranks(self) -> list[int]:
-        """Rank vector of a total closed order (0 = smallest)."""
+        """Rank vector of a total order (0 = smallest)."""
         if self._ranks is not None:
             return list(self._ranks)
-        if not self.closed:
-            raise NotTotal("order must be closed before ranking")
         ranks = _total_ranks(self._rows)
         if ranks is None:
             raise NotTotal("order is not total")
         return ranks
 
     def perm(self) -> list[int]:
-        """Window indices of a total closed order, smallest first."""
+        """Window indices of a total order, smallest first."""
         return _invert(self.ranks())
 
     def __eq__(self, other):
@@ -241,8 +240,6 @@ def transitive_closure(m: OrderMatrix) -> OrderMatrix:
 
 
 def is_total(m: OrderMatrix) -> bool:
-    if not m.closed:
-        raise ValueError("is_total needs a closed order")
     return m._ranks is not None or _total_ranks(m._rows) is not None
 
 
@@ -286,8 +283,8 @@ class CylinderSpec:
     def __post_init__(self):
         if self.pattern.window != self.window:
             raise ValueError("pattern must live on the cylinder window")
-        if not self.pattern.closed or not is_total(self.pattern):
-            raise ValueError("cylinder pattern must be a total closed order")
+        if not is_total(self.pattern):
+            raise ValueError("cylinder pattern must be a total order")
 
 
 def matches_cylinder(m: OrderMatrix, c: CylinderSpec) -> bool:
@@ -306,13 +303,11 @@ def render_levels(m: OrderMatrix) -> list[list[int]]:
     group = m.window.group
     if group.kind != "zn" or group.n != 2:
         raise NotRectangular("level rendering needs a Z^2 window")
-    if not m.closed or not is_total(m):
-        raise NotTotal("level rendering needs a total order")
+    ranks = m.ranks()  # NotTotal unless the order is total
     xs = sorted({p[0] for p in m.window.payloads})
     ys = sorted({p[1] for p in m.window.payloads})
     if len(xs) * len(ys) != m.n:
         raise NotRectangular("window is not a full rectangle")
-    ranks = m.ranks()
     grid = [[0] * len(xs) for _ in ys]
     x0, y0 = xs[0], ys[0]
     for i, (x, y) in enumerate(m.window.payloads):

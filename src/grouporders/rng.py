@@ -26,7 +26,7 @@ def _as_bytes(part) -> bytes:
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or not 0 <= seed < (1 << SEED_BITS):
+    if type(seed) is not int or not 0 <= seed < (1 << SEED_BITS):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return seed
 

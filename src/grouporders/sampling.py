@@ -123,7 +123,7 @@ def coset_sampler(
     try:
         inner_ranks = inner.ranks()
     except NotTotal as exc:
-        raise InnerOrderIncomplete("inner order must be total and closed") from exc
+        raise InnerOrderIncomplete("inner order must be total") from exc
 
     reps = {identity(w.group): (0, identity(w.group))}  # representative -> (coset index, inverse)
     within: list[tuple[int, int]] = []  # (coset index, inner rank) per element
@@ -413,7 +413,7 @@ def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
     """Order the window by exact orbit values: g comes before h when the
     g-image of the point precedes the h-image."""
     if action.kind == BERNOULLI_SHIFT:
-        seed = rng.check_seed(int(point))
+        seed = rng.check_seed(point)
         keys = rng.u64_each(seed, ("site",), payload_keys(w.group, w.payloads))
         if len(set(keys)) < len(keys):
             raise StabilizerCollision("Bernoulli site draws collide")
@@ -460,8 +460,7 @@ def reconstruct(m: OrderMatrix, scheme: AveragingScheme) -> Fraction:
     """Measure, under the scheme, of the window elements below the identity.
 
     This is the finite-stage value of the coordinate-recovery average; no
-    limit is claimed.  The order must be total and closed (NotTotal
-    otherwise).
+    limit is claimed.  The order must be total (NotTotal otherwise).
     """
     w = m.window
     support = _scheme_support(scheme, w)

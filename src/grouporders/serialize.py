@@ -96,14 +96,13 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
     another window than ``window`` raises ValueError."""
     if window is None:
         window = window_from_json(obj["window"])
-    elif "window" in obj and (
-        group_from_json(obj["window"]["group"]) != window.group
-        or tuple(map(tuple, obj["window"]["elements"])) != window.payloads
-    ):
+    elif "window" in obj and window_from_json(obj["window"]) != window:
         raise ValueError("the order is written on another window")
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
         raise TypeError(f"closed must be true or false, got {closed!r}")
+    if ("perm" in obj) == ("pairs" in obj):
+        raise ValueError("an order holds exactly one of perm and pairs")
     if "perm" in obj:
         return OrderMatrix.from_perm(window, obj["perm"])
     return OrderMatrix.from_pairs(window, [tuple(p) for p in obj["pairs"]], closed=closed)

@@ -425,6 +425,14 @@ def test_glue_refuses_orders_on_different_windows(tmp_path, capsys):
                          "-o", str(glued), "--report-out", str(report))
     assert (code, out) == (2, "") and "another window" in err
     assert not glued.exists() and not report.exists()
+    # the second order's window is read as a window file is read: float or
+    # bool rows equal to w1's are refused, as reconstruct refuses that file
+    for rows in ([[0.0], [1.0], [2.0]], [[False], [True], [2]]):
+        blob = ser.order_to_json(OrderMatrix.from_perm(w1, [2, 1, 0]))
+        o3 = write(tmp_path / "o3.json", {**blob, "window": {**blob["window"], "elements": rows}})
+        code, out, err = run(capsys, "glue", o1, o3, "--k-file", k0, "--d-file", d)
+        assert (code, out) == (2, "") and err.startswith("error: TypeError: "), rows
+        assert run(capsys, "reconstruct", o3, "--n", "1")[2] == err, rows
 
 
 def test_realize_reconstruct_cli(tmp_path, capsys):
@@ -506,46 +514,82 @@ def test_order_files_must_list_each_index_once(tmp_path, capsys):
 def test_index_fields_are_json_integers_and_closed_a_json_boolean(tmp_path, capsys):
     wj = ser.window_to_json(interval_window(-1, 2))
     total = [[0, 1], [0, 2], [1, 2]]
+    z1 = {"group": {"kind": "zn", "n": 1}}
+    probe = write(tmp_path / "probe.json", {"format": 1, **z1, "elements": [[0]]})
     cases = {
-        "atoms": ({"window": wj, "atoms": [[True, False], [0, True]]}, "check-extend"),
-        "pairs": ({"closed": True, "window": wj, "pairs": [[False, True], *total[1:]]}, "reconstruct"),
-        "closed": ({"closed": "false", "window": wj, "pairs": total}, "reconstruct"),
+        "atoms": ({"window": wj, "atoms": [[True, False], [0, True]]}, ["check-extend"]),
+        "pairs": ({"closed": True, "window": wj, "pairs": [[False, True], *total[1:]]}, ["reconstruct", "--n", "1"]),
+        "closed": ({"closed": "false", "window": wj, "pairs": total}, ["reconstruct", "--n", "1"]),
+        "window": ({**z1, "elements": [[-1], [0], [True]]}, ["sample", "-N", "1"]),
+        "float window": ({**z1, "elements": [[-1], [0], [1.0]]}, ["sample", "-N", "1"]),
+        "generators": ({"elements": [[True]]}, ["ball", "z1", "--radius", "1", "--generators"]),
+        "element": (wj, ["invariance", "--probe", probe, "-N", "1", "--element", "[true]"]),
     }
     for name, (body, command) in cases.items():
         f = write(tmp_path / "in.json", {"format": 1, **body})
-        argv = [command, f] if command == "check-extend" else [command, f, "--n", "1"]
+        argv = [*command, f] if command[0] == "ball" else [command[0], f, *command[1:]]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), name
         assert err.startswith("error: ") and "NotTotal" not in err, name
     f = write(tmp_path / "ok.json", {"format": 1, "closed": True, "window": wj, "pairs": total})
     assert run(capsys, "reconstruct", f, "--n", "1")[0] == 0
+    wfile = write(tmp_path / "w.json", wj)
+    assert run(capsys, "invariance", wfile, "--probe", probe, "-N", "1", "--element", "[1]")[0] == 0
 
 
 # 0 below everything and 3 above, while 1 < 2 and 2 < 1: every pair is
 # decided and the rows' popcounts 3, 2, 1, 0 look like ranks, but it cycles
 CYCLIC = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 1]]
+TOTAL = [[i, j] for i in range(4) for j in range(i + 1, 4)]
 
 
 def test_a_cyclic_closed_relation_is_not_a_total_order(tmp_path, capsys):
+    # every consumer of a total order reads totality from the rows alone: a
+    # cyclic relation is refused although it claims closed, and an open total
+    # one gives the output of its closed twin
     rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])
     wj = ser.window_to_json(rect)
     wfile = write(tmp_path / "w.json", wj)
-    cyclic = {"format": 1, "closed": True, "pairs": CYCLIC}
-    ofile = write(tmp_path / "cyc.json", {**cyclic, "window": wj})
     lex = write(tmp_path / "lex.json", ser.order_to_json(lex_functional(2).window_order(rect)))
     origin = write(tmp_path / "e.json", ser.element_set_to_json(zn(2), [zn_element(0, 0)]))
-    cfile = write(tmp_path / "cyl.json", {"format": 1, "window": wj, "pattern": cyclic})
-    glue_out = ["-o", str(tmp_path / "g.json"), "--report-out", str(tmp_path / "r.json")]
-    coset = ["--sampler", "coset", "--inner-order", ofile, "--subgroup-zero-coords", "0,1"]
-    for argv in (
-        ["levels", ofile],
-        ["glue", ofile, lex, "--k-file", origin, "--d-file", origin, *glue_out],
-        ["estimate", wfile, "--cylinder", cfile, "-N", "3", "--seed", "1"],
-        ["sample", wfile, "-N", "1", "--seed", "1", *coset],
+    glue_files = (tmp_path / "g.json", tmp_path / "r.json")
+    glue_out = ["-o", str(glue_files[0]), "--report-out", str(glue_files[1])]
+    outputs = {}
+    for name, pairs, closed in (("cyclic", CYCLIC, True), ("open", TOTAL, False), ("closed", TOTAL, True)):
+        relation = {"format": 1, "closed": closed, "pairs": pairs}
+        ofile = write(tmp_path / "order.json", {**relation, "window": wj})
+        cfile = write(tmp_path / "cyl.json", {"format": 1, "window": wj, "pattern": relation})
+        coset = ["--sampler", "coset", "--inner-order", ofile, "--subgroup-zero-coords", "0,1"]
+        outputs[name] = []
+        for argv in (
+            ["levels", ofile],
+            ["glue", ofile, lex, "--k-file", origin, "--d-file", origin, *glue_out],
+            ["estimate", wfile, "--cylinder", cfile, "-N", "3", "--seed", "1"],
+            ["sample", wfile, "-N", "1", "--seed", "1", *coset],
+            ["reconstruct", ofile, "--scheme", "box", "--n", "2"],
+        ):
+            code, out, err = run(capsys, *argv)
+            if name == "cyclic":
+                assert (code, out) == (2, ""), argv
+                assert err.startswith("error: "), argv
+            else:
+                assert code == 0, (name, argv, err)
+                outputs[name].append(out)
+            if argv[0] == "glue" and code == 0:
+                outputs[name] += [f.read_bytes() for f in glue_files]
+    assert outputs["open"] == outputs["closed"]
+
+
+def test_an_order_holds_exactly_one_of_perm_and_pairs(tmp_path, capsys):
+    wj = ser.window_to_json(interval_window(0, 3))
+    for name, body in (
+        ("both", {"perm": [2, 1, 0], "pairs": [[0, 1], [0, 2], [1, 2]], "closed": True}),
+        ("neither", {"closed": True}),
     ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: "), argv
+        f = write(tmp_path / "order.json", {"format": 1, "window": wj, **body})
+        code, out, err = run(capsys, "reconstruct", f, "--n", "1")
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ValueError: ") and "perm and pairs" in err, name
 
 
 def test_reconstruct_needs_a_total_order(tmp_path, capsys):

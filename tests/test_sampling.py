@@ -217,6 +217,9 @@ def test_realize_singleton_and_bernoulli():
     mb = realize(bernoulli_action(1), 421, w7)
     assert is_total(mb)
     assert realize(bernoulli_action(1), 421, w7) == mb  # same point, same order
+    for point in (Fraction(7, 2), 3.9, True):  # a Bernoulli point is an int seed, not 3 or 1
+        with pytest.raises(ValueError, match="seed"):
+            realize(bernoulli_action(1), point, w7)
 
 
 def test_realize_matches_translated_point():
