@@ -136,7 +136,7 @@ def _refuse(args, flags, reason):
 
 
 def _load_sampler(args):
-    """The window file and the sampler the flags choose over it."""
+    """The sampler the flags choose over the window file."""
     window = serialize.window_from_json(_read_json(args.window))
     kind = args.sampler
     if kind != "rotation":
@@ -144,7 +144,7 @@ def _load_sampler(args):
     if kind != "coset":
         _refuse(args, ["inner_order", "subgroup_zero_coords"], "needs --sampler coset")
     if kind == "uniform":
-        return window, uniform_sampler(window)
+        return uniform_sampler(window)
     if kind == "coset":
         if not args.inner_order:
             raise UsageError("coset sampler needs --inner-order")
@@ -160,9 +160,9 @@ def _load_sampler(args):
         def member(g):
             return all(g.payload[c] == 0 for c in zero)
 
-        return window, coset_sampler(window, member, inner)
+        return coset_sampler(window, member, inner)
     alpha = _parse_alpha(args.alpha, "--alpha") if args.alpha else DEFAULT_ALPHA
-    return window, rotation_sampler(rotation_action(alpha), window)
+    return rotation_sampler(rotation_action(alpha), window)
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -233,10 +233,10 @@ def cmd_verify_sl3(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise UsageError(f"-N must be >= 0, got {args.count}")
-    window, sampler = _load_sampler(args)
+    sampler = _load_sampler(args)
     seed = _seed(args)
-    header = {"format": serialize.FORMAT_VERSION, "window": serialize.window_to_json(window)}
-    lines = [serialize.canonical_dumps(header)]
+    window = serialize.window_to_json(sampler.window)
+    lines = [serialize.canonical_dumps({"format": serialize.FORMAT_VERSION, "window": window})]
     # each draw is encoded as it is made, so only one order is alive at a time
     for i in range(args.count):
         m = sampler(sample_seed(seed, i))
@@ -254,7 +254,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    _, sampler = _load_sampler(args)
+    sampler = _load_sampler(args)
     cyl_data = _read_json(args.cylinder)
     D = serialize.window_from_json(cyl_data["window"])
     pattern = serialize.order_from_json(cyl_data["pattern"], window=D)
@@ -269,9 +269,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_invariance(args) -> int:
-    window, sampler = _load_sampler(args)
+    sampler = _load_sampler(args)
     D = serialize.window_from_json(_read_json(args.probe))
-    g = make_element(window.group, json.loads(args.element))
+    g = make_element(sampler.window.group, json.loads(args.element))
     report = invariance_test(sampler, g, D, args.count, _seed(args))
     lines = ["pattern_id,count_base,count_translated,freq_base,freq_translated\n"]
     for pid, cb, ct, fb, ft in report.rows():
@@ -282,7 +282,7 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_chisq(args) -> int:
-    _, sampler = _load_sampler(args)
+    sampler = _load_sampler(args)
     F = serialize.window_from_json(_read_json(args.probe))
     report = uniformity_chisq(sampler, F, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
@@ -413,44 +413,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_seed=False)
     p.set_defaults(handler=cmd_verify_sl3)
 
-    def add_sampler_flags(p):
+    def sampling_command(name, handler, summary):
+        """A subcommand drawing -N samples over a window file; returns its parser."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("window")
+        p.add_argument("-N", "--count", type=int, required=True)
         p.add_argument("--sampler", choices=["uniform", "coset", "rotation"], default="uniform")
         p.add_argument("--inner-order")
         p.add_argument("--subgroup-zero-coords")
         p.add_argument("--alpha", help="rotation angle 'rat,root2'")
+        _add_common(p)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("sample", help="draw a batch of orders")
-    p.add_argument("window")
-    p.add_argument("-N", "--count", type=int, required=True)
+    p = sampling_command("sample", cmd_sample, "draw a batch of orders")
     p.add_argument("--encoding", choices=["perm", "pairs"], default="perm")
-    add_sampler_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_sample)
-
-    p = sub.add_parser("estimate", help="estimate a cylinder probability")
-    p.add_argument("window")
+    p = sampling_command("estimate", cmd_estimate, "estimate a cylinder probability")
     p.add_argument("--cylinder", required=True, help="JSON {window, pattern}")
-    p.add_argument("-N", "--count", type=int, required=True)
-    add_sampler_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_estimate)
-
-    p = sub.add_parser("invariance", help="translation-invariance gap report")
-    p.add_argument("window")
+    p = sampling_command("invariance", cmd_invariance, "translation-invariance gap report")
     p.add_argument("--element", required=True, help="inline JSON payload, e.g. [1,0]")
     p.add_argument("--probe", required=True, help="window file for the probe set D")
-    p.add_argument("-N", "--count", type=int, required=True)
-    add_sampler_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_invariance)
-
-    p = sub.add_parser("chisq", help="ranking-uniformity chi-square report")
-    p.add_argument("window")
+    p = sampling_command("chisq", cmd_chisq, "ranking-uniformity chi-square report")
     p.add_argument("--probe", required=True, help="window file for the probe set F")
-    p.add_argument("-N", "--count", type=int, required=True)
-    add_sampler_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_chisq)
 
     p = sub.add_parser("glue", help="glue two orders along K and D")
     p.add_argument("order1")

@@ -2,13 +2,13 @@
 
 The uniform order draws one 64-bit value per element from a counter-based
 stream keyed by the element's canonical encoding, so restricting a larger
-window reproduces the smaller window's order exactly.  The uniform and
-rotation samplers are projective: ``uniform_keys`` and ``orbit_keys`` key any
-payloads of a group, and a ``ProjectiveSampler`` lets statistics rank a probe
-set without drawing the whole window.  Coset extension, gluing, and the
-dynamical realization map are deterministic given their inputs; orbit values
-of rotations are compared with exact quadratic-irrational arithmetic, never
-floating point.
+window reproduces the smaller window's order exactly.  The uniform, rotation
+and coset samplers are ``ProjectiveSampler``s: their keys rank a probe set
+of the window as the draw does.  Uniform and rotation keys (``uniform_keys``,
+``orbit_keys``) also key any payload of the group.  Coset extension, gluing,
+and the dynamical realization map are deterministic given their inputs;
+orbit values of rotations are compared with exact quadratic-irrational
+arithmetic, never floating point.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ def uniform_order(w: Window, seed: int) -> OrderMatrix:
 
 @dataclass(frozen=True)
 class ProjectiveSampler:
-    """A sampler whose draw on any elements of its window's group depends
-    only on the seed and those elements.
+    """A sampler that keys the elements of its window one by one.
 
-    ``keys(seed, payloads)`` returns one key per payload; sorting the
-    elements by their keys orders them as the sample drawn from ``seed``
-    does.  Keys compare only with keys of the same call.  Calling the sampler
-    draws the whole-window order.
+    ``keys(seed, payloads)`` returns one key per payload of a window element;
+    sorting those elements by their keys ranks them as the order drawn from
+    ``seed`` does.  Keys compare only with keys of the same call.  Calling
+    the sampler draws the whole-window order.  Uniform and rotation keys also
+    accept any payload of the group and do not depend on the window.
     """
 
     window: Window
@@ -109,15 +109,15 @@ def coset_sampler(
     w: Window,
     subgroup_test: Callable[[GroupElement], bool],
     inner: OrderMatrix,
-) -> Callable[[int], OrderMatrix]:
-    """Coset extension sampler on w: seed -> total order in which iid labels
-    order the cosets and the inner order decides within each coset
-    (transported by the coset representative).
+) -> ProjectiveSampler:
+    """Coset extension sampler on w: iid labels order the cosets and the
+    inner order decides within each coset (transported by the coset
+    representative).
 
-    The subgroup check and the cosets are worked out once, here; each seed
-    then draws only the coset labels.  The representative of the subgroup's
-    own coset is the identity, so the restriction to subgroup pairs
-    reproduces the inner order exactly.
+    The subgroup check and a (coset index, inner rank) table of the window's
+    payloads are made once, here; ``keys`` draws the coset labels.  The
+    identity represents the subgroup's own coset, so the restriction to
+    subgroup pairs reproduces the inner order exactly.
     """
     _spot_check_subgroup(w, subgroup_test)
     try:
@@ -126,7 +126,7 @@ def coset_sampler(
         raise InnerOrderIncomplete("inner order must be total") from exc
 
     reps = {identity(w.group): (0, identity(w.group))}  # representative -> (coset index, inverse)
-    within: list[tuple[int, int]] = []  # (coset index, inner rank) per element
+    table: dict[tuple, tuple[int, int]] = {}  # payload -> (coset index, inner rank)
     for g in w:
         # the first representative of g's coset, else g itself
         target = next((r for r, (_, rinv) in reps.items() if subgroup_test(multiply(rinv, g))), g)
@@ -137,16 +137,16 @@ def coset_sampler(
         if p is None:
             t = missing_translate(target, (g,), pre)
             raise InnerOrderIncomplete(f"inner order does not cover {t!r}")
-        within.append((coset, inner_ranks[p]))
+        table[g.payload] = (coset, inner_ranks[p])
 
     # equal labels fall back to the representatives' canonical encodings
     eks = payload_keys(w.group, [r.payload for r in reps])
 
-    def draw(seed: int) -> OrderMatrix:
+    def keys(seed: int, payloads: Sequence[tuple]) -> list[tuple[int, bytes, int]]:
         labels = list(zip(rng.u64_each(seed, ("coset",), eks, (0,)), eks))
-        return OrderMatrix.from_keys(w, [(*labels[c], r) for c, r in within])
+        return [(*labels[c], r) for c, r in map(table.__getitem__, payloads)]
 
-    return draw
+    return ProjectiveSampler(w, keys)
 
 
 def coset_extension(
@@ -176,9 +176,8 @@ def specification_glue(
         if None in pre:
             raise DomainNotCovered(f"{missing_translate(k, D, pre)!r} not in window")
         inside.update(pre)
-    r1, r2 = m1.ranks(), m2.ranks()
-    keys = [(0, r1[i]) if i in inside else (1, r2[i]) for i in range(len(w))]
-    return OrderMatrix.from_keys(w, keys)
+    perm = [i for i in m1.perm() if i in inside] + [i for i in m2.perm() if i not in inside]
+    return OrderMatrix.from_perm(w, perm)
 
 
 def shadowing_report(

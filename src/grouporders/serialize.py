@@ -46,6 +46,8 @@ def group_from_json(obj) -> GroupId:
     kind = obj["kind"]
     if kind == "zn":
         return zn(obj.get("n", 0))
+    if kind in (KIND_HEISENBERG, KIND_SL3) and "n" in obj:
+        raise ValueError(f"a {kind} group takes no n, got {obj!r}")
     if kind == KIND_HEISENBERG:
         return HEISENBERG
     if kind == KIND_SL3:
@@ -104,6 +106,8 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
     if ("perm" in obj) == ("pairs" in obj):
         raise ValueError("an order holds exactly one of perm and pairs")
     if "perm" in obj:
+        if "closed" in obj and not closed:
+            raise ValueError("a perm order is total and closed; it cannot say closed false")
         return OrderMatrix.from_perm(window, obj["perm"])
     return OrderMatrix.from_pairs(window, [tuple(p) for p in obj["pairs"]], closed=closed)
 

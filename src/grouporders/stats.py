@@ -1,10 +1,10 @@
 """Monte Carlo estimation of cylinder probabilities, invariance gaps, and
 ranking-uniformity chi-square tests.
 
-A sampler is either a ``ProjectiveSampler``, whose keys rank the probed
-elements of a sample without drawing the rest of its window, or any other
-callable taking a 64-bit seed and returning an OrderMatrix that is total on
-the probed elements of its window; both kinds give the same reports.
+A sampler is either a ``ProjectiveSampler``, as every sampler the CLI
+offers is, whose keys rank the probed elements without drawing the rest of
+the window, or any other callable taking a 64-bit seed and returning an
+OrderMatrix total on the probed elements; both kinds give the same reports.
 Per-sample seeds are derived sub-streams, so reports are deterministic given
 (seed, N).  The chi-square quantile is computed in-repo from the regularized
 incomplete gamma function (series + continued fraction), accurate to well

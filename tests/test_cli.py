@@ -9,6 +9,7 @@ import pytest
 import grouporders
 from grouporders import (
     HEISENBERG,
+    OrderMatrix,
     ball,
     build_extension_system,
     default_generators,
@@ -19,7 +20,7 @@ from grouporders import (
     zn,
     zn_element,
 )
-from grouporders import serialize as ser
+from grouporders import cli, serialize as ser
 from grouporders.cli import DEFAULT_ALPHA, main
 from grouporders.constraints import ConstraintSystem
 from grouporders.groups import interval_window
@@ -520,6 +521,8 @@ def test_index_fields_are_json_integers_and_closed_a_json_boolean(tmp_path, caps
         "atoms": ({"window": wj, "atoms": [[True, False], [0, True]]}, ["check-extend"]),
         "pairs": ({"closed": True, "window": wj, "pairs": [[False, True], *total[1:]]}, ["reconstruct", "--n", "1"]),
         "closed": ({"closed": "false", "window": wj, "pairs": total}, ["reconstruct", "--n", "1"]),
+        "open perm": ({"closed": False, "window": wj, "perm": [2, 0, 1]}, ["reconstruct", "--n", "1"]),
+        "heis n": ({"group": {"kind": "heis", "n": 3}, "elements": [[0, 0, 0]]}, ["sample", "-N", "1"]),
         "window": ({**z1, "elements": [[-1], [0], [True]]}, ["sample", "-N", "1"]),
         "float window": ({**z1, "elements": [[-1], [0], [1.0]]}, ["sample", "-N", "1"]),
         "generators": ({"elements": [[True]]}, ["ball", "z1", "--radius", "1", "--generators"]),
@@ -748,6 +751,31 @@ def test_chisq_and_sample_draw_the_same_order_from_a_seed(tmp_path, capsys):
             assert code == 0
             counts = [int(line.split(",")[1]) for line in out.splitlines()[1:-1]]
             assert counts == [int(i == cell) for i in range(6)]
+
+
+def test_coset_statistics_never_sort_a_whole_window(tmp_path, capsys, monkeypatch):
+    # once the coset sampler is built, estimate, chisq and invariance rank
+    # the probe by its keys alone and give the same reports
+    monkeypatch.chdir(tmp_path)
+    _inputs()
+    argvs = {name: argv for name, argv, _ in RUNS}
+    assert main(argvs["ball_z2"]) == 0
+    names = ["estimate_coset", "chisq_coset", "invariance_coset"]
+    expected = [run(capsys, *argvs[name]) for name in names]
+    assert all(code == 0 for code, _, _ in expected)
+    build = cli.coset_sampler
+
+    def sort_window(*args):
+        raise AssertionError("a whole window was sorted")
+
+    def build_then_refuse_sorting(*args):
+        sampler = build(*args)
+        monkeypatch.setattr(OrderMatrix, "from_keys", sort_window)
+        return sampler
+
+    monkeypatch.setattr(cli, "coset_sampler", build_then_refuse_sorting)
+    for name, want in zip(names, expected):
+        assert run(capsys, *argvs[name]) == want, name
 
 
 @pytest.fixture

@@ -10,20 +10,24 @@ import oracles
 from grouporders import (
     HEISENBERG,
     SL3Z,
+    CylinderSpec,
     GeneratorSet,
     GroupElement,
     GroupId,
     GroupMismatch,
     InnerOrderIncomplete,
+    OrderMatrix,
     ball,
     coset_sampler,
     default_generators,
+    estimate_cylinder,
     invariance_test,
     make_element,
     rng,
     specification_glue,
     stabilizer_check,
     uniform_order,
+    uniformity_chisq,
     window_from_elements,
     zn,
     zn_element,
@@ -131,6 +135,15 @@ def test_glue_matches_the_reference(data):
     assert got == outcome(oracles.translate_glue, m1, m2, K, D)
 
 
+# a subgroup per group kind: first coordinate 0, the centre, upper unitriangular
+SUBGROUPS = {
+    "zn": lambda g: g.payload[0] == 0,
+    "heis": lambda g: g.payload[:2] == (0, 0),
+    "sl3": lambda g: (g.payload[0], g.payload[3], g.payload[4]) == (1, 0, 1)
+    and g.payload[6:] == (0, 0, 1),
+}
+
+
 @SETTINGS
 @given(st.data())
 def test_invariance_paths_match_the_reference(data):
@@ -145,15 +158,19 @@ def test_invariance_paths_match_the_reference(data):
         if not isinstance(got, tuple):
             got = (got.base_counts, got.translated_counts)
         assert got == ref
-
-
-# a subgroup per group kind: first coordinate 0, the centre, upper unitriangular
-SUBGROUPS = {
-    "zn": lambda g: g.payload[0] == 0,
-    "heis": lambda g: g.payload[:2] == (0, 0),
-    "sl3": lambda g: (g.payload[0], g.payload[3], g.payload[4]) == (1, 0, 1)
-    and g.payload[6:] == (0, 0, 1),
-}
+    # the coset sampler's keys give every statistic the report, or the
+    # refusal, of its drawn orders
+    member = SUBGROUPS[w.group.kind]
+    needed = [GroupElement(w.group, p) for p in oracles.coset_translates(w, member)]
+    inner = uniform_order(window_from_elements(w.group, needed), data.draw(st.integers(0, 99)))
+    keyed = coset_sampler(w, member, inner)
+    c = CylinderSpec(D, OrderMatrix.from_ranks(D, data.draw(st.permutations(range(len(D))))))
+    for stat, *args in (
+        (invariance_test, g, D, N, seed),
+        (uniformity_chisq, D, N, seed),
+        (estimate_cylinder, c, N, seed),
+    ):
+        assert outcome(stat, keyed, *args) == outcome(stat, lambda s: keyed(s), *args)
 
 
 # Z^3 and the Heisenberg group share a payload length

@@ -146,9 +146,13 @@ def test_coset_sampler_draws_coset_extension():
         1: [7, 3, 11, 8, 5, 1, 0, 4, 12, 9, 6, 2, 10],
         2**64 - 1: [6, 2, 10, 8, 7, 3, 11, 9, 5, 1, 0, 4, 12],
     }
+    assert isinstance(sampler, sampling.ProjectiveSampler) and sampler.window is W2
     for s, perm in golden.items():
         assert sampler(s) == coset_extension(W2, member, inner, s)
         assert sampler(s).perm() == perm
+        # the keys of the window's payloads sort them as the draw does
+        keys = sampler.keys(s, W2.payloads)
+        assert sorted(range(len(W2)), key=keys.__getitem__) == perm
 
 
 def test_coset_extension_incomplete_inner():

@@ -101,10 +101,22 @@ def test_closed_is_a_json_boolean_and_group_an_object():
         for body in ({"pairs": total}, {"perm": [0, 1, 2]}):
             with pytest.raises(TypeError, match="closed must be true or false"):
                 ser.order_from_json({"closed": closed, **body}, w)
+    # a perm order is closed: it may say so or say nothing, but not deny it
+    for body in ({"perm": [2, 0, 1]}, {"perm": [2, 0, 1], "closed": True}):
+        assert ser.order_to_json(ser.order_from_json(body, w))["closed"] is True
+    with pytest.raises(ValueError, match="closed false"):
+        ser.order_from_json({"perm": [2, 0, 1], "closed": False}, w)
     sl3 = ser.window_to_json(ball(default_generators(SL3Z), 1))
     assert sl3["group"] == {"kind": "sl3"}
     with pytest.raises(TypeError):  # the bare string form is not read
         ser.window_from_json({**sl3, "group": "sl3"})
+    # only a Z^n group object has an n
+    for group in (HEISENBERG, SL3Z):
+        blob = ser.group_to_json(group)
+        assert "n" not in blob and ser.group_from_json(blob) == group
+        for n in (3, True, 0, None):
+            with pytest.raises(ValueError, match=f"a {group.kind} group takes no n"):
+                ser.group_from_json({**blob, "n": n})
 
 
 def test_canonical_dumps_stable():
