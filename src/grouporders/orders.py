@@ -5,12 +5,14 @@ row (rel[i] bit j set means element_i < element_j).  ``closed`` claims that
 the relation is transitive; whether it is total is read from the rows alone.
 Total orders may instead be stored as a rank vector, which keeps huge
 windows cheap; dense rows are materialized only on demand, below a size guard.
+A total order built from a perm or from keys also keeps the perm it sorted.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -24,15 +26,19 @@ from .groups import GroupElement, Window, inverse, multiply
 
 MAX_DENSE_ELEMENTS = 20_000
 
+# bin() digits as bytes 0 and 1, so that compress() reads the set bits
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
 
 class OrderMatrix:
-    __slots__ = ("window", "closed", "_rows", "_ranks")
+    __slots__ = ("window", "closed", "_rows", "_ranks", "_perm")
 
     def __init__(self, window: Window, *, rows=None, ranks=None, closed=False):
         self.window = window
         self.closed = closed
         self._rows = rows
         self._ranks = ranks
+        self._perm = None
 
     # -- constructors -------------------------------------------------
 
@@ -59,13 +65,20 @@ class OrderMatrix:
     @classmethod
     def from_perm(cls, window: Window, perm: Sequence[int]) -> "OrderMatrix":
         """Total order listing window indices from smallest to largest."""
-        return cls(window, ranks=_invert(_permutation(perm, len(window), "perm")), closed=True)
+        return cls.from_sorted(window, _permutation(perm, len(window), "perm"))
 
     @classmethod
     def from_keys(cls, window: Window, keys: Sequence) -> "OrderMatrix":
         """Total order ranking index i by keys[i]; keys must be distinct."""
-        perm = sorted(range(len(window)), key=keys.__getitem__)
-        return cls(window, ranks=_invert(perm), closed=True)
+        return cls.from_sorted(window, sorted(range(len(window)), key=keys.__getitem__))
+
+    @classmethod
+    def from_sorted(cls, window: Window, perm: list[int]) -> "OrderMatrix":
+        """``from_perm`` for a perm known to be one, such as a sort of the
+        window's indices: it is not checked, and the order keeps it."""
+        m = cls(window, ranks=_invert(perm), closed=True)
+        m._perm = perm
+        return m
 
     # -- queries ------------------------------------------------------
 
@@ -83,12 +96,12 @@ class OrderMatrix:
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Every decided pair (i, j), i below j, in row order; read from
-        rows(), so a rank-vector order is capped as rows() is."""
-        for i, row in enumerate(self.rows()):
-            while row:
-                low = row & -row
-                yield (i, low.bit_length() - 1)
-                row ^= low
+        rows(), so a rank-vector order is capped as rows() is.  A row's set
+        bits are read from its binary digits, lowest first."""
+        return chain.from_iterable(
+            zip(repeat(i), compress(count(), bin(row)[:1:-1].encode().translate(_BIT_BYTES)))
+            for i, row in enumerate(self.rows())
+        )
 
     def decided_count(self) -> int:
         if self._ranks is not None:
@@ -146,6 +159,8 @@ class OrderMatrix:
 
     def perm(self) -> list[int]:
         """Window indices of a total order, smallest first."""
+        if self._perm is not None:
+            return list(self._perm)
         return _invert(self.ranks())
 
     def __eq__(self, other):

@@ -7,6 +7,7 @@ enlarging a window preserves the draws of elements already present.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from hashlib import blake2b
 from typing import Iterable
@@ -49,15 +50,17 @@ def u64(seed: int, *parts) -> int:
 def u64_each(seed: int, head: tuple, items: Iterable[bytes], tail: tuple = ()) -> list[int]:
     """``[u64(seed, *head, item, *tail) for item in items]`` for bytes items
     (such as ``groups.payload_keys``), keying the hash and absorbing ``head``
-    once and copying that state per item (RFC 7693's incremental interface)."""
-    h = _prefix(seed, head)
-    rest = _SEP + b"".join(_as_bytes(part) + _SEP for part in tail)
-    out = []
+    once and copying that state per item (RFC 7693's incremental interface);
+    the digests are read as integers in one unpack."""
+    copy = _prefix(seed, head).copy
+    rest = _SEP + b"".join([_as_bytes(part) + _SEP for part in tail])
+    digests = []
     for item in items:
-        d = h.copy()
-        d.update(item + rest)
-        out.append(int.from_bytes(d.digest(), "little"))
-    return out
+        d = copy()
+        d.update(item)
+        d.update(rest)
+        digests.append(d.digest())
+    return list(struct.unpack(f"<{len(digests)}Q", b"".join(digests)))
 
 
 def derive_seed(seed: int, *parts) -> int:

@@ -4,7 +4,9 @@ The uniform order draws one 64-bit value per element from a counter-based
 stream keyed by the element's canonical encoding, so restricting a larger
 window reproduces the smaller window's order exactly.  The uniform, rotation
 and coset samplers are ``ProjectiveSampler``s: their keys rank a probe set
-of the window as the draw does.  Uniform and rotation keys (``uniform_keys``,
+of the window as the draw does.  A whole-window uniform draw hashes each
+element once and sorts the window by the values alone, from a per-window
+table built on the first draw.  Uniform and rotation keys (``uniform_keys``,
 ``orbit_keys``) also key any payload of the group.  Coset extension, gluing,
 and the dynamical realization map are deterministic given their inputs;
 orbit values of rotations are compared with exact quadratic-irrational
@@ -16,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import rng
 from .exactnum import Sqrt2Num, _coerce, _floor_ratio, _sign_int_pair, int_form
 from .errors import (
     DomainNotCovered,
+    GroupMismatch,
     InnerOrderIncomplete,
     NotTotal,
     StabilizerCollision,
@@ -52,8 +55,9 @@ def uniform_keys(seed: int, group: GroupId, payloads: Iterable[tuple]) -> list[t
 
 
 def uniform_order(w: Window, seed: int) -> OrderMatrix:
-    """Total order from iid uniform values, one per window element."""
-    return OrderMatrix.from_keys(w, uniform_keys(seed, w.group, w.payloads))
+    """Total order from iid uniform values, one per window element: one
+    whole-window draw of ``uniform_sampler(w)``."""
+    return uniform_sampler(w)(seed)
 
 
 @dataclass(frozen=True)
@@ -63,19 +67,42 @@ class ProjectiveSampler:
     ``keys(seed, payloads)`` returns one key per payload of a window element;
     sorting those elements by their keys ranks them as the order drawn from
     ``seed`` does.  Keys compare only with keys of the same call.  Calling
-    the sampler draws the whole-window order.  Uniform and rotation keys also
-    accept any payload of the group and do not depend on the window.
+    the sampler draws the whole-window order: by ``draw`` where the sampler
+    has one, else by sorting the window's keys.  Uniform and rotation keys
+    also accept any payload of the group and do not depend on the window.
     """
 
     window: Window
     keys: Callable[[int, Sequence[tuple]], list]
+    draw: Optional[Callable[[int], OrderMatrix]] = None
 
     def __call__(self, seed: int) -> OrderMatrix:
+        if self.draw is not None:
+            return self.draw(seed)
         return OrderMatrix.from_keys(self.window, self.keys(seed, self.window.payloads))
 
 
+def _uniform_table(w: Window) -> tuple[list[bytes], list[int]]:
+    """The encodings of w's elements, and w's indices sorted by encoding."""
+    eks = payload_keys(w.group, w.payloads)
+    return eks, sorted(range(len(eks)), key=eks.__getitem__)
+
+
 def uniform_sampler(w: Window) -> ProjectiveSampler:
-    return ProjectiveSampler(w, lambda s, payloads: uniform_keys(s, w.group, payloads))
+    """Uniform keys; the first whole-window draw builds ``_uniform_table(w)``."""
+    table = None
+
+    def draw(seed: int) -> OrderMatrix:
+        nonlocal table
+        if table is None:
+            table = _uniform_table(w)
+        eks, by_encoding = table
+        values = rng.u64_each(seed, ("elem",), eks, (0,))
+        # the stable sort leaves equal values in encoding order, which is the
+        # (value, encoding) order of uniform_keys
+        return OrderMatrix.from_sorted(w, sorted(by_encoding, key=values.__getitem__))
+
+    return ProjectiveSampler(w, lambda s, payloads: uniform_keys(s, w.group, payloads), draw)
 
 
 def rotation_sampler(action: ActionSpec, w: Window) -> ProjectiveSampler:
@@ -115,36 +142,45 @@ def coset_sampler(
     representative).
 
     The subgroup check and a (coset index, inner rank) table of the window's
-    payloads are made once, here; ``keys`` draws the coset labels.  The
-    identity represents the subgroup's own coset, so the restriction to
-    subgroup pairs reproduces the inner order exactly.
+    payloads are made once, here; ``keys`` draws the labels of the cosets
+    among its payloads.  The identity represents the subgroup's own coset,
+    so the restriction to subgroup pairs reproduces the inner order exactly.
     """
     _spot_check_subgroup(w, subgroup_test)
     try:
         inner_ranks = inner.ranks()
     except NotTotal as exc:
         raise InnerOrderIncomplete("inner order must be total") from exc
+    if inner.window.group != w.group:
+        raise GroupMismatch("translation element from a different group")
 
-    reps = {identity(w.group): (0, identity(w.group))}  # representative -> (coset index, inverse)
+    e = identity(w.group)
+    reps, rinvs = [e], [e]  # coset representatives and their inverses
     table: dict[tuple, tuple[int, int]] = {}  # payload -> (coset index, inner rank)
     for g in w:
-        # the first representative of g's coset, else g itself
-        target = next((r for r, (_, rinv) in reps.items() if subgroup_test(multiply(rinv, g))), g)
-        if target not in reps:
-            reps[target] = (len(reps), inverse(target))
-        coset = reps[target][0]
-        (p,) = pre = inner.window.preimages(target, (g,))
+        # the first representative r of g's coset, with h = r^-1 g; else g itself
+        for coset, rinv in enumerate(rinvs):
+            h = multiply(rinv, g)
+            if subgroup_test(h):
+                break
+        else:
+            coset, h = len(reps), e
+            reps.append(g)
+            rinvs.append(inverse(g))
+        p = inner.window.find(h)
         if p is None:
-            t = missing_translate(target, (g,), pre)
-            raise InnerOrderIncomplete(f"inner order does not cover {t!r}")
+            raise InnerOrderIncomplete(f"inner order does not cover {h!r}")
         table[g.payload] = (coset, inner_ranks[p])
 
     # equal labels fall back to the representatives' canonical encodings
     eks = payload_keys(w.group, [r.payload for r in reps])
 
     def keys(seed: int, payloads: Sequence[tuple]) -> list[tuple[int, bytes, int]]:
-        labels = list(zip(rng.u64_each(seed, ("coset",), eks, (0,)), eks))
-        return [(*labels[c], r) for c, r in map(table.__getitem__, payloads)]
+        rows = list(map(table.__getitem__, payloads))
+        cosets = list({c for c, _ in rows})  # only the cosets among the payloads are hashed
+        named = [eks[c] for c in cosets]
+        labels = dict(zip(cosets, zip(rng.u64_each(seed, ("coset",), named, (0,)), named)))
+        return [(*labels[c], r) for c, r in rows]
 
     return ProjectiveSampler(w, keys)
 

@@ -93,14 +93,15 @@ def _probe_rankings(
 
     A ProjectiveSampler keys only the probed window elements, in one call
     per sample; any other sampler draws its whole order and is read at the
-    probe positions.
+    probe positions, found again only when a draw's window is not the
+    previous draw's.
     """
     if N < 1:
         raise ValueError("need at least one sample")
     k = len(F)
     keyed = isinstance(sampler, ProjectiveSampler)
+    w = sampler.window if keyed else None
     if keyed:
-        w = sampler.window
         probes = _probe_positions(w, F, missing, shift)
         payloads = [w.payloads[p] for positions in probes for p in positions]
     for i in range(N):
@@ -111,7 +112,10 @@ def _probe_rankings(
             yield [tuple(sum(b < a for b in block) for a in block) for block in blocks]
         else:
             m = sampler(sub)
-            yield [m.ranking(ps) for ps in _probe_positions(m.window, F, missing, shift)]
+            if m.window is not w:
+                w = m.window
+                probes = _probe_positions(w, F, missing, shift)
+            yield [m.ranking(ps) for ps in probes]
 
 
 def estimate_cylinder(sampler: Sampler, c: CylinderSpec, N: int, seed: int) -> EstimateReport:

@@ -20,7 +20,7 @@ from grouporders import (
     zn,
     zn_element,
 )
-from grouporders import cli, serialize as ser
+from grouporders import cli, sampling, serialize as ser
 from grouporders.cli import DEFAULT_ALPHA, main
 from grouporders.constraints import ConstraintSystem
 from grouporders.groups import interval_window
@@ -754,26 +754,32 @@ def test_chisq_and_sample_draw_the_same_order_from_a_seed(tmp_path, capsys):
 
 
 def test_coset_statistics_never_sort_a_whole_window(tmp_path, capsys, monkeypatch):
-    # once the coset sampler is built, estimate, chisq and invariance rank
-    # the probe by its keys alone and give the same reports
+    # once the uniform, rotation or coset sampler is built, estimate, chisq
+    # and invariance rank the probe by its keys alone and give the same
+    # reports: no whole-window sort and no whole-window uniform table
     monkeypatch.chdir(tmp_path)
     _inputs()
     argvs = {name: argv for name, argv, _ in RUNS}
-    assert main(argvs["ball_z2"]) == 0
-    names = ["estimate_coset", "chisq_coset", "invariance_coset"]
+    assert main(argvs["ball_z2"]) == 0 and main(argvs["ball_z1"]) == 0
+    names = ["estimate", "chisq", "invariance", "invariance_rotation",
+             "estimate_coset", "chisq_coset", "invariance_coset"]
     expected = [run(capsys, *argvs[name]) for name in names]
     assert all(code == 0 for code, _, _ in expected)
-    build = cli.coset_sampler
 
-    def sort_window(*args):
+    def whole_window(*args):
         raise AssertionError("a whole window was sorted")
 
-    def build_then_refuse_sorting(*args):
-        sampler = build(*args)
-        monkeypatch.setattr(OrderMatrix, "from_keys", sort_window)
-        return sampler
+    def then_refuse_whole_windows(build):
+        def built(*args):
+            sampler = build(*args)
+            monkeypatch.setattr(OrderMatrix, "from_keys", whole_window)
+            monkeypatch.setattr(sampling, "_uniform_table", whole_window)
+            return sampler
 
-    monkeypatch.setattr(cli, "coset_sampler", build_then_refuse_sorting)
+        return built
+
+    for builder in ("uniform_sampler", "rotation_sampler", "coset_sampler"):
+        monkeypatch.setattr(cli, builder, then_refuse_whole_windows(getattr(cli, builder)))
     for name, want in zip(names, expected):
         assert run(capsys, *argvs[name]) == want, name
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from grouporders import (
+    HEISENBERG,
+    SL3Z,
     DomainNotCovered,
     InnerOrderIncomplete,
     OrderMatrix,
@@ -92,6 +94,47 @@ def test_uniform_order_inclusion_survives_value_collisions(monkeypatch):
     assert collided >= 20
 
 
+@pytest.mark.parametrize("ties", [False, True])
+def test_whole_window_uniform_draws_sort_the_uniform_keys(ties, monkeypatch):
+    # the per-window table and the stable sort of the values give the order
+    # of the (value, encoding) keys; values mod 3 tie on nearly every draw
+    if ties:
+        u64_each = rng.u64_each
+        monkeypatch.setattr(rng, "u64_each", lambda *a: [v % 3 for v in u64_each(*a)])
+    windows = [
+        interval_window(-4, 5),
+        W2,
+        ball(default_generators(HEISENBERG), 2),
+        ball(default_generators(SL3Z), 1),
+    ]
+    for w in windows:
+        sampler = sampling.uniform_sampler(w)
+        for seed in (0, 7, 2**64 - 1):
+            drawn = sampler(seed)
+            keyed = OrderMatrix.from_keys(w, sampler.keys(seed, w.payloads))
+            assert drawn == keyed == uniform_order(w, seed)
+            assert drawn.perm() == keyed.perm() and drawn.ranks() == keyed.ranks()
+            if ties:
+                assert len({v for v, _ in sampler.keys(seed, w.payloads)}) <= 3
+
+
+def test_sorted_orders_keep_their_perm(monkeypatch):
+    w = interval_window(0, 4)
+    drawn = sampling.uniform_sampler(W2)(5)
+    cases = [
+        (OrderMatrix.from_keys(w, [3, 0, 2, 1]), [1, 3, 2, 0]),
+        (OrderMatrix.from_perm(w, [1, 3, 2, 0]), [1, 3, 2, 0]),
+        (drawn, sorted(range(len(W2)), key=drawn.ranks().__getitem__)),
+    ]
+    # perm() returns a copy of the perm the order sorted, without inverting its ranks
+    monkeypatch.setattr(OrderMatrix, "ranks", lambda self: 1 // 0)
+    for m, perm in cases:
+        got = m.perm()
+        assert got == perm
+        got.reverse()
+        assert m.perm() == perm
+
+
 def test_coset_extension_whole_group_returns_inner():
     inner = uniform_order(W2, 9)
     ext = coset_extension(W2, lambda g: True, inner, 4)
@@ -153,6 +196,29 @@ def test_coset_sampler_draws_coset_extension():
         # the keys of the window's payloads sort them as the draw does
         keys = sampler.keys(s, W2.payloads)
         assert sorted(range(len(W2)), key=keys.__getitem__) == perm
+
+
+def test_coset_keys_hash_only_the_probed_cosets(monkeypatch):
+    w = ball(default_generators(zn(2)), 5)
+    inner_w = window_from_elements(zn(2), [zn_element(0, k) for k in range(-5, 6)])
+    inner = lex_functional(2).window_order(inner_w)
+    member = lambda g: g.payload[0] == 0  # 11 cosets, one per x
+    # the set-up looks up each r^-1 g it found in the search, not by preimages
+    with monkeypatch.context() as mp:
+        mp.setattr(type(w), "preimages", lambda *a: 1 // 0)
+        sampler = coset_sampler(w, member, inner)
+    hashed = []
+    u64_each = rng.u64_each
+
+    def counting(seed, head, items, tail=()):
+        hashed.append(len(items))
+        return u64_each(seed, head, items, tail)
+
+    monkeypatch.setattr(rng, "u64_each", counting)
+    probe = [(0, 0), (0, 1), (2, 0), (2, -1)]  # 4 payloads in the cosets x = 0, 2
+    whole = sampler.keys(3, w.payloads)
+    assert sampler.keys(3, probe) == [whole[w.position(zn_element(*p))] for p in probe]
+    assert hashed == [11, 2]
 
 
 def test_coset_extension_incomplete_inner():

@@ -308,3 +308,23 @@ def test_invariance_runs_past_the_dense_matrix_cap():
     assert keyed == invariance_test(lambda s: uniform_order(w, s), g, D, 3, 5)
     rep = invariance_test(sampling.uniform_sampler(w), g, D, 500, 6)
     assert sum(rep.base_counts) == sum(rep.translated_counts) == 500
+
+
+def test_drawn_orders_find_the_probe_positions_once_per_window(monkeypatch):
+    from grouporders import stats
+
+    found = []
+    positions = stats._probe_positions
+    monkeypatch.setattr(stats, "_probe_positions", lambda w, *a: found.append(w) or positions(w, *a))
+    g = zn_element(1, 0)
+    want = invariance_test(sampling.uniform_sampler(W), g, D3, 6, 2)
+    assert found == [W]
+    found.clear()
+    assert invariance_test(uniform_sampler, g, D3, 6, 2) == want
+    assert found == [W]
+    # a window that is not the previous draw's is looked up again
+    big = ball(default_generators(zn(2)), 3)
+    windows = itertools.cycle([W, W, big])
+    found.clear()
+    invariance_test(lambda s: uniform_order(next(windows), s), g, D3, 6, 2)
+    assert found == [W, big, W, big]
