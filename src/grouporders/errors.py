@@ -44,14 +44,3 @@ class StabilizerCollision(GroupOrderError):
 class SolveTimeout(GroupOrderError):
     """The solver exceeded its wall-clock budget."""
 
-
-class ContradictionError(GroupOrderError):
-    """Transitive closure forced a cycle.
-
-    ``cycle`` lists window indices i0, i1, ..., i0 witnessing the cycle in
-    the input relation.
-    """
-
-    def __init__(self, cycle):
-        self.cycle = tuple(cycle)
-        super().__init__(f"relation closure forces a cycle: {self.cycle}")

@@ -10,18 +10,11 @@ A total order built from a perm or from keys also keeps the perm it sorted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    ContradictionError,
-    DomainNotCovered,
-    NotRectangular,
-    NotTotal,
-    SizeLimitExceeded,
-)
+from .errors import DomainNotCovered, NotRectangular, NotTotal, SizeLimitExceeded
 from .groups import GroupElement, Window, inverse, multiply
 
 MAX_DENSE_ELEMENTS = 20_000
@@ -57,10 +50,6 @@ class OrderMatrix:
     @classmethod
     def from_ranks(cls, window: Window, ranks: Iterable[int]) -> "OrderMatrix":
         return cls(window, ranks=_permutation(ranks, len(window), "ranks"), closed=True)
-
-    @classmethod
-    def empty(cls, window: Window) -> "OrderMatrix":
-        return cls(window, rows=[0] * len(window), closed=True)
 
     @classmethod
     def from_perm(cls, window: Window, perm: Sequence[int]) -> "OrderMatrix":
@@ -207,51 +196,6 @@ def _invert(perm: Sequence[int]) -> list[int]:
     for r, i in enumerate(perm):
         inv[i] = r
     return inv
-
-
-def _find_cycle(rows: list[int], start: int) -> list[int]:
-    """Shortest directed cycle start -> ... -> start in the input relation."""
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        r = rows[u]
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            r ^= low
-            if v == start:
-                path = [start, u]
-                while parent[u] is not None:
-                    u = parent[u]
-                    path.append(u)
-                return path[::-1]
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    raise AssertionError("cycle start unreachable in input relation")
-
-
-def transitive_closure(m: OrderMatrix) -> OrderMatrix:
-    """Smallest transitive superset; raises ContradictionError on a cycle."""
-    if m.closed:
-        return m
-    input_rows = m.rows()
-    rows = list(input_rows)
-    n = m.n
-    for k in range(n):
-        rk = rows[k]
-        if not rk:
-            continue
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
-    # after closure every cycle leaves a self-loop on each of its elements
-    for i in range(n):
-        if rows[i] >> i & 1:
-            raise ContradictionError(_find_cycle(input_rows, i))
-    return OrderMatrix(m.window, rows=rows, closed=True)
 
 
 def is_total(m: OrderMatrix) -> bool:

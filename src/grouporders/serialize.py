@@ -36,6 +36,20 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _check_format(obj) -> None:
+    """A file may leave out its format; one it gives must be the int 1."""
+    if "format" in obj and (type(obj["format"]) is not int or obj["format"] != FORMAT_VERSION):
+        raise ValueError(f"format {obj['format']!r} is not {FORMAT_VERSION}")
+
+
+def _index_pairs(entries, what: str) -> tuple[tuple, ...]:
+    """The entries as tuples, each checked to be a list of two."""
+    for e in entries:
+        if type(e) is not list or len(e) != 2:
+            raise ValueError(f"{what} {e!r} is not two indices")
+    return tuple(map(tuple, entries))
+
+
 def group_to_json(group: GroupId) -> dict:
     if group.kind == KIND_ZN:
         return {"kind": "zn", "n": group.n}
@@ -70,6 +84,7 @@ def element_set_to_json(group: GroupId, elements) -> dict:
 def element_set_from_json(obj) -> list[GroupElement]:
     """Element-list files share the window schema without the identity
     requirement."""
+    _check_format(obj)
     group = group_from_json(obj["group"])
     return [GroupElement(group, p) for p in checked_payloads(group, obj["elements"])]
 
@@ -79,6 +94,7 @@ def window_to_json(w: Window) -> dict:
 
 
 def window_from_json(obj) -> Window:
+    _check_format(obj)
     return Window(group_from_json(obj["group"]), obj["elements"])
 
 
@@ -96,6 +112,7 @@ def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
 def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
     """The order on its own window, or on ``window``; a file that names
     another window than ``window`` raises ValueError."""
+    _check_format(obj)
     if window is None:
         window = window_from_json(obj["window"])
     elif "window" in obj and window_from_json(obj["window"]) != window:
@@ -109,7 +126,7 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
         if "closed" in obj and not closed:
             raise ValueError("a perm order is total and closed; it cannot say closed false")
         return OrderMatrix.from_perm(window, obj["perm"])
-    return OrderMatrix.from_pairs(window, [tuple(p) for p in obj["pairs"]], closed=closed)
+    return OrderMatrix.from_pairs(window, _index_pairs(obj["pairs"], "pair"), closed=closed)
 
 
 def system_to_json(cs: ConstraintSystem) -> dict:
@@ -122,8 +139,9 @@ def system_to_json(cs: ConstraintSystem) -> dict:
 
 
 def system_from_json(obj) -> ConstraintSystem:
+    _check_format(obj)
     window = window_from_json(obj["window"])
-    atoms = tuple(tuple(a) for a in obj["atoms"])
+    atoms = _index_pairs(obj["atoms"], "atom")
     return ConstraintSystem(window, atoms, obj.get("convention", "inverse_left"))
 
 

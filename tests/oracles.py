@@ -161,6 +161,20 @@ def satisfiable_by_enumeration(n, atoms):
     return False
 
 
+def closure_rows(n, pairs):
+    """Row bitmasks of the transitive closure of the pairs on 0..n-1, by
+    Warshall's loop; a cycle leaves a self-loop on each of its elements."""
+    rows = [0] * n
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rows[k]
+    return rows
+
+
 def solve_by_closure_branching(n, atoms):
     """Witness ranks of the bitset closure-and-branching solver, or None when
     the atoms are cyclic.
@@ -169,14 +183,7 @@ def solve_by_closure_branching(n, atoms):
     asserts i < j for each pair still undecided; adding an undecided pair to a
     closed acyclic relation never creates a cycle, so it never backtracks.
     """
-    rows = [0] * n
-    for i, j in atoms:
-        rows[i] |= 1 << j
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rows[k]
+    rows = closure_rows(n, atoms)
     if any(rows[i] >> i & 1 for i in range(n)):
         return None
     for i in range(n):

@@ -476,7 +476,7 @@ def test_levels_cli(tmp_path, capsys):
     # non-total input is an error
     from grouporders.orders import OrderMatrix
 
-    part = write(tmp_path / "part.json", ser.order_to_json(OrderMatrix.empty(w)))
+    part = write(tmp_path / "part.json", ser.order_to_json(OrderMatrix.from_pairs(w, [], closed=True)))
     code, _, _ = run(capsys, "levels", part)
     assert code == 2
     # every cell is padded to the width of the largest rank
@@ -593,6 +593,53 @@ def test_an_order_holds_exactly_one_of_perm_and_pairs(tmp_path, capsys):
         code, out, err = run(capsys, "reconstruct", f, "--n", "1")
         assert (code, out) == (2, ""), name
         assert err.startswith("error: ValueError: ") and "perm and pairs" in err, name
+
+
+def test_a_pair_or_atom_that_is_not_two_indices_names_itself(tmp_path, capsys):
+    wj = ser.window_to_json(interval_window(0, 3))
+    for entry in ([0, 1, 2], [0], 5):
+        for what, body, command in (
+            ("pair", {"closed": True, "window": wj, "pairs": [[0, 1], entry]}, "levels"),
+            ("atom", {"window": wj, "atoms": [[0, 1], entry]}, "check-extend"),
+        ):
+            f = write(tmp_path / "in.json", {"format": 1, **body})
+            code, out, err = run(capsys, command, f)
+            assert (code, out) == (2, ""), (what, entry)
+            assert err == f"error: ValueError: {what} {entry!r} is not two indices\n"
+
+
+def test_a_format_other_than_1_is_refused(tmp_path, capsys):
+    # each reader checks the format of its own object: a system and its
+    # window, an order and its window, a window, an element set
+    rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])
+    cs = build_extension_system(rect, quadrant_order(2))
+    lex = ser.order_to_json(lex_functional(2).window_order(rect))
+    origin = ser.element_set_to_json(zn(2), [zn_element(0, 0)])
+    lex_file = write(tmp_path / "lex.json", lex)
+    origin_file = write(tmp_path / "origin.json", origin)
+    glue = ["--d-file", origin_file, "-o", str(tmp_path / "g.json"), "--report-out", str(tmp_path / "r.json")]
+    cases = (
+        (ser.system_to_json(cs), ("window",), lambda f: ["check-extend", f]),
+        (lex, ("window",), lambda f: ["levels", f]),
+        (ser.window_to_json(rect), (), lambda f: ["sample", f, "-N", "1"]),
+        (origin, (), lambda f: ["glue", lex_file, lex_file, "--k-file", f, *glue]),
+    )
+    for body, nested, argv in cases:
+        f = write(tmp_path / "in.json", body)
+        expected = run(capsys, *argv(f))
+        assert expected[0] in (0, 1), argv(f)
+        for level in (None, *nested):
+            for bad in (99, 2, True, 1.0, "1", None):
+                mutated = json.loads(json.dumps(body))
+                (mutated if level is None else mutated[level])["format"] = bad
+                code, out, err = run(capsys, *argv(write(tmp_path / "in.json", mutated)))
+                assert (code, out) == (2, ""), (argv(f)[0], level, bad)
+                assert err == f"error: ValueError: format {bad!r} is not 1\n"
+        # a file may leave its format out
+        bare = json.loads(json.dumps(body))
+        for level in (None, *nested):
+            del (bare if level is None else bare[level])["format"]
+        assert run(capsys, *argv(write(tmp_path / "in.json", bare))) == expected
 
 
 def test_reconstruct_needs_a_total_order(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from grouporders import (
-    ContradictionError,
     CylinderSpec,
     SizeLimitExceeded,
     DomainNotCovered,
@@ -30,7 +27,6 @@ from grouporders import (
     past_set,
     quadrant_order,
     render_levels,
-    transitive_closure,
     translate_order,
     uniform_order,
     window_from_elements,
@@ -42,47 +38,11 @@ W2 = ball(default_generators(zn(2)), 2)
 LEX2 = lex_functional(2)
 
 
-def test_transitive_closure_basics():
-    w = interval_window(0, 3)
-    m = OrderMatrix.from_pairs(w, [(0, 1), (1, 2)])
-    closed = transitive_closure(m)
-    assert closed.has(0, 2) and closed.closed
-    again = transitive_closure(closed)
-    assert again is closed  # idempotent
-
-    bad = OrderMatrix.from_pairs(w, [(0, 1), (1, 0)])
-    with pytest.raises(ContradictionError) as err:
-        transitive_closure(bad)
-    assert err.value.cycle == (0, 1, 0)
-
-    total = LEX2.window_order(W2)
-    assert transitive_closure(total) is total
-
-
-def test_closure_monotone():
-    rnd = random.Random(5)
-    w = interval_window(0, 6)
-    for _ in range(100):
-        pairs = set()
-        while len(pairs) < 5:
-            i, j = rnd.randrange(6), rnd.randrange(6)
-            if i != j:
-                pairs.add((i, j))
-        sub = sorted(pairs)[:3]
-        try:
-            big = transitive_closure(OrderMatrix.from_pairs(w, pairs))
-            small = transitive_closure(OrderMatrix.from_pairs(w, sub))
-        except ContradictionError:
-            continue
-        for i, j in small.pairs():
-            assert big.has(i, j)
-
-
 def test_is_total():
     assert is_total(LEX2.window_order(W2))
     w = interval_window(0, 3)
-    assert not is_total(OrderMatrix.empty(w))
-    closed = transitive_closure(OrderMatrix.from_pairs(w, [(0, 1)]))
+    assert not is_total(OrderMatrix.from_pairs(w, [], closed=True))
+    closed = OrderMatrix.from_pairs(w, [(0, 1)], closed=True)
     assert not is_total(closed)
     # totality is read from the rows, whatever closed claims
     assert not is_total(OrderMatrix.from_pairs(w, [(0, 1)]))
@@ -198,7 +158,7 @@ def test_cylinders():
 def test_cylinder_pattern_must_be_total():
     D = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0)])
     with pytest.raises(ValueError):
-        CylinderSpec(D, OrderMatrix.empty(D))
+        CylinderSpec(D, OrderMatrix.from_pairs(D, [], closed=True))
 
 
 def test_render_levels_lex_sweep():
@@ -216,12 +176,7 @@ def test_render_levels_properties_and_errors():
     m = uniform_order(w, 4)
     grid = render_levels(m)
     assert sorted(v for row in grid for v in row) == list(range(9))
-    ext = transitive_closure(
-        OrderMatrix.from_pairs(
-            w,
-            list(LEX2.window_order(w).pairs()),
-        )
-    )
+    ext = OrderMatrix.from_pairs(w, list(LEX2.window_order(w).pairs()), closed=True)
     lex_grid = render_levels(ext)
     # monotone along both positive directions when extending the quadrant
     assert (np.diff(lex_grid, axis=1) > 0).all()
@@ -229,7 +184,7 @@ def test_render_levels_properties_and_errors():
     with pytest.raises(NotRectangular):
         render_levels(uniform_order(W2, 1))  # diamond, not a rectangle
     with pytest.raises(NotTotal):
-        render_levels(OrderMatrix.empty(w))
+        render_levels(OrderMatrix.from_pairs(w, [], closed=True))
 
 
 def test_reflexive_pair_rejected():
