@@ -172,6 +172,10 @@ def cmd_ball(args) -> int:
     group = _parse_group(args.group)
     if args.generators:
         data = _read_json(args.generators)
+        unknown = sorted(set(data) - {"elements", "symmetric", "format"})
+        if unknown:
+            raise UsageError(f"generator files take elements, symmetric and format, not {unknown[0]!r}")
+        serialize._check_format(data)
         elements = tuple(make_element(group, d) for d in data["elements"])
         gens = GeneratorSet(group, elements, data.get("symmetric", False))
     else:

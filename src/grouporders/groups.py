@@ -133,9 +133,10 @@ def checked_payloads(group: GroupId, rows: Iterable[Iterable[int]]) -> tuple[tup
     payloads = []
     try:
         payloads.extend(map(tuple, rows))  # a row that is no iterable stops it here
-        if not set(map(type, chain.from_iterable(payloads))) <= {int}:
-            payloads = [tuple(map(_entry, p)) for p in payloads]
         flat = list(chain.from_iterable(payloads))
+        if not set(map(type, flat)) <= {int}:
+            payloads = [tuple(map(_entry, p)) for p in payloads]
+            flat = list(chain.from_iterable(payloads))
         if (
             set(map(len, payloads)) <= {_payload_len(group)}
             and INT64_MIN <= min(flat, default=0)
@@ -183,8 +184,8 @@ def _sl3_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     ))
 
 
-# The group law on payloads, one checked product per kind: `multiply`, `ball`
-# and `Window.preimages` all compute through these.
+# The group law on payloads, one checked product per kind: `multiply`,
+# `Window.preimages` and `ball`, but for its one-coordinate Z^n moves.
 _PRODUCT = {KIND_ZN: _zn_product, KIND_HEISENBERG: _heisenberg_product, KIND_SL3: _sl3_product}
 
 
@@ -388,6 +389,12 @@ def missing_translate(g: GroupElement, elements: Sequence[GroupElement], pre: li
     return multiply(inverse(g), next(x for x, p in zip(elements, pre) if p is None))
 
 
+def _move(s: tuple[int, ...]) -> tuple:
+    """(s, i, s[i]) for a step s whose one nonzero entry is at i, else (s, None, 0)."""
+    nonzero = [i for i, v in enumerate(s) if v]
+    return (s, nonzero[0], s[nonzero[0]]) if len(nonzero) == 1 else (s, None, 0)
+
+
 def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Window:
     """Breadth-first ball of word length <= radius over gens and inverses."""
     if not gens.generators:
@@ -399,6 +406,9 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
     group = gens.group
     product = _PRODUCT[group.kind]
     steps = sorted({p for g in gens.generators for p in (g.payload, inverse(g).payload)})
+    # a Z^n step that changes one coordinate i by d is the move (s, i, d): it
+    # adds d to that entry and checks it alone, the others were checked in p
+    moves = [_move(s) if group.kind == KIND_ZN else (s, None, 0) for s in steps]
 
     e = identity(group).payload
     seen = {e}
@@ -407,8 +417,14 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
     for _ in range(radius):
         layer = []
         for p in frontier:
-            for s in steps:
-                h = product(p, s)
+            for s, i, d in moves:
+                if i is None:
+                    h = product(p, s)
+                else:
+                    v = p[i] + d
+                    if v < INT64_MIN or v > INT64_MAX:
+                        _checked((v,))  # raises, with its message
+                    h = p[:i] + (v,) + p[i + 1:]
                 if h not in seen:
                     seen.add(h)
                     layer.append(h)

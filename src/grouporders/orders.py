@@ -26,12 +26,12 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class OrderMatrix:
     __slots__ = ("window", "closed", "_rows", "_ranks", "_perm")
 
-    def __init__(self, window: Window, *, rows=None, ranks=None, closed=False):
+    def __init__(self, window: Window, *, rows=None, ranks=None, perm=None, closed=False):
         self.window = window
         self.closed = closed
         self._rows = rows
         self._ranks = ranks
-        self._perm = None
+        self._perm = perm
 
     # -- constructors -------------------------------------------------
 
@@ -49,12 +49,14 @@ class OrderMatrix:
 
     @classmethod
     def from_ranks(cls, window: Window, ranks: Iterable[int]) -> "OrderMatrix":
-        return cls(window, ranks=_permutation(ranks, len(window), "ranks"), closed=True)
+        ranks, perm = _permutation(ranks, len(window), "ranks")
+        return cls(window, ranks=ranks, perm=perm, closed=True)
 
     @classmethod
     def from_perm(cls, window: Window, perm: Sequence[int]) -> "OrderMatrix":
         """Total order listing window indices from smallest to largest."""
-        return cls.from_sorted(window, _permutation(perm, len(window), "perm"))
+        perm, ranks = _permutation(perm, len(window), "perm")
+        return cls(window, ranks=ranks, perm=perm, closed=True)
 
     @classmethod
     def from_keys(cls, window: Window, keys: Sequence) -> "OrderMatrix":
@@ -65,9 +67,7 @@ class OrderMatrix:
     def from_sorted(cls, window: Window, perm: list[int]) -> "OrderMatrix":
         """``from_perm`` for a perm known to be one, such as a sort of the
         window's indices: it is not checked, and the order keeps it."""
-        m = cls(window, ranks=_invert(perm), closed=True)
-        m._perm = perm
-        return m
+        return cls(window, ranks=_invert(perm), perm=perm, closed=True)
 
     # -- queries ------------------------------------------------------
 
@@ -168,12 +168,16 @@ class OrderMatrix:
         return f"OrderMatrix({self.window!r}, {kind}, closed={self.closed})"
 
 
-def _permutation(values: Iterable[int], n: int, what: str) -> list[int]:
-    """The values as a list, checked to hold each of 0..n-1 exactly once."""
+def _permutation(values: Iterable[int], n: int, what: str) -> tuple[list[int], list[int]]:
+    """The values as a list and its inverse, checked by inverting: n ints in
+    0..n-1 that leave no slot of the inverse unfilled hold each one once."""
     out = list(values)
-    if not set(map(type, out)) <= {int} or sorted(out) != list(range(n)):  # JSON true is not 1
-        raise ValueError(f"{what} must be a permutation of 0..n-1")
-    return out
+    ints = len(out) == n and set(map(type, out)) <= {int}  # JSON true is not 1
+    if ints and min(out, default=0) >= 0 and max(out, default=-1) < n:
+        inv = _invert(out)
+        if -1 not in inv:
+            return out, inv
+    raise ValueError(f"{what} must be a permutation of 0..n-1")
 
 
 def _total_ranks(rows: Sequence[int]) -> list[int] | None:
@@ -191,8 +195,9 @@ def _total_ranks(rows: Sequence[int]) -> list[int] | None:
 
 
 def _invert(perm: Sequence[int]) -> list[int]:
-    """Inverse permutation: turns a perm into ranks and ranks into a perm."""
-    inv = [0] * len(perm)
+    """Inverse permutation: turns a perm into ranks and ranks into a perm.
+    A slot that no entry names holds -1."""
+    inv = [-1] * len(perm)
     for r, i in enumerate(perm):
         inv[i] = r
     return inv

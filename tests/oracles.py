@@ -12,7 +12,8 @@ strict total orders, and the element-by-element window
 builders (row decode, ball, `has`-loop reconstruct) that the
 bulk payload check and the payload products replaced, translated window
 lookups (`Window.preimages` and its callers) through that checked
-arithmetic and a payload dict, the element-based uniform and orbit keys
+arithmetic and a payload dict, the sort-based permutation check that the
+check by inverting replaced, the element-based uniform and orbit keys
 that the payload-based ones replaced, the circle order of a rotation
 sorted by exact `Sqrt2Num` fractional parts, and the propagation loop
 that listed every round's candidates before recording them through a
@@ -529,6 +530,14 @@ def cascade_perm(f, window):
         return -1 if less else 1
 
     return sorted(range(len(window)), key=functools.cmp_to_key(cmp))
+
+
+def sorted_permutation(values, n, what):
+    """The values as a list, checked by sorting to hold each of 0..n-1 once."""
+    out = list(values)
+    if not set(map(type, out)) <= {int} or sorted(out) != list(range(n)):  # JSON true is not 1
+        raise ValueError(f"{what} must be a permutation of 0..n-1")
+    return out
 
 
 # -- strict total orders, pair by pair --------------------------------------

@@ -327,14 +327,17 @@ def test_generator_files_need_a_json_boolean_symmetric(tmp_path, capsys):
     default = ser.window_to_json(ball(default_generators(zn(2)), 2))
     half, full = [[1, 0], [0, 1]], [[1, 0], [0, 1], [-1, 0], [0, -1]]
     for elements, symmetric in ((half, False), (full, True)):
-        gfile = write(tmp_path / "g.json", {"elements": elements, "symmetric": symmetric})
+        gfile = write(tmp_path / "g.json", {"format": 1, "elements": elements, "symmetric": symmetric})
         code, out, _ = run(capsys, "ball", "z2", "--radius", "2", "--generators", gfile)
         assert code == 0 and json.loads(out) == default
-    # "false" must not be read as true, nor 0 as false
-    for symmetric in ("false", 0, None):
-        gfile = write(tmp_path / "g.json", {"elements": half, "symmetric": symmetric})
+    # "false" must not be read as true, nor 0 as false, nor a misspelt
+    # symmetric as a missing one
+    refused = [({"symmetric": s}, "symmetric must be true or false") for s in ("false", 0, None)]
+    refused += [({"symetric": True}, "not 'symetric'"), ({"format": 2}, "format 2 is not 1")]
+    for body, named in refused:
+        gfile = write(tmp_path / "g.json", {"elements": half, **body})
         code, out, err = run(capsys, "ball", "z2", "--radius", "2", "--generators", gfile)
-        assert (code, out) == (2, "") and "symmetric must be true or false" in err
+        assert (code, out) == (2, "") and named in err
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,47 @@ def test_from_perm_lists_each_index_once():
     assert OrderMatrix.from_perm(w, [2, 0, 1]).ranks() == [1, 2, 0]
 
 
+@st.composite
+def near_permutations(draw):
+    """n and a list that is mostly a permutation of 0..n-1, with entries
+    made negative, out of range, duplicate, bool or float, or of the wrong
+    length."""
+    n = draw(st.integers(1, 6))
+    values = list(draw(st.permutations(range(n))))
+    entry = st.one_of(
+        st.integers(-2, n + 1), st.sampled_from([True, False, 0.0, 1.0, float(n)])
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(values)))
+        kind = draw(st.sampled_from(["set", "insert", "drop"]))
+        if kind == "set" and at < len(values):
+            values[at] = draw(entry)
+        elif kind == "insert":
+            values.insert(at, draw(entry))
+        elif values:
+            del values[min(at, len(values) - 1)]
+    return n, values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_permutations())
+def test_perm_and_rank_checks_match_the_sorting_check(case):
+    n, values = case
+    w = interval_window(0, n)
+    for build, what in ((OrderMatrix.from_perm, "perm"), (OrderMatrix.from_ranks, "ranks")):
+        try:
+            ref = oracles.sorted_permutation(values, n, what)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                build(w, values)
+            assert str(got.value) == str(exc)
+            continue
+        m = build(w, values)
+        other = sorted(range(n), key=ref.__getitem__)  # the inverse of ref
+        perm, ranks = (ref, other) if what == "perm" else (other, ref)
+        assert (m.perm(), m.ranks()) == (perm, ranks)
+
+
 def test_indices_are_ints_not_bools_or_floats():
     w = interval_window(-1, 2)
     for values in ([True, False, 2], [1.0, 0, 2]):  # equal to [1, 0, 2] as numbers

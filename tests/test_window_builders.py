@@ -19,6 +19,7 @@ from grouporders import (
     IntegerOverflow,
     NotTotal,
     OrderMatrix,
+    SizeLimitExceeded,
     ball,
     box,
     Sqrt2Num,
@@ -179,6 +180,26 @@ def test_ball_matches_the_elementwise_ball(gens, radius, size_limit):
         radius = min(radius, 2)
     same(outcome(ball, gens, radius, size_limit),
          outcome(oracles.elementwise_ball, gens, radius, size_limit))
+
+
+@pytest.mark.parametrize(
+    "steps, cap, overflow, entry",
+    [
+        ([(1 << 62,)], 3, 4, 1 << 63),
+        ([((1 << 62) + 1,)], 2, 3, -(1 << 63) - 2),
+        ([(1 << 62, 0), (0, 1 << 62)], 9, 10, 1 << 63),
+    ],
+)
+def test_one_coordinate_steps_overflow_or_hit_the_cap_in_one_layer(steps, cap, overflow, entry):
+    # layer 2 reaches the 64-bit edge: a cap up to `cap` fires first, a
+    # larger one lets the walk on to the entry that leaves the range
+    group = zn(len(steps[0]))
+    gens = GeneratorSet(group, tuple(GroupElement(group, s) for s in steps))
+    for size_limit in range(1, overflow + 3):
+        same(outcome(ball, gens, 2, size_limit),
+             outcome(oracles.elementwise_ball, gens, 2, size_limit))
+    assert outcome(ball, gens, 2, cap) == (SizeLimitExceeded, f"ball exceeds the {cap}-element cap")
+    assert outcome(ball, gens, 2, overflow) == (IntegerOverflow, f"entry {entry} leaves the 64-bit range")
 
 
 def test_ball_rejects_an_sl3_generator_of_determinant_other_than_1():
