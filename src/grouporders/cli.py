@@ -30,13 +30,8 @@ from .engine import (
 )
 from .errors import GroupOrderError
 from .exactnum import Sqrt2Num
-from .groups import (
-    GeneratorSet,
-    ball,
-    default_generators,
-    make_element,
-)
-from .orders import CylinderSpec, render_levels
+from .groups import ball, default_generators, make_element
+from .orders import render_levels
 from .sampling import (
     bernoulli_action,
     box,
@@ -108,6 +103,14 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} needs fractions such as 3/10, got {text!r}") from None
 
 
+def _ints(text: str, flag: str) -> list[int]:
+    """The comma-separated ints of text; UsageError naming flag on bad text."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated integers, got {text!r}") from None
+
+
 def _parse_alpha(text: str, flag: str) -> Sqrt2Num:
     parts = text.split(",")
     if len(parts) != 2:
@@ -151,7 +154,7 @@ def _load_sampler(args):
         if args.subgroup_zero_coords is None:
             raise UsageError("coset sampler needs --subgroup-zero-coords")
         inner = serialize.order_from_json(_read_json(args.inner_order))
-        zero = [int(c) for c in args.subgroup_zero_coords.split(",")]
+        zero = _ints(args.subgroup_zero_coords, "--subgroup-zero-coords")
         if window.group.kind != "zn":
             raise UsageError("the coordinate subgroup test needs a Z^n window")
         if not all(c in range(window.group.n) for c in zero):
@@ -171,13 +174,7 @@ def _load_sampler(args):
 def cmd_ball(args) -> int:
     group = _parse_group(args.group)
     if args.generators:
-        data = _read_json(args.generators)
-        unknown = sorted(set(data) - {"elements", "symmetric", "format"})
-        if unknown:
-            raise UsageError(f"generator files take elements, symmetric and format, not {unknown[0]!r}")
-        serialize._check_format(data)
-        elements = tuple(make_element(group, d) for d in data["elements"])
-        gens = GeneratorSet(group, elements, data.get("symmetric", False))
+        gens = serialize.generators_from_json(group, _read_json(args.generators))
     else:
         gens = default_generators(group)
     w = ball(gens, args.radius, size_limit=args.size_limit)
@@ -259,10 +256,7 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate(args) -> int:
     sampler = _load_sampler(args)
-    cyl_data = _read_json(args.cylinder)
-    D = serialize.window_from_json(cyl_data["window"])
-    pattern = serialize.order_from_json(cyl_data["pattern"], window=D)
-    c = CylinderSpec(D, pattern)
+    c = serialize.cylinder_from_json(_read_json(args.cylinder))
     report = estimate_cylinder(sampler, c, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
     lines.append(
@@ -351,7 +345,7 @@ def cmd_realize(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     m = serialize.order_from_json(_read_json(args.order))
-    sizes = [int(t) for t in args.n.split(",")]
+    sizes = _ints(args.n, "--n")
     true_x = _fraction(args.true_x, "--true-x") if args.true_x else None
     lines = ["n,estimate,abs_error\n"]
     for n in sizes:

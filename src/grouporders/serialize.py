@@ -1,5 +1,5 @@
 """Versioned JSON encodings for element sets, windows, orders, constraint
-systems, and certificates.
+systems, generators, cylinders and certificates.
 
 Windows and element sets serialize their payloads in index order, 3x3
 matrices flattened row-major.  Total orders serialize compactly as "perm"
@@ -16,30 +16,50 @@ from typing import Any
 from .constraints import ConstraintSystem
 from .engine import Certificate
 from .groups import (
-    GroupElement,
-    GroupId,
-    HEISENBERG,
-    KIND_HEISENBERG,
-    KIND_SL3,
-    KIND_ZN,
-    SL3Z,
-    Window,
-    checked_payloads,
-    zn,
+    GeneratorSet, GroupElement, GroupId, HEISENBERG, KIND_HEISENBERG, KIND_SL3, KIND_ZN, SL3Z,
+    Window, checked_payloads, make_element, zn,
 )
-from .orders import OrderMatrix, is_total
+from .orders import CylinderSpec, OrderMatrix, is_total
 
 FORMAT_VERSION = 1
+
+# Each object the readers take: its required keys, then its optional ones;
+# "perm|pairs" requires exactly one of the two.  An element set is a window.
+FORMATS = {
+    "window": (("group", "elements"), ("format",)),
+    "order": (("perm|pairs",), ("format", "window", "closed")),
+    "constraint system": (("window", "atoms"), ("format", "convention")),
+    "generators": (("elements",), ("format", "symmetric")),
+    "cylinder": (("window", "pattern"), ("format",)),
+    "zn group": (("kind", "n"), ()),
+    "heis group": (("kind",), ()),
+    "sl3 group": (("kind",), ()),
+}
 
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _check_format(obj) -> None:
-    """A file may leave out its format; one it gives must be the int 1."""
+def _fields(obj, name: str, needs: tuple[str, ...] = ()) -> dict:
+    """obj, checked against the declaration of name: a JSON object (else
+    TypeError) with no undeclared key, every required key and every key of
+    needs, and a format, if it gives one, of the int 1."""
+    if type(obj) is not dict:
+        raise TypeError(f"{name} must be a JSON object, got {type(obj).__name__}")
+    required, optional = FORMATS[name]
+    declared = "|".join(required + optional).split("|")
+    for key in obj:
+        if key not in declared:
+            raise ValueError(f"{name}: unknown key {key!r}")
+    for entry in required + needs:
+        keys = entry.split("|")
+        if sum(k in obj for k in keys) != 1:
+            raise ValueError(f"{name}: missing key {entry!r}" if len(keys) == 1
+                             else f"{name} holds exactly one of {' and '.join(keys)}")
     if "format" in obj and (type(obj["format"]) is not int or obj["format"] != FORMAT_VERSION):
         raise ValueError(f"format {obj['format']!r} is not {FORMAT_VERSION}")
+    return obj
 
 
 def _index_pairs(entries, what: str) -> tuple[tuple, ...]:
@@ -57,16 +77,13 @@ def group_to_json(group: GroupId) -> dict:
 
 
 def group_from_json(obj) -> GroupId:
-    kind = obj["kind"]
-    if kind == "zn":
-        return zn(obj.get("n", 0))
-    if kind in (KIND_HEISENBERG, KIND_SL3) and "n" in obj:
-        raise ValueError(f"a {kind} group takes no n, got {obj!r}")
-    if kind == KIND_HEISENBERG:
-        return HEISENBERG
-    if kind == KIND_SL3:
-        return SL3Z
-    raise ValueError(f"unknown group {obj!r}")
+    kind = obj.get("kind", KIND_ZN) if type(obj) is dict else None
+    if type(obj) is dict and kind not in (KIND_ZN, KIND_HEISENBERG, KIND_SL3):
+        raise ValueError(f"unknown group {obj!r}")
+    fields = _fields(obj, f"{kind} group" if kind else "group")  # "group": a non-object
+    if kind == KIND_ZN:
+        return zn(fields["n"])
+    return HEISENBERG if kind == KIND_HEISENBERG else SL3Z
 
 
 def _payload_set_to_json(group: GroupId, payloads) -> dict:
@@ -84,8 +101,7 @@ def element_set_to_json(group: GroupId, elements) -> dict:
 def element_set_from_json(obj) -> list[GroupElement]:
     """Element-list files share the window schema without the identity
     requirement."""
-    _check_format(obj)
-    group = group_from_json(obj["group"])
+    group = group_from_json(_fields(obj, "window")["group"])
     return [GroupElement(group, p) for p in checked_payloads(group, obj["elements"])]
 
 
@@ -94,8 +110,7 @@ def window_to_json(w: Window) -> dict:
 
 
 def window_from_json(obj) -> Window:
-    _check_format(obj)
-    return Window(group_from_json(obj["group"]), obj["elements"])
+    return Window(group_from_json(_fields(obj, "window")["group"]), obj["elements"])
 
 
 def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
@@ -112,7 +127,7 @@ def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
 def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
     """The order on its own window, or on ``window``; a file that names
     another window than ``window`` raises ValueError."""
-    _check_format(obj)
+    _fields(obj, "order", needs=("window",) if window is None else ())
     if window is None:
         window = window_from_json(obj["window"])
     elif "window" in obj and window_from_json(obj["window"]) != window:
@@ -120,8 +135,6 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
         raise TypeError(f"closed must be true or false, got {closed!r}")
-    if ("perm" in obj) == ("pairs" in obj):
-        raise ValueError("an order holds exactly one of perm and pairs")
     if "perm" in obj:
         if "closed" in obj and not closed:
             raise ValueError("a perm order is total and closed; it cannot say closed false")
@@ -139,10 +152,22 @@ def system_to_json(cs: ConstraintSystem) -> dict:
 
 
 def system_from_json(obj) -> ConstraintSystem:
-    _check_format(obj)
+    _fields(obj, "constraint system")
     window = window_from_json(obj["window"])
     atoms = _index_pairs(obj["atoms"], "atom")
     return ConstraintSystem(window, atoms, obj.get("convention", "inverse_left"))
+
+
+def generators_from_json(group: GroupId, obj) -> GeneratorSet:
+    _fields(obj, "generators")
+    elements = tuple(make_element(group, d) for d in obj["elements"])
+    return GeneratorSet(group, elements, obj.get("symmetric", False))
+
+
+def cylinder_from_json(obj) -> CylinderSpec:
+    """A window and a pattern: an order that may leave that window out."""
+    window = window_from_json(_fields(obj, "cylinder")["window"])
+    return CylinderSpec(window, order_from_json(obj["pattern"], window=window))
 
 
 def _rule_to_json(rule: tuple):

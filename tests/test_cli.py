@@ -333,7 +333,7 @@ def test_generator_files_need_a_json_boolean_symmetric(tmp_path, capsys):
     # "false" must not be read as true, nor 0 as false, nor a misspelt
     # symmetric as a missing one
     refused = [({"symmetric": s}, "symmetric must be true or false") for s in ("false", 0, None)]
-    refused += [({"symetric": True}, "not 'symetric'"), ({"format": 2}, "format 2 is not 1")]
+    refused += [({"symetric": True}, "unknown key 'symetric'"), ({"format": 2}, "format 2 is not 1")]
     for body, named in refused:
         gfile = write(tmp_path / "g.json", {"elements": half, **body})
         code, out, err = run(capsys, "ball", "z2", "--radius", "2", "--generators", gfile)
@@ -360,6 +360,22 @@ def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv)
     # the last flag holds the fraction with the zero denominator
     assert (code, out) == (2, "") and f"{argv[-2]} needs fractions" in err
+
+
+@pytest.mark.parametrize(
+    "flag,text", [("--subgroup-zero-coords", "a"), ("--subgroup-zero-coords", "0,"),
+                  ("--n", "x"), ("--n", "1,,3"), ("--n", "2.5")],
+)
+def test_an_integer_list_flag_names_itself(tmp_path, capsys, flag, text):
+    w = ball(default_generators(zn(2)), 1)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    ofile = write(tmp_path / "o.json", ser.order_to_json(uniform_order(w, 1)))
+    if flag == "--n":
+        argv = ["reconstruct", ofile, "--n", text]
+    else:
+        argv = ["sample", wfile, "-N", "1", "--sampler", "coset", "--inner-order", ofile, flag, text]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} needs comma-separated integers, got {text!r}\n")
 
 
 def test_coset_sampler_refuses_an_inner_order_of_another_group(tmp_path, capsys):
