@@ -89,10 +89,16 @@ def _parse_group(name: str):
     if name == "sl3":
         return groups.SL3Z
     if name.startswith("zn:"):
-        return groups.zn(int(name.split(":", 1)[1]))
-    if name.startswith("z") and name[1:].isdigit():
-        return groups.zn(int(name[1:]))
-    raise UsageError(f"unknown group {name!r} (use z2, zn:4, heis, sl3)")
+        rank = name[3:]
+    elif name.startswith("z") and name[1:].isdigit():
+        rank = name[1:]
+    else:
+        rank = ""
+    try:
+        n = int(rank)
+    except ValueError:  # "zn:x" and "zn:" as well as "nope"
+        raise UsageError(f"unknown group {name!r} (use z2, zn:4, heis, sl3)") from None
+    return groups.zn(n)
 
 
 def _fraction(text: str, flag: str) -> Fraction:

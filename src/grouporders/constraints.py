@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .exactnum import Sqrt2Num, _coerce
+from .errors import GroupMismatch
 from .groups import (
+    _PRODUCT,
     GroupElement,
     GroupId,
     HEISENBERG,
@@ -144,14 +146,19 @@ class ConstraintSystem:
 
 def invariance_atoms(w: Window, s: SemigroupSpec) -> list[tuple[int, int]]:
     """One atom g < g*s for each window element and positive generator with
-    g*s still inside the window."""
-    out = set()
-    for i, g in enumerate(w):
-        for gen in s.positive_generators:
-            j = w.find(multiply(g, gen))
-            if j is not None:
-                out.add((i, j))
-    return sorted(out)
+    g*s still inside the window.  Each generator's group is checked once;
+    the products are taken on payloads, element by element (so an overflow
+    names the first element's product that leaves the 64-bit range), and
+    looked up in one pass."""
+    group = w.group
+    for gen in s.positive_generators:
+        if gen.group is not group and gen.group != group:
+            raise GroupMismatch(f"{group} vs {gen.group}")
+    gens = [gen.payload for gen in s.positive_generators]
+    product = _PRODUCT[group.kind]
+    found = w.payload_positions([product(p, t) for p in w.payloads for t in gens])
+    m = len(gens)
+    return sorted({(k // m, j) for k, j in enumerate(found) if j is not None})
 
 
 def build_extension_system(

@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .constraints import (
     CONVENTIONS,
+    PLAIN_LEFT,
     ConstraintSystem,
     build_extension_system,
     sl3_positive_order,
@@ -33,10 +34,10 @@ from .constraints import (
 from .errors import SizeLimitExceeded, SolveTimeout
 from .groups import (
     DEFAULT_SIZE_LIMIT,
+    _PRODUCT,
     GroupElement,
     SL3Z,
-    multiply,
-    power,
+    inverse,
     sl3_unipotent,
     window_from_elements,
 )
@@ -248,9 +249,13 @@ class SL3Instance:
     convention: str
 
     def __post_init__(self):
+        for field, values in (("q", (self.q,)), ("n_i", self.n), ("trunc", (self.trunc,))):
+            for v in values:
+                if type(v) is not int:  # True, 2.0 and "2" are not counts
+                    raise ValueError(f"{field} must be an int, got {v!r}")
         if self.q < 1:
             raise ValueError("q must be positive")
-        if len(self.n) != 6 or any(int(v) <= self.q for v in self.n):
+        if len(self.n) != 6 or any(v <= self.q for v in self.n):
             raise ValueError("every n_i must exceed q")
         if self.trunc < max(self.n):
             raise ValueError("truncation must reach max(n_i)")
@@ -259,21 +264,31 @@ class SL3Instance:
 
 
 def build_sl3_instance(inst: SL3Instance) -> ConstraintSystem:
-    gens = {i: sl3_unipotent(i) for i in range(1, 7)}
-    sign = 1 if inst.convention == "plain_left" else -1
+    """The instance's system over the window of its powers and chain sides.
+    Each list is walked on payloads, one checked product per step from the
+    one before: a_{i-1}^{+-m} for m = 1..n_i (the last is the shift), a_i^q,
+    and shift * a_i^q * a_{i-1}^{-n} for n = 1..trunc."""
+    product = _PRODUCT[SL3Z.kind]
+    plain = inst.convention == PLAIN_LEFT
     elements: list[GroupElement] = []
     shifted_atoms: list[tuple[GroupElement, GroupElement]] = []
     for i in range(1, 7):
-        prev = gens[((i - 2) % 6) + 1]  # a_{i-1}
-        cur = gens[i]
-        n_i = inst.n[i - 1]
-        shift = power(prev, sign * n_i)
-        base = power(cur, inst.q)
-        for m in range(1, n_i + 1):
-            elements.append(power(prev, sign * m))
-        for n in range(1, inst.trunc + 1):
-            rhs = multiply(shift, multiply(base, power(prev, -n)))
-            elements.append(rhs)
-            shifted_atoms.append((shift, rhs))
+        prev = sl3_unipotent(i - 1)  # a_{i-1}, cyclically
+        back = inverse(prev).payload
+        step = x = prev.payload if plain else back
+        elements.append(GroupElement(SL3Z, x))
+        for _ in range(inst.n[i - 1] - 1):
+            x = product(x, step)
+            elements.append(GroupElement(SL3Z, x))
+        shift = elements[-1]
+        cur = base = sl3_unipotent(i).payload
+        for _ in range(inst.q - 1):
+            base = product(base, cur)
+        rhs = product(shift.payload, base)
+        for _ in range(inst.trunc):
+            rhs = product(rhs, back)
+            g = GroupElement(SL3Z, rhs)
+            elements.append(g)
+            shifted_atoms.append((shift, g))
     window = window_from_elements(SL3Z, elements)
     return build_extension_system(window, sl3_positive_order(), shifted_atoms, inst.convention)

@@ -185,7 +185,9 @@ def _sl3_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # The group law on payloads, one checked product per kind: `multiply`,
-# `Window.preimages` and `ball`, but for its one-coordinate Z^n moves.
+# `Window.preimages`, `constraints.invariance_atoms`, the power walks of
+# `engine.build_sl3_instance` and `ball`, but for its one-coordinate Z^n
+# moves.
 _PRODUCT = {KIND_ZN: _zn_product, KIND_HEISENBERG: _heisenberg_product, KIND_SL3: _sl3_product}
 
 

@@ -11,8 +11,9 @@ cascade that `LinearFunctionalOrder.key` replaced, a pair-by-pair test of
 strict total orders, and the element-by-element window
 builders (row decode, ball, `has`-loop reconstruct) that the
 bulk payload check and the payload products replaced, translated window
-lookups (`Window.preimages` and its callers) through that checked
-arithmetic and a payload dict, the sort-based permutation check that the
+lookups (`Window.preimages` and its callers) and invariance atoms through
+that checked arithmetic and a payload dict, SL3 instances from powers
+taken as repeated matrix products, the sort-based permutation check that the
 check by inverting replaced, the element-based uniform and orbit keys
 that the payload-based ones replaced, the circle order of a rotation
 sorted by exact `Sqrt2Num` fractional parts, and the propagation loop
@@ -551,6 +552,49 @@ def is_strict_total(n, has):
         and all(has(i, k) for i in r for j in r for k in r if has(i, j) and has(j, k))
         and all(has(i, j) or has(j, i) for i in r for j in r if i != j)
     )
+
+
+# -- invariance atoms and SL3 instances, product by product -----------------
+
+
+def invariance_atoms(w, spec):
+    """Atoms (i, j) with x_j = x_i * s, one checked_multiply per window
+    element and positive generator s, looked up in a payload dict; a
+    generator of another group raises GroupMismatch first."""
+    for s in spec.positive_generators:
+        if s.group != w.group:
+            raise GroupMismatch(f"{w.group} vs {s.group}")
+    index = {p: i for i, p in enumerate(w.payloads)}
+    out = set()
+    for i, p in enumerate(w.payloads):
+        for s in spec.positive_generators:
+            j = index.get(checked_multiply(w.group.kind, p, s.payload))
+            if j is not None:
+                out.add((i, j))
+    return sorted(out)
+
+
+def sl3_instance(q, n, trunc, convention, spec):
+    """(window payloads, atoms) of an SL3 instance from 3x3 matrix products:
+    the identity, a_{i-1}^{+-m} for m = 1..n_i and the chain sides
+    a_{i-1}^{+-n_i} a_i^q a_{i-1}^{-k} for k = 1..trunc, sorted; the atoms
+    are spec's invariance atoms and each (shift, chain side)."""
+    a = [g.payload for g in spec.positive_generators]  # a_1..a_6
+    sign = 1 if convention == "plain_left" else -1
+    elements, chain = {IDENTITY3}, []
+    for i in range(6):
+        prev, cur = a[i - 1], a[i]
+        shift = mat_pow(prev, sign * n[i])
+        elements.update(mat_pow(prev, sign * m) for m in range(1, n[i] + 1))
+        for k in range(1, trunc + 1):
+            rhs = mat_mul(mat_mul(shift, mat_pow(cur, q)), mat_pow(prev, -k))
+            elements.add(rhs)
+            chain.append((shift, rhs))
+    payloads = tuple(sorted(elements))
+    w = Window(spec.group, payloads)
+    at = {p: i for i, p in enumerate(payloads)}
+    atoms = set(invariance_atoms(w, spec)) | {(at[x], at[y]) for x, y in chain}
+    return payloads, tuple(sorted(atoms))
 
 
 # -- element-by-element window builders -------------------------------------

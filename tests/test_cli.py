@@ -50,6 +50,10 @@ def test_ball_and_errors(tmp_path, capsys):
         assert (code, out) == (2, "") and "SizeLimitExceeded" in err
     code, _, err = run(capsys, "ball", "nope", "--radius", "1")
     assert code == 2 and "unknown group" in err
+    for name in ("zn:x", "zn:", "z"):  # a usage error naming the argument, not int()'s
+        code, out, err = run(capsys, "ball", name, "--radius", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown group {name!r} (use z2, zn:4, heis, sl3)\n"
     code, _, _ = run(capsys, "ball")  # missing required flag
     assert code == 2
 

@@ -28,7 +28,9 @@ from grouporders import (
     zn,
     zn_element,
 )
-from grouporders.groups import HEISENBERG, Window
+from grouporders.constraints import invariance_atoms
+from grouporders.errors import GroupMismatch, IntegerOverflow
+from grouporders.groups import HEISENBERG, INT64_MAX, INT64_MIN, SL3Z, Window, make_element
 
 
 def test_quadrant_order_generators():
@@ -200,3 +202,57 @@ def test_functional_keys_match_the_sign_cascade(fw, data):
         x, y = w.element(data.draw(index)), w.element(data.draw(index))
         if x != y:
             assert f.compare(x, y) is oracles.cascade_compare(f, x, y)
+
+
+CONES = {zn(2): quadrant_order(2), HEISENBERG: heisenberg_positive_order(), SL3Z: sl3_positive_order()}
+RADII = {zn(2): 4, HEISENBERG: 3, SL3Z: 2}
+CONE_BALLS = [ball(default_generators(g), r) for g in CONES for r in range(RADII[g] + 1)]
+WIDE = st.one_of(st.integers(INT64_MIN, INT64_MIN + 2), st.integers(INT64_MAX - 2, INT64_MAX))
+
+
+@st.composite
+def cone_windows(draw):
+    """A Z^2, Heisenberg or SL3 ball, or a shuffled sub-window of one (where
+    many g*s leave the window), with a few elements whose entries sit at
+    the ends of the 64-bit range (where g*s overflows)."""
+    w = draw(st.sampled_from(CONE_BALLS))
+    if draw(st.booleans()):
+        return w
+    group = w.group
+    picked = draw(st.lists(st.sampled_from(w.payloads), unique=True, max_size=len(w)))
+    rows = [identity(group).payload, *picked]
+    for _ in range(draw(st.integers(0, 2))):
+        if group == SL3Z:
+            flat = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+            flat[draw(st.sampled_from([1, 2, 3, 5, 6, 7]))] = draw(WIDE)
+            rows.append(make_element(group, flat).payload)
+        else:
+            size = len(identity(group).payload)
+            rows.append(tuple(draw(st.lists(st.one_of(WIDE, st.integers(-2, 2)), min_size=size, max_size=size))))
+    return Window(group, dict.fromkeys(rows))
+
+
+def outcome(f, *args):
+    """Return value of f, or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared against the reference
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cone_windows())
+def test_invariance_atoms_match_the_brute_force(w):
+    spec = CONES[w.group]
+    assert outcome(invariance_atoms, w, spec) == outcome(oracles.invariance_atoms, w, spec)
+
+
+def test_invariance_atoms_refuse_another_group_and_overflow():
+    w = ball(default_generators(zn(2)), 2)
+    with pytest.raises(GroupMismatch, match="^zn:2 vs heis$"):
+        invariance_atoms(w, heisenberg_positive_order())
+    with pytest.raises(GroupMismatch, match="^zn:2 vs zn:3$"):
+        invariance_atoms(w, quadrant_order(3))
+    edge = Window(zn(1), [(0,), (INT64_MAX,)])
+    with pytest.raises(IntegerOverflow, match=f"^entry {INT64_MAX + 1} leaves the 64-bit range$"):
+        invariance_atoms(edge, quadrant_order(1))

@@ -20,6 +20,7 @@ from grouporders import (
     power,
     propagate_only,
     quadrant_order,
+    sl3_positive_order,
     sl3_unipotent,
     solve,
     verify_certificate,
@@ -314,6 +315,20 @@ def test_sl3_instance_validation():
         SL3Instance(1, (2, 2, 2, 2, 2, 2), 1, "plain_left")
     with pytest.raises(ValueError):
         SL3Instance(0, (2, 2, 2, 2, 2, 2), 3, "plain_left")
+    # a bool, float or string count names its field, before any arithmetic
+    for args, field in [
+        ((True, (2,) * 6, 3), "q"),
+        ((1.0, (2,) * 6, 3), "q"),
+        (("1", (2,) * 6, 3), "q"),
+        ((1, (2.5,) * 6, 3), "n_i"),
+        ((1, (2, 2, 2, 2, 2, True), 3), "n_i"),
+        ((1, (2, "2", 2, 2, 2, 2), 3), "n_i"),
+        ((1, (2,) * 6, 3.0), "trunc"),
+        ((1, (2,) * 6, False), "trunc"),
+        ((1, (2,) * 6, "3"), "trunc"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+            SL3Instance(*args, "plain_left")
 
 
 def test_sl3_instance_construction_matches_enumeration():
@@ -336,6 +351,20 @@ def test_sl3_instance_construction_matches_enumeration():
     assert {g.payload for g in cs.window} == expected
     assert len(cs.window) == 25
     assert len(cs.atoms) == 48
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sl3_instance_matches_matrix_products(data):
+    """The window payloads, atoms and convention of build_sl3_instance equal
+    the instance rebuilt from 3x3 matrix powers and brute-force atoms."""
+    q = data.draw(st.integers(1, 3))
+    n = tuple(data.draw(st.lists(st.integers(q + 1, q + 4), min_size=6, max_size=6)))
+    trunc = data.draw(st.integers(max(n), max(n) + 2))
+    convention = data.draw(st.sampled_from(["plain_left", "inverse_left"]))
+    cs = build_sl3_instance(SL3Instance(q, n, trunc, convention))
+    payloads, atoms = oracles.sl3_instance(q, n, trunc, convention, sl3_positive_order())
+    assert (cs.window.payloads, cs.atoms, cs.convention) == (payloads, atoms, convention)
 
 
 def test_sl3_unsat_under_matching_convention():
