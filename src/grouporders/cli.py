@@ -63,10 +63,13 @@ class UsageError(Exception):
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: not JSON: {exc}") from None
 
 
 def _write_text(path: str | None, text: str):

@@ -6,15 +6,17 @@ answer carries a propagation trace: every step derives one pair, justified
 either by an atom or by transitivity over two earlier pairs, and the final
 step closes a cycle.  Propagation runs in synchronous rounds (path length
 doubles per round), so short consequences always enter the trace before any
-long cycle can close it.  The trace is written in one pass: each candidate
-pair is tested as it is generated, in round order, and the trace steps are
-built only once a cycle closes.
+long cycle can close it.  The trace is written in one pass over a per-element
+step table (row u maps v to the step deriving (u, v)): each candidate is
+tested by a lookup in its row as it is generated, in round order, and the
+trace steps are built only once a cycle closes.
 
 A SAT answer carries a total closed witness: the linear extension that
 places index 0 as low as the atoms allow, then index 1, and so on.  It is
 built from the top down, giving the next-highest rank to the largest index
 with nothing left above it (Kahn's topological sort with a max-heap); the
-atoms are cyclic exactly when that sort runs out of candidates early.
+atoms are cyclic exactly when that sort runs out of candidates early, and
+`solve` and `propagate_only` both decide acyclicity by it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .constraints import (
@@ -63,77 +66,105 @@ def propagate_only(cs: ConstraintSystem) -> Optional[Certificate]:
     """Forward closure of the atoms alone; never branches.
 
     Returns an UNSAT certificate when the closure forces a cycle, or None
-    when propagation is inconclusive.
+    when the sort finds the atoms acyclic (then the closure never runs).
     """
+    if _sort_ranks(cs, lambda: None) is not None:
+        return None
     return _propagate(cs, lambda: None)
 
 
 def _propagate(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[Certificate]:
-    """``propagate_only`` calling ``check`` before each round (the atoms
-    are the first).
+    """The closure of the atoms, calling ``check`` before each round (the
+    atoms are the first).
 
-    Step i derives ``pairs[i]`` by ``rules[i]``; ``step_of`` inverts
-    ``pairs``.  A round tests each candidate as it is generated, from the
-    successor and predecessor lists as they stood when the round began.
-    A pair and its reverse are never both recorded (the second one ends
-    the run), so no (i, i) is ever generated.
+    Step i derives ``pairs[i]`` by ``rules[i]``; ``step_of[u]`` maps v to
+    the step deriving (u, v).  A round tests each candidate as it is
+    generated, from the successor and predecessor lists as they stood when
+    the round began.  A pair and its reverse are never both recorded (the
+    second one ends the run), so no (i, i) is ever generated.
     """
     check()
-    step_of: dict[tuple[int, int], int] = {}
+    n = len(cs.window)
+    step_of: list[dict[int, int]] = [{} for _ in range(n)]
     pairs: list[tuple[int, int]] = []
     rules: list[tuple] = []
     # atoms are distinct and never (i, i) (ConstraintSystem checks), so
     # atom k is step k, and only its reverse can close a cycle
     for k, (u, v) in enumerate(cs.atoms):
-        step_of[u, v] = k
+        step_of[u][v] = k
         pairs.append((u, v))
         rules.append(("atom", k))
-        if (v, u) in step_of:
-            return _unsat(step_of, pairs, rules, (u, v))
-    out: dict[int, list[int]] = {}
-    inc: dict[int, list[int]] = {}
+        if u in step_of[v]:
+            return _unsat(step_of, pairs, rules, u, v)
+    out: list[list[int]] = [[] for _ in range(n)]
+    inc: list[list[int]] = [[] for _ in range(n)]
     start = 0
     delta = sorted(pairs)
     while delta:
         check()
         for u, v in pairs[start:]:
-            out.setdefault(u, []).append(v)
-            inc.setdefault(v, []).append(u)
+            out[u].append(v)
+            inc[v].append(u)
         start = len(pairs)
         for u, v in delta:
-            for w in out.get(v, ()):
-                if (u, w) not in step_of:
-                    step_of[u, w] = len(pairs)
+            row = step_of[u]
+            for w in out[v]:
+                if w not in row:
+                    row[w] = len(pairs)
                     pairs.append((u, w))
                     rules.append(("trans", u, v, w))
-                    if (w, u) in step_of:
-                        return _unsat(step_of, pairs, rules, (u, w))
-            for t in inc.get(u, ()):
-                if (t, v) not in step_of:
-                    step_of[t, v] = len(pairs)
+                    if u in step_of[w]:
+                        return _unsat(step_of, pairs, rules, u, w)
+            for t in inc[u]:
+                if v not in step_of[t]:
+                    step_of[t][v] = len(pairs)
                     pairs.append((t, v))
                     rules.append(("trans", t, u, v))
-                    if (v, t) in step_of:
-                        return _unsat(step_of, pairs, rules, (t, v))
+                    if t in step_of[v]:
+                        return _unsat(step_of, pairs, rules, t, v)
         delta = pairs[start:]
     return None
 
 
-def _unsat(step_of, pairs, rules, pair) -> Certificate:
-    """The certificate whose trace ends at ``pair``, which closes a cycle
+def _unsat(step_of, pairs, rules, u, v) -> Certificate:
+    """The certificate whose trace ends at (u, v), which closes a cycle
     with the earlier reverse pair."""
-    u, v = pair
-    cycle = _path(step_of, rules, pair) + _path(step_of, rules, (v, u))[1:]
-    return Certificate("unsat", None, tuple(map(TraceStep, pairs, rules)), tuple(cycle))
+    cycle = _path(step_of, rules, u, v) + _path(step_of, rules, v, u)[1:]
+    trace = tuple(map(tuple.__new__, repeat(TraceStep), zip(pairs, rules)))
+    return Certificate("unsat", None, trace, tuple(cycle))
 
 
-def _path(step_of, rules, pair) -> list[int]:
-    """Element path realizing a derived pair through atom steps."""
-    rule = rules[step_of[pair]]
+def _path(step_of, rules, u, v) -> list[int]:
+    """Element path realizing the derived pair (u, v) through atom steps."""
+    rule = rules[step_of[u][v]]
     if rule[0] == "atom":
-        return list(pair)
+        return [u, v]
     _, u, v, w = rule
-    return _path(step_of, rules, (u, v)) + _path(step_of, rules, (v, w))[1:]
+    return _path(step_of, rules, u, v) + _path(step_of, rules, v, w)[1:]
+
+
+def _sort_ranks(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[list[int]]:
+    """The witness ranks by the sort, calling ``check`` per step; None on cyclic atoms."""
+    n = len(cs.window)
+    below: list[list[int]] = [[] for _ in range(n)]
+    above = [0] * n
+    for i, j in cs.atoms:
+        below[j].append(i)
+        above[i] += 1
+    heap = [-i for i in range(n) if not above[i]]
+    heapq.heapify(heap)
+    ranks = [0] * n
+    rank = n
+    while heap:
+        check()
+        j = -heapq.heappop(heap)
+        rank -= 1
+        ranks[j] = rank
+        for i in below[j]:
+            above[i] -= 1
+            if not above[i]:
+                heapq.heappush(heap, -i)
+    return None if rank else ranks
 
 
 def solve(
@@ -156,30 +187,13 @@ def solve(
         if time.monotonic() > deadline:
             raise SolveTimeout(f"solve exceeded {timeout} s")
 
-    below: list[list[int]] = [[] for _ in range(n)]
-    above = [0] * n
-    for i, j in cs.atoms:
-        below[j].append(i)
-        above[i] += 1
-    heap = [-i for i in range(n) if not above[i]]
-    heapq.heapify(heap)
-    ranks = [0] * n
-    rank = n
-    while heap:
-        check()
-        j = -heapq.heappop(heap)
-        rank -= 1
-        ranks[j] = rank
-        for i in below[j]:
-            above[i] -= 1
-            if not above[i]:
-                heapq.heappush(heap, -i)
-    if rank:
-        cert = _propagate(cs, check)
-        if cert is None:
-            raise AssertionError("topological sort and tracer disagree on UNSAT")
-        return cert
-    return Certificate("sat", OrderMatrix.from_ranks(cs.window, ranks))
+    ranks = _sort_ranks(cs, check)
+    if ranks is not None:
+        return Certificate("sat", OrderMatrix.from_ranks(cs.window, ranks))
+    cert = _propagate(cs, check)
+    if cert is None:
+        raise AssertionError("topological sort and tracer disagree on UNSAT")
+    return cert
 
 
 def verify_certificate(cs: ConstraintSystem, cert: Certificate) -> bool:
@@ -200,8 +214,8 @@ def verify_certificate(cs: ConstraintSystem, cert: Certificate) -> bool:
         return False
     if not cert.trace:
         return False
-    derived: set[tuple[int, int]] = set()
-    for pos, (pair, rule) in enumerate(cert.trace):
+    derived: list[set[int]] = [set() for _ in range(n)]  # v of each replayed (u, v), in range
+    for pair, rule in cert.trace:
         # only a pair of two ints, ("atom", k) or ("trans", a, b, c)
         if type(pair) is not tuple or len(pair) != 2 or type(rule) is not tuple:
             return False
@@ -216,18 +230,19 @@ def verify_certificate(cs: ConstraintSystem, cert: Certificate) -> bool:
             _, a, b, c = rule
             if type(a) is not int or type(b) is not int or type(c) is not int:
                 return False
-            if (a, c) != pair or (a, b) not in derived or (b, c) not in derived:
+            if a != u or c != v or b not in derived[u] or v not in derived[b]:
                 return False
         else:
             return False
-        if pos == len(cert.trace) - 1 and not (u == v or (v, u) in derived):
-            return False
-        derived.add(pair)
+        derived[u].add(v)
+    if u not in derived[v]:  # the last step's reverse was derived, or it is (u, u)
+        return False
     cyc = cert.cycle
     if len(cyc) < 3 or cyc[0] != cyc[-1]:
         return False
     for a, b in zip(cyc, cyc[1:]):
-        if (a, b) not in derived:
+        # a -1 would read the last row; range(n) holds what equals an index
+        if a not in range(n) or b not in derived[int(a)]:
             return False
     return True
 

@@ -170,18 +170,12 @@ def cylinder_from_json(obj) -> CylinderSpec:
     return CylinderSpec(window, order_from_json(obj["pattern"], window=window))
 
 
-def _rule_to_json(rule: tuple):
-    if rule[0] == "atom":
-        return {"atom": rule[1]}
-    return {"trans": [rule[1], rule[2], rule[3]]}
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     out: dict[str, Any] = {"format": FORMAT_VERSION, "verdict": cert.verdict}
     out["witness"] = None if cert.witness is None else order_to_json(cert.witness)
     out["trace"] = [
-        {"pair": list(step.pair), "rule": _rule_to_json(step.rule)}
-        for step in cert.trace
+        {"pair": [u, v], "rule": {"atom": r[1]} if r[0] == "atom" else {"trans": [r[1], r[2], r[3]]}}
+        for (u, v), r in cert.trace
     ]
     out["cycle"] = list(cert.cycle)
     return out

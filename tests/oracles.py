@@ -16,9 +16,11 @@ that checked arithmetic and a payload dict, SL3 instances from powers
 taken as repeated matrix products, the sort-based permutation check that the
 check by inverting replaced, the element-based uniform and orbit keys
 that the payload-based ones replaced, the circle order of a rotation
-sorted by exact `Sqrt2Num` fractional parts, and the propagation loop
+sorted by exact `Sqrt2Num` fractional parts, the propagation loop
 that listed every round's candidates before recording them through a
-tracer object.
+tracer object, the certificate replay over one set of pair tuples that
+the per-element rows replaced, and the certificate dict built through a
+per-rule helper.
 """
 
 import functools
@@ -49,6 +51,7 @@ from grouporders import rng
 from grouporders.exactnum import Sqrt2Num, _coerce
 from grouporders.sampling import BERNOULLI_SHIFT, ROTATION, _check_orbit_group
 from grouporders.orders import MAX_DENSE_ELEMENTS, OrderMatrix
+from grouporders.serialize import order_to_json
 
 getcontext().prec = 60
 SQRT2_DEC = Decimal(2).sqrt()
@@ -273,6 +276,77 @@ def traced_propagation(cs, check):
             inc.setdefault(pair[1], []).append(pair[0])
         delta = added
     return None
+
+
+def replay_reference(cs, cert):
+    """The certificate replay that `engine.verify_certificate`'s per-element
+    rows replaced: one set of derived (u, v) tuples."""
+    n = len(cs.window)
+    if cert.verdict == "sat":
+        w = cert.witness
+        if w is None or w.window != cs.window or not w.closed:
+            return False
+        try:
+            ranks = w.ranks()
+        except Exception:
+            return False
+        if sorted(ranks) != list(range(n)):
+            return False
+        return all(ranks[i] < ranks[j] for i, j in cs.atoms)
+    if cert.verdict != "unsat" or cert.witness is not None:
+        return False
+    if not cert.trace:
+        return False
+    derived: set[tuple[int, int]] = set()
+    for pos, (pair, rule) in enumerate(cert.trace):
+        if type(pair) is not tuple or len(pair) != 2 or type(rule) is not tuple:
+            return False
+        u, v = pair
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            return False
+        if len(rule) == 2 and rule[0] == "atom":
+            k = rule[1]
+            if type(k) is not int or not (0 <= k < len(cs.atoms)) or cs.atoms[k] != pair:
+                return False
+        elif len(rule) == 4 and rule[0] == "trans":
+            _, a, b, c = rule
+            if type(a) is not int or type(b) is not int or type(c) is not int:
+                return False
+            if (a, c) != pair or (a, b) not in derived or (b, c) not in derived:
+                return False
+        else:
+            return False
+        if pos == len(cert.trace) - 1 and not (u == v or (v, u) in derived):
+            return False
+        derived.add(pair)
+    cyc = cert.cycle
+    if len(cyc) < 3 or cyc[0] != cyc[-1]:
+        return False
+    for a, b in zip(cyc, cyc[1:]):
+        if (a, b) not in derived:
+            return False
+    return True
+
+
+def _rule_to_json(rule):
+    if rule[0] == "atom":
+        return {"atom": rule[1]}
+    return {"trans": [rule[1], rule[2], rule[3]]}
+
+
+def certificate_to_json_reference(cert):
+    """The certificate dict as `serialize.certificate_to_json` built it
+    through a per-rule helper."""
+    return {
+        "format": 1,
+        "verdict": cert.verdict,
+        "witness": None if cert.witness is None else order_to_json(cert.witness),
+        "trace": [
+            {"pair": list(step.pair), "rule": _rule_to_json(step.rule)}
+            for step in cert.trace
+        ],
+        "cycle": list(cert.cycle),
+    }
 
 
 def circle_order_reference(x, alpha, ks):

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import subprocess
@@ -115,6 +116,17 @@ def test_check_extend_refuses_a_nan_timeout(tmp_path, capsys):
     assert code == 2 and out == "" and "ValueError" in err and "NaN" in err
     code, out, _ = run(capsys, "check-extend", sys_file, "--timeout", "inf")
     assert code == 1 and json.loads(out)["verdict"] == "unsat"
+
+
+def test_a_file_that_is_not_json_names_its_path(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1")
+    code, out, err = run(capsys, "check-extend", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not JSON: Expecting ',' delimiter: line 1 column 3 (char 2)\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1"))
+    code, out, err = run(capsys, "check-extend", "-")
+    assert (code, out) == (2, "") and err.startswith("error: -: not JSON: ")
 
 
 def test_cli_imports_only_the_standard_library():

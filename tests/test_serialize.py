@@ -2,15 +2,21 @@ import json
 
 import pytest
 
+import oracles
 from grouporders import (
     HEISENBERG,
     SL3Z,
     GroupMismatch,
     ball,
+    Certificate,
+    ConstraintSystem,
+    SL3Instance,
     build_extension_system,
+    build_sl3_instance,
     default_generators,
     heisenberg_element,
     quadrant_order,
+    solve,
     uniform_order,
     zn,
 )
@@ -133,3 +139,15 @@ def test_a_cyclic_closed_relation_is_written_as_pairs():
     m = OrderMatrix.from_pairs(interval_window(-1, 3), pairs, closed=True)
     out = ser.order_to_json(m)
     assert "perm" not in out and out["pairs"] == pairs
+
+
+def test_certificate_dicts_match_the_per_rule_form():
+    w = ball(default_generators(zn(2)), 2)
+    sat = solve(build_extension_system(w, quadrant_order(2)))
+    unsat = solve(build_sl3_instance(SL3Instance(2, (3,) * 6, 4, "plain_left")))
+    small = solve(ConstraintSystem(interval_window(0, 3), ((0, 1), (1, 2), (2, 0))))
+    assert (sat.verdict, unsat.verdict, small.verdict) == ("sat", "unsat", "unsat")
+    for cert in (sat, unsat, small, Certificate("unsat", None), Certificate("sat", None)):
+        expected = oracles.certificate_to_json_reference(cert)
+        assert ser.certificate_to_json(cert) == expected
+        assert ser.canonical_dumps(ser.certificate_to_json(cert)) == ser.canonical_dumps(expected)
