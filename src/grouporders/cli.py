@@ -68,8 +68,18 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: not JSON: {exc}") from None
+
+
+def _read(path: str, read, *args, **kwargs):
+    """read(*args, the JSON in path, **kwargs); what read refuses in it is
+    a UsageError naming path."""
+    obj = _read_json(path)
+    try:
+        return read(*args, obj, **kwargs)
+    except (GroupOrderError, KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _write_text(path: str | None, text: str):
@@ -149,7 +159,7 @@ def _refuse(args, flags, reason):
 
 def _load_sampler(args):
     """The sampler the flags choose over the window file."""
-    window = serialize.window_from_json(_read_json(args.window))
+    window = _read(args.window, serialize.window_from_json)
     kind = args.sampler
     if kind != "rotation":
         _refuse(args, ["alpha"], "needs --sampler rotation")
@@ -162,7 +172,7 @@ def _load_sampler(args):
             raise UsageError("coset sampler needs --inner-order")
         if args.subgroup_zero_coords is None:
             raise UsageError("coset sampler needs --subgroup-zero-coords")
-        inner = serialize.order_from_json(_read_json(args.inner_order))
+        inner = _read(args.inner_order, serialize.order_from_json)
         zero = _ints(args.subgroup_zero_coords, "--subgroup-zero-coords")
         if window.group.kind != "zn":
             raise UsageError("the coordinate subgroup test needs a Z^n window")
@@ -183,7 +193,7 @@ def _load_sampler(args):
 def cmd_ball(args) -> int:
     group = _parse_group(args.group)
     if args.generators:
-        gens = serialize.generators_from_json(group, _read_json(args.generators))
+        gens = _read(args.generators, serialize.generators_from_json, group)
     else:
         gens = default_generators(group)
     w = ball(gens, args.radius, size_limit=args.size_limit)
@@ -192,7 +202,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_check_extend(args) -> int:
-    cs = serialize.system_from_json(_read_json(args.system))
+    cs = _read(args.system, serialize.system_from_json)
     cert = solve(cs, timeout=args.timeout, size_limit=args.size_limit)
     _write_json(args.output, serialize.certificate_to_json(cert))
     return 0 if cert.verdict == "sat" else 1
@@ -265,7 +275,7 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate(args) -> int:
     sampler = _load_sampler(args)
-    c = serialize.cylinder_from_json(_read_json(args.cylinder))
+    c = _read(args.cylinder, serialize.cylinder_from_json)
     report = estimate_cylinder(sampler, c, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
     lines.append(
@@ -277,7 +287,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_invariance(args) -> int:
     sampler = _load_sampler(args)
-    D = serialize.window_from_json(_read_json(args.probe))
+    D = _read(args.probe, serialize.window_from_json)
     g = make_element(sampler.window.group, json.loads(args.element))
     report = invariance_test(sampler, g, D, args.count, _seed(args))
     lines = ["pattern_id,count_base,count_translated,freq_base,freq_translated\n"]
@@ -290,7 +300,7 @@ def cmd_invariance(args) -> int:
 
 def cmd_chisq(args) -> int:
     sampler = _load_sampler(args)
-    F = serialize.window_from_json(_read_json(args.probe))
+    F = _read(args.probe, serialize.window_from_json)
     report = uniformity_chisq(sampler, F, args.count, _seed(args))
     lines = ["pattern_id,count,frequency,stderr\n"]
     for pid, cnt in enumerate(report.counts):
@@ -303,10 +313,10 @@ def cmd_chisq(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    m1 = serialize.order_from_json(_read_json(args.order1))
-    m2 = serialize.order_from_json(_read_json(args.order2), window=m1.window)
-    K = serialize.element_set_from_json(_read_json(args.k_file))
-    D = serialize.window_from_json(_read_json(args.d_file))
+    m1 = _read(args.order1, serialize.order_from_json)
+    m2 = _read(args.order2, serialize.order_from_json, window=m1.window)
+    K = _read(args.k_file, serialize.element_set_from_json)
+    D = _read(args.d_file, serialize.window_from_json)
     glued = specification_glue(m1, m2, K, D)
     all_ok, rows = shadowing_report(glued, m1, m2, K, D)
     _write_json(args.output, serialize.order_to_json(glued))
@@ -328,7 +338,7 @@ def cmd_realize(args) -> int:
         "bernoulli": ["alpha", "alphas", "x"],
     }
     _refuse(args, unused[args.action], f"does not apply to --action {args.action}")
-    window = serialize.window_from_json(_read_json(args.window))
+    window = _read(args.window, serialize.window_from_json)
     seed = _seed(args)
     if args.action == "rotation":
         alpha = _parse_alpha(args.alpha, "--alpha") if args.alpha else DEFAULT_ALPHA
@@ -353,7 +363,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    m = serialize.order_from_json(_read_json(args.order))
+    m = _read(args.order, serialize.order_from_json)
     sizes = _ints(args.n, "--n")
     true_x = _fraction(args.true_x, "--true-x") if args.true_x else None
     lines = ["n,estimate,abs_error\n"]
@@ -367,7 +377,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    m = serialize.order_from_json(_read_json(args.order))
+    m = _read(args.order, serialize.order_from_json)
     width = len(str(m.n - 1))  # the widest rank
     text = "\n".join(
         " ".join(str(v).rjust(width) for v in row) for row in render_levels(m)

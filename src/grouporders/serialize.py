@@ -38,7 +38,17 @@ FORMATS = {
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """obj as one line of canonical JSON: sorted keys, no spaces, a newline.
+
+    The encoder skips its cycle check (``check_circular=False``), which costs
+    an id insert and delete per list and dict.  Every object handed here is a
+    fresh tree built by this module's builders or by ``cli``'s report
+    literals, and no command builds a reference cycle (``tests/test_cli.py``
+    checks the golden runs).  A cyclic object still fails: the encoder's
+    recursion guard raises RecursionError, and ``cli._write_json`` encodes
+    before it opens the file, so no partial file is left behind.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _fields(obj, name: str, needs: tuple[str, ...] = ()) -> dict:

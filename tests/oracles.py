@@ -19,12 +19,13 @@ that the payload-based ones replaced, the circle order of a rotation
 sorted by exact `Sqrt2Num` fractional parts, the propagation loop
 that listed every round's candidates before recording them through a
 tracer object, the certificate replay over one set of pair tuples that
-the per-element rows replaced, and the certificate dict built through a
-per-rule helper.
+the per-element rows replaced, the certificate dict built through a
+per-rule helper, and the canonical JSON encoder with its cycle check on.
 """
 
 import functools
 import itertools
+import json
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -347,6 +348,11 @@ def certificate_to_json_reference(cert):
         ],
         "cycle": list(cert.cycle),
     }
+
+
+def canonical_dumps_reference(obj):
+    """`serialize.canonical_dumps` as it was with the encoder's cycle check on."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def circle_order_reference(x, alpha, ks):

@@ -124,6 +124,9 @@ def test_a_file_that_is_not_json_names_its_path(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "check-extend", str(bad))
     assert (code, out) == (2, "")
     assert err == f"error: {bad}: not JSON: Expecting ',' delimiter: line 1 column 3 (char 2)\n"
+    bad.write_bytes(b"[\xff]")
+    code, out, err = run(capsys, "check-extend", str(bad))
+    assert (code, out) == (2, "") and err.startswith(f"error: {bad}: not JSON: 'utf-8' codec can't decode")
     monkeypatch.setattr(sys, "stdin", io.StringIO("[1"))
     code, out, err = run(capsys, "check-extend", "-")
     assert (code, out) == (2, "") and err.startswith("error: -: not JSON: ")
@@ -467,7 +470,7 @@ def test_glue_refuses_orders_on_different_windows(tmp_path, capsys):
         blob = ser.order_to_json(OrderMatrix.from_perm(w1, [2, 1, 0]))
         o3 = write(tmp_path / "o3.json", {**blob, "window": {**blob["window"], "elements": rows}})
         code, out, err = run(capsys, "glue", o1, o3, "--k-file", k0, "--d-file", d)
-        assert (code, out) == (2, "") and err.startswith("error: TypeError: "), rows
+        assert (code, out) == (2, "") and err.startswith(f"error: {o3}: TypeError: "), rows
         assert run(capsys, "reconstruct", o3, "--n", "1")[2] == err, rows
 
 
@@ -627,7 +630,7 @@ def test_an_order_holds_exactly_one_of_perm_and_pairs(tmp_path, capsys):
         f = write(tmp_path / "order.json", {"format": 1, "window": wj, **body})
         code, out, err = run(capsys, "reconstruct", f, "--n", "1")
         assert (code, out) == (2, ""), name
-        assert err.startswith("error: ValueError: ") and "perm and pairs" in err, name
+        assert err.startswith(f"error: {f}: ValueError: ") and "perm and pairs" in err, name
 
 
 def test_a_pair_or_atom_that_is_not_two_indices_names_itself(tmp_path, capsys):
@@ -640,7 +643,7 @@ def test_a_pair_or_atom_that_is_not_two_indices_names_itself(tmp_path, capsys):
             f = write(tmp_path / "in.json", {"format": 1, **body})
             code, out, err = run(capsys, command, f)
             assert (code, out) == (2, ""), (what, entry)
-            assert err == f"error: ValueError: {what} {entry!r} is not two indices\n"
+            assert err == f"error: {f}: ValueError: {what} {entry!r} is not two indices\n"
 
 
 def test_a_format_other_than_1_is_refused(tmp_path, capsys):
@@ -669,7 +672,7 @@ def test_a_format_other_than_1_is_refused(tmp_path, capsys):
                 (mutated if level is None else mutated[level])["format"] = bad
                 code, out, err = run(capsys, *argv(write(tmp_path / "in.json", mutated)))
                 assert (code, out) == (2, ""), (argv(f)[0], level, bad)
-                assert err == f"error: ValueError: format {bad!r} is not 1\n"
+                assert err == f"error: {f}: ValueError: format {bad!r} is not 1\n"
         # a file may leave its format out
         bare = json.loads(json.dumps(body))
         for level in (None, *nested):

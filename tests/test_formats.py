@@ -29,6 +29,7 @@ from test_golden import RUNS, corpus_digests
 ROOT = Path(__file__).resolve().parents[1]
 
 GENERATORS = ("generators", ["ball", "z2", "--radius", "2", "--generators", "gen.json"], [])
+RUNS_BY_NAME = {name: argv for name, argv, _ in [*RUNS, GENERATORS]}
 
 # file: (the run that reads it, its format); "order*" is an order read
 # without a window to read it on, so its own window is needed.
@@ -100,12 +101,18 @@ def _run(capsys, argv, written):
     return code, c.out, c.err, [Path(p).read_bytes() for p in written]
 
 
-def test_every_mutation_of_an_input_file_is_refused(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    corpus_digests(capsys)  # writes every input file and every run's output
+def _corpus(capsys):
+    """Write every input file and every run's output in the current
+    directory; the runs by name, as (argv, files written)."""
+    corpus_digests(capsys)
     Path("gen.json").write_text(ser.canonical_dumps(
         {"format": 1, "elements": [[1, 0], [0, 1]], "symmetric": False}))
-    runs = {name: (argv, written) for name, argv, written in [*RUNS, GENERATORS]}
+    return {name: (argv, written) for name, argv, written in [*RUNS, GENERATORS]}
+
+
+def test_every_mutation_of_an_input_file_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = _corpus(capsys)
     checked = drops = 0
     for path, (name, fmt) in READS.items():
         original = Path(path).read_text()
@@ -119,11 +126,36 @@ def test_every_mutation_of_an_input_file_is_refused(tmp_path, capsys, monkeypatc
             else:
                 code, out, err, _ = got
                 assert (code, out) == (2, ""), (path, what)
-                assert err.startswith("error: ") and err.count("\n") == 1, (path, what, err)
+                assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (path, what, err)
             checked += 1
             drops += optional
         Path(path).write_text(original)
     assert checked > 1000 and drops > 40
+
+
+@pytest.mark.parametrize("command", sorted({RUNS_BY_NAME[name][0] for name, _ in READS.values()}))
+def test_a_refused_file_is_named(tmp_path, capsys, monkeypatch, command):
+    """An unknown key in any file the command reads: exit 2, nothing on
+    stdout, no file written, and one error line naming that file."""
+    monkeypatch.chdir(tmp_path)
+    runs = _corpus(capsys)
+    checked = 0
+    for path, (name, fmt) in READS.items():
+        argv, written = runs[name]
+        if argv[0] != command:
+            continue
+        original = Path(path).read_text()
+        Path(path).write_text(ser.canonical_dumps({**json.loads(original), "extra": 0}))
+        for out in written:
+            Path(out).unlink(missing_ok=True)
+        code = main(list(argv))
+        c = capsys.readouterr()
+        fmt = fmt.rstrip("*")
+        assert (code, c.out, c.err) == (2, "", f"error: {path}: ValueError: {fmt}: unknown key 'extra'\n")
+        assert not any(Path(out).exists() for out in written), path
+        Path(path).write_text(original)
+        checked += 1
+    assert checked >= 1
 
 
 def _refused(tmp_path, capsys, argv, named):

@@ -1,0 +1,83 @@
+"""The core of the SL3(Z) obstruction: on top of the positive cone's atoms,
+six chain atoms, one per generator, are unsatisfiable together, and each
+of them is needed.
+
+Write (i, m) for the chain atom shift < shift * a_i^q * a_{i-1}^{-m}, with
+shift = a_{i-1}^{n_i} (plain-left) or a_{i-1}^{-n_i} (inverse-left).  The
+cone atoms g < g * a_k and the chain atoms are found here from 3x3 integer
+products, a_k^m = I + m E_k, not from the instance builder's walk.
+"""
+
+import pytest
+
+import oracles
+from grouporders import (
+    ConstraintSystem,
+    SL3Instance,
+    build_sl3_instance,
+    solve,
+    verify_certificate,
+)
+
+# a_1..a_6: the elementary unipotents, as (row, column) of their off-diagonal 1
+POSITIONS = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
+
+INSTANCES = [
+    (1, (2, 2, 2, 2, 2, 2), 3),  # the golden and README instance
+    (2, (3, 4, 3, 5, 3, 4), 5),  # demo 04
+]
+
+
+def a(k, m):
+    """a_k^m = I + m E_k, for k in 1..6 cyclically."""
+    r, c = POSITIONS[(k - 1) % 6]
+    flat = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    flat[3 * r + c] = m
+    return tuple(flat)
+
+
+def split_atoms(q, n, trunc, convention):
+    """The instance's system, its cone atoms, and its chain atoms by (i, m)."""
+    cs = build_sl3_instance(SL3Instance(q, n, trunc, convention))
+    at = {p: j for j, p in enumerate(cs.window.payloads)}
+    cone = {
+        (j, at[y])
+        for j, p in enumerate(cs.window.payloads)
+        for k in range(1, 7)
+        if (y := oracles.mat_mul(p, a(k, 1))) in at
+    }
+    sign = 1 if convention == "plain_left" else -1
+    chain = {}
+    for i in range(1, 7):
+        shift = a(i - 1, sign * n[i - 1])
+        for m in range(1, trunc + 1):
+            side = oracles.mat_mul(oracles.mat_mul(shift, a(i, q)), a(i - 1, -m))
+            chain[i, m] = (at[shift], at[side])
+    assert set(cs.atoms) == cone | set(chain.values())
+    return cs, cone, chain
+
+
+def decide(cs, atoms):
+    """The verdict on atoms over cs's window, its certificate replayed."""
+    sub = ConstraintSystem(cs.window, tuple(sorted(atoms)), cs.convention)
+    cert = solve(sub)
+    assert verify_certificate(sub, cert), cert.verdict
+    return cert.verdict
+
+
+@pytest.mark.parametrize("q, n, trunc", INSTANCES)
+def test_six_chain_atoms_on_the_cone_are_the_core(q, n, trunc):
+    cs, cone, chain = split_atoms(q, n, trunc, "plain_left")
+    assert decide(cs, cs.atoms) == "unsat"
+    core = [chain[i, n[i - 1]] for i in range(1, 7)]
+    assert decide(cs, cone | set(core)) == "unsat"
+    for dropped in core:
+        assert decide(cs, cone | set(core) - {dropped}) == "sat"
+    shorter = {atom for (i, m), atom in chain.items() if m < n[i - 1]}
+    assert decide(cs, cone | shorter) == "sat"
+
+
+@pytest.mark.parametrize("q, n, trunc", INSTANCES)
+def test_the_inverse_left_system_is_satisfiable(q, n, trunc):
+    cs, _, _ = split_atoms(q, n, trunc, "inverse_left")
+    assert decide(cs, cs.atoms) == "sat"
