@@ -68,14 +68,14 @@ def propagate_only(cs: ConstraintSystem) -> Optional[Certificate]:
     Returns an UNSAT certificate when the closure forces a cycle, or None
     when the sort finds the atoms acyclic (then the closure never runs).
     """
-    if _sort_ranks(cs, lambda: None) is not None:
+    if _sort_ranks(cs, lambda phase: None) is not None:
         return None
-    return _propagate(cs, lambda: None)
+    return _propagate(cs, lambda phase: None)
 
 
-def _propagate(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[Certificate]:
-    """The closure of the atoms, calling ``check`` before each round (the
-    atoms are the first).
+def _propagate(cs: ConstraintSystem, check: Callable[[str], None]) -> Optional[Certificate]:
+    """The closure of the atoms, calling ``check`` with the round before
+    each round (the atoms are round 1).
 
     Step i derives ``pairs[i]`` by ``rules[i]``; ``step_of[u]`` maps v to
     the step deriving (u, v).  A round tests each candidate as it is
@@ -83,7 +83,7 @@ def _propagate(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[Cert
     the round began.  A pair and its reverse are never both recorded (the
     second one ends the run), so no (i, i) is ever generated.
     """
-    check()
+    check("propagation round 1")
     n = len(cs.window)
     step_of: list[dict[int, int]] = [{} for _ in range(n)]
     pairs: list[tuple[int, int]] = []
@@ -100,8 +100,10 @@ def _propagate(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[Cert
     inc: list[list[int]] = [[] for _ in range(n)]
     start = 0
     delta = sorted(pairs)
+    rounds = 1
     while delta:
-        check()
+        rounds += 1
+        check(f"propagation round {rounds}")
         for u, v in pairs[start:]:
             out[u].append(v)
             inc[v].append(u)
@@ -143,7 +145,7 @@ def _path(step_of, rules, u, v) -> list[int]:
     return _path(step_of, rules, u, v) + _path(step_of, rules, v, w)[1:]
 
 
-def _sort_ranks(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[list[int]]:
+def _sort_ranks(cs: ConstraintSystem, check: Callable[[str], None]) -> Optional[list[int]]:
     """The witness ranks by the sort, calling ``check`` per step; None on cyclic atoms."""
     n = len(cs.window)
     below: list[list[int]] = [[] for _ in range(n)]
@@ -156,7 +158,7 @@ def _sort_ranks(cs: ConstraintSystem, check: Callable[[], None]) -> Optional[lis
     ranks = [0] * n
     rank = n
     while heap:
-        check()
+        check("the sort")
         j = -heapq.heappop(heap)
         rank -= 1
         ranks[j] = rank
@@ -174,18 +176,20 @@ def solve(
 ) -> Certificate:
     """Decide the system: a topological-sort witness, or the propagation
     trace of a cycle.  The deadline is checked at every step of the sort
-    and every propagation round; an infinite timeout sets none, and a NaN
-    one is refused."""
+    and every propagation round, and a timeout names that phase and the
+    time spent; an infinite timeout sets none, and a NaN one is refused."""
     n = len(cs.window)
     if n > size_limit:
-        raise SizeLimitExceeded(f"window of {n} elements exceeds the cap")
+        raise SizeLimitExceeded(f"window of {n} elements exceeds the {size_limit}-element cap")
     if timeout != timeout:
         raise ValueError("the timeout is NaN")
-    deadline = time.monotonic() + timeout
+    start = time.monotonic()
+    deadline = start + timeout
 
-    def check():
-        if time.monotonic() > deadline:
-            raise SolveTimeout(f"solve exceeded {timeout} s")
+    def check(phase: str):
+        now = time.monotonic()
+        if now > deadline:
+            raise SolveTimeout(f"solve exceeded {timeout} s in {phase}, after {now - start:.3f} s")
 
     ranks = _sort_ranks(cs, check)
     if ranks is not None:

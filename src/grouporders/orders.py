@@ -3,9 +3,9 @@
 The relation is a bit matrix packed into Python integers, one bitmask per
 row (rel[i] bit j set means element_i < element_j).  ``closed`` claims that
 the relation is transitive; whether it is total is read from the rows alone.
-Total orders may instead be stored as a rank vector, which keeps huge
-windows cheap; dense rows are materialized only on demand, below a size guard.
-A total order built from a perm or from keys also keeps the perm it sorted.
+A total order may instead be stored as its perm, which keeps huge windows
+cheap: its ranks are inverted from the perm on first use, and dense rows are
+materialized only on demand, below a size guard.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class OrderMatrix:
     __slots__ = ("window", "closed", "_rows", "_ranks", "_perm")
 
-    def __init__(self, window: Window, *, rows=None, ranks=None, perm=None, closed=False):
+    def __init__(self, window: Window, *, rows=None, perm=None, ranks=None, closed=False):
         self.window = window
         self.closed = closed
         self._rows = rows
@@ -66,8 +66,9 @@ class OrderMatrix:
     @classmethod
     def from_sorted(cls, window: Window, perm: list[int]) -> "OrderMatrix":
         """``from_perm`` for a perm known to be one, such as a sort of the
-        window's indices: it is not checked, and the order keeps it."""
-        return cls(window, ranks=_invert(perm), perm=perm, closed=True)
+        window's indices or a walk that lists the window in order: it is
+        neither checked nor inverted, and the order keeps it."""
+        return cls(window, perm=perm, closed=True)
 
     # -- queries ------------------------------------------------------
 
@@ -75,9 +76,16 @@ class OrderMatrix:
     def n(self) -> int:
         return len(self.window)
 
+    def _rank_list(self) -> list[int] | None:
+        """The ranks of a perm order, inverted from its perm on first use and
+        kept; None for a rows order.  The one reader of ``_ranks``."""
+        if self._ranks is None and self._perm is not None:
+            self._ranks = _invert(self._perm)
+        return self._ranks
+
     def has(self, i: int, j: int) -> bool:
-        if self._ranks is not None:
-            return i != j and self._ranks[i] < self._ranks[j]
+        if (ranks := self._rank_list()) is not None:
+            return i != j and ranks[i] < ranks[j]
         return bool(self._rows[i] >> j & 1)
 
     def decided(self, i: int, j: int) -> bool:
@@ -93,7 +101,7 @@ class OrderMatrix:
         )
 
     def decided_count(self) -> int:
-        if self._ranks is not None:
+        if self._perm is not None:
             return self.n * (self.n - 1) // 2
         return sum(row.bit_count() for row in self._rows)
 
@@ -113,8 +121,8 @@ class OrderMatrix:
         positions[a] < positions[b].  A None entry is related to nothing;
         the other positions must be distinct."""
         rows = [0] * len(positions)
-        if self._ranks is not None:
-            at_rank = {self._ranks[p]: a for a, p in enumerate(positions) if p is not None}
+        if (ranks := self._rank_list()) is not None:
+            at_rank = {ranks[p]: a for a, p in enumerate(positions) if p is not None}
             suffix = 0  # walk down from the top, each row is the set above it
             for r in sorted(at_rank, reverse=True):
                 a = at_rank[r]
@@ -139,8 +147,8 @@ class OrderMatrix:
 
     def ranks(self) -> list[int]:
         """Rank vector of a total order (0 = smallest)."""
-        if self._ranks is not None:
-            return list(self._ranks)
+        if (ranks := self._rank_list()) is not None:
+            return list(ranks)
         ranks = _total_ranks(self._rows)
         if ranks is None:
             raise NotTotal("order is not total")
@@ -157,14 +165,14 @@ class OrderMatrix:
             return NotImplemented
         if self.window != other.window:
             return False
-        if self._ranks is not None and other._ranks is not None:
-            return self._ranks == other._ranks
+        if self._perm is not None and other._perm is not None:
+            return self._perm == other._perm
         return self.rows() == other.rows()
 
     __hash__ = None
 
     def __repr__(self):
-        kind = "total" if self._ranks is not None else f"{self.decided_count()} pairs"
+        kind = "total" if self._perm is not None else f"{self.decided_count()} pairs"
         return f"OrderMatrix({self.window!r}, {kind}, closed={self.closed})"
 
 
@@ -204,7 +212,7 @@ def _invert(perm: Sequence[int]) -> list[int]:
 
 
 def is_total(m: OrderMatrix) -> bool:
-    return m._ranks is not None or _total_ranks(m._rows) is not None
+    return m._perm is not None or _total_ranks(m._rows) is not None
 
 
 def translate_order(m: OrderMatrix, g: GroupElement) -> OrderMatrix:

@@ -109,7 +109,9 @@ def rotation_sampler(action: ActionSpec, w: Window) -> ProjectiveSampler:
     """Realizations of the action at the point ``unit_fraction(seed, "point")``."""
     _check_orbit_group(action, w.group)
     return ProjectiveSampler(
-        w, lambda s, payloads: orbit_keys(action, rng.unit_fraction(s, "point"), w.group, payloads)
+        w,
+        lambda s, payloads: orbit_keys(action, rng.unit_fraction(s, "point"), w.group, payloads),
+        lambda s: realize(action, rng.unit_fraction(s, "point"), w),
     )
 
 
@@ -143,7 +145,8 @@ def coset_sampler(
 
     The subgroup check and a (coset index, inner rank) table of the window's
     payloads are made once, here; ``keys`` draws the labels of the cosets
-    among its payloads.  The identity represents the subgroup's own coset,
+    among its payloads, and ``draw`` lists the cosets by label and each
+    coset by inner rank.  The identity represents the subgroup's own coset,
     so the restriction to subgroup pairs reproduces the inner order exactly.
     """
     _spot_check_subgroup(w, subgroup_test)
@@ -174,6 +177,11 @@ def coset_sampler(
 
     # equal labels fall back to the representatives' canonical encodings
     eks = payload_keys(w.group, [r.payload for r in reps])
+    by_encoding = sorted(range(len(reps)), key=eks.__getitem__)
+    rows = list(table.values())  # (coset index, inner rank) of each window index
+    members = [[] for _ in reps]  # each coset's window indices by inner rank
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        members[rows[i][0]].append(i)
 
     def keys(seed: int, payloads: Sequence[tuple]) -> list[tuple[int, bytes, int]]:
         rows = list(map(table.__getitem__, payloads))
@@ -182,7 +190,13 @@ def coset_sampler(
         labels = dict(zip(cosets, zip(rng.u64_each(seed, ("coset",), named, (0,)), named)))
         return [(*labels[c], r) for c, r in rows]
 
-    return ProjectiveSampler(w, keys)
+    def draw(seed: int) -> OrderMatrix:
+        labels = rng.u64_each(seed, ("coset",), eks, (0,))
+        # the stable sort leaves equal labels in encoding order, as keys does
+        cosets = sorted(by_encoding, key=labels.__getitem__)
+        return OrderMatrix.from_sorted(w, [i for c in cosets for i in members[c]])
+
+    return ProjectiveSampler(w, keys, draw)
 
 
 def coset_extension(
@@ -389,28 +403,27 @@ def _hull_order(x: Sqrt2Num, alpha: Sqrt2Num, lo: int, size: int) -> list[int]:
     return walk[first:] + walk[:first]
 
 
-def _circle_ranks(x: Sqrt2Num, alpha: Sqrt2Num, col: list[int]) -> tuple[int, list[int]]:
-    """(number of distinct values in col, rank of each entry among them by
-    frac(x + k*alpha)), decided exactly.
-
-    A value set dense in its hull [lo, hi] (hi - lo + 1 <= 2 * count, as in
-    every ball and rectangle) is ranked by the linear ``_hull_order`` walk
-    and read back by index k - lo; a sparser set is sorted once by the
-    tie-free keys of ``_circle_order``.
-    """
-    ks = set(col)
+def _circle_perm(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
+    """Positions of the distinct ks sorted by frac(x + k*alpha), decided
+    exactly: for a set dense in its hull [lo, hi] (hi - lo + 1 <= 2 * len(ks),
+    as in every ball and rectangle) read off the linear ``_hull_order`` walk
+    by index k - lo, for a sparser one by ``_circle_order``'s sort."""
     lo, hi = min(ks), max(ks)
     size = hi - lo + 1
-    if size <= 2 * len(ks):
-        order = _hull_order(x, alpha, lo, size)
-        if size > len(ks):
-            order = [j for j in order if lo + j in ks]
-        at = [0] * size
-        for rank, j in enumerate(order):
-            at[j] = rank
-        return len(ks), [at[k - lo] for k in col]
-    ks = sorted(ks)
-    rank_of = {ks[i]: r for r, i in enumerate(_circle_order(x, alpha, ks))}
+    if size > 2 * len(ks):
+        return _circle_order(x, alpha, ks)
+    at = [-1] * size
+    for i, k in enumerate(ks):
+        at[k - lo] = i
+    perm = list(map(at.__getitem__, _hull_order(x, alpha, lo, size)))
+    return perm if size == len(ks) else [i for i in perm if i >= 0]
+
+
+def _circle_ranks(x: Sqrt2Num, alpha: Sqrt2Num, col: list[int]) -> tuple[int, list[int]]:
+    """(number of distinct values in col, rank of each entry among them by
+    frac(x + k*alpha)), decided exactly by ``_circle_perm``."""
+    ks = list(set(col))
+    rank_of = dict(zip(map(ks.__getitem__, _circle_perm(x, alpha, ks)), range(len(ks))))
     return len(ks), [rank_of[k] for k in col]
 
 
@@ -453,6 +466,10 @@ def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
         if len(set(keys)) < len(keys):
             raise StabilizerCollision("Bernoulli site draws collide")
         return OrderMatrix.from_keys(w, keys)
+    if action.kind == ROTATION:
+        _check_orbit_group(action, w.group)
+        ks = [k for k, in w.payloads]
+        return OrderMatrix.from_sorted(w, _circle_perm(_coerce(point), action.alphas[0], ks))
     return OrderMatrix.from_keys(w, orbit_keys(action, point, w.group, w.payloads))
 
 

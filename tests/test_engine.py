@@ -96,11 +96,13 @@ def propagation_systems(draw):
 
 def propagations_agree(cs):
     """`_propagate` and the loop it replaced give equal certificates (every
-    trace step and the cycle) or both None, checking the deadline as often."""
+    trace step and the cycle) or both None, checking the deadline as often;
+    each check names its round."""
     new, old = [], []
-    cert = _propagate(cs, lambda: new.append(None))
+    cert = _propagate(cs, new.append)
     assert cert == oracles.traced_propagation(cs, lambda: old.append(None))
     assert len(new) == len(old) >= 1
+    assert new == [f"propagation round {k}" for k in range(1, len(new) + 1)]
     return cert
 
 
@@ -279,9 +281,9 @@ def test_solve_budget_errors():
 
     w = interval_window(0, 30)
     cs = ConstraintSystem(w, ((0, 1),))
-    with pytest.raises(SolveTimeout):
+    with pytest.raises(SolveTimeout, match=r"^solve exceeded -1\.0 s in the sort, after \d+\.\d{3} s$"):
         solve(cs, timeout=-1.0)
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded, match="^window of 30 elements exceeds the 10-element cap$"):
         solve(cs, size_limit=10)
 
 
@@ -296,13 +298,12 @@ def test_solve_refuses_a_nan_timeout_and_takes_infinity_as_none():
 def test_solve_deadline_holds_on_the_unsat_path():
     from grouporders import SolveTimeout
 
-    w = interval_window(0, 3)
     # a 3-cycle (closed in a propagation round) and a 2-cycle (closed by
     # the atoms themselves): no index is free, so the topological sort
     # never starts and the deadline must be checked while propagating
-    for atoms in (((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 0))):
-        cs = ConstraintSystem(w, atoms)
-        with pytest.raises(SolveTimeout):
+    for hi, atoms in ((3, ((0, 1), (1, 2), (2, 0))), (2, ((0, 1), (1, 0)))):
+        cs = ConstraintSystem(interval_window(0, hi), atoms)
+        with pytest.raises(SolveTimeout, match=r" s in propagation round 1, after \d+\.\d{3} s$"):
             solve(cs, timeout=-1.0)
         assert solve(cs).verdict == "unsat"
         assert propagate_only(cs) is not None

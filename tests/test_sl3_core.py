@@ -5,8 +5,12 @@ of them is needed.
 Write (i, m) for the chain atom shift < shift * a_i^q * a_{i-1}^{-m}, with
 shift = a_{i-1}^{n_i} (plain-left) or a_{i-1}^{-n_i} (inverse-left).  The
 cone atoms g < g * a_k and the chain atoms are found here from 3x3 integer
-products, a_k^m = I + m E_k, not from the instance builder's walk.
+products, a_k^m = I + m E_k, not from the instance builder's walk.  Besides
+the golden and demo instances, a fixed sweep of 90 parameter sets drawn from
+a seeded generator must show the same five facts.
 """
+
+import random
 
 import pytest
 
@@ -57,6 +61,19 @@ def split_atoms(q, n, trunc, convention):
     return cs, cone, chain
 
 
+def sweep(count=90, seed=16):
+    """(q, n, trunc) sets: q in 1..3, each n_i in q+1..q+3, and trunc from
+    max n_i to max n_i + 2."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        q = rnd.randint(1, 3)
+        n = tuple(rnd.randint(q + 1, q + 3) for _ in range(6))
+        yield q, n, rnd.randint(max(n), max(n) + 2)
+
+
+SWEEP = list(sweep())
+
+
 def decide(cs, atoms):
     """The verdict on atoms over cs's window, its certificate replayed."""
     sub = ConstraintSystem(cs.window, tuple(sorted(atoms)), cs.convention)
@@ -65,8 +82,10 @@ def decide(cs, atoms):
     return cert.verdict
 
 
-@pytest.mark.parametrize("q, n, trunc", INSTANCES)
-def test_six_chain_atoms_on_the_cone_are_the_core(q, n, trunc):
+def check_core(q, n, trunc):
+    """The full plain-left system and the cone atoms with the six (i, n_i)
+    are UNSAT; dropping any one of the six, or taking every (i, m) with
+    m < n_i instead, is SAT."""
     cs, cone, chain = split_atoms(q, n, trunc, "plain_left")
     assert decide(cs, cs.atoms) == "unsat"
     core = [chain[i, n[i - 1]] for i in range(1, 7)]
@@ -77,7 +96,27 @@ def test_six_chain_atoms_on_the_cone_are_the_core(q, n, trunc):
     assert decide(cs, cone | shorter) == "sat"
 
 
-@pytest.mark.parametrize("q, n, trunc", INSTANCES)
-def test_the_inverse_left_system_is_satisfiable(q, n, trunc):
+def check_inverse_left(q, n, trunc):
+    """The inverse-left system is SAT, its witness replayed."""
     cs, _, _ = split_atoms(q, n, trunc, "inverse_left")
     assert decide(cs, cs.atoms) == "sat"
+
+
+@pytest.mark.parametrize("q, n, trunc", INSTANCES)
+def test_six_chain_atoms_on_the_cone_are_the_core(q, n, trunc):
+    check_core(q, n, trunc)
+
+
+@pytest.mark.parametrize("q, n, trunc", INSTANCES)
+def test_the_inverse_left_system_is_satisfiable(q, n, trunc):
+    check_inverse_left(q, n, trunc)
+
+
+def test_the_sweep_shows_the_same_core():
+    assert len(SWEEP) == 90 and {q for q, _, _ in SWEEP} == {1, 2, 3}
+    for params in SWEEP:
+        try:
+            check_core(*params)
+            check_inverse_left(*params)
+        except (AssertionError, KeyError) as exc:  # a KeyError: an atom's side is not in the window
+            raise AssertionError(f"sweep set {params}") from exc
