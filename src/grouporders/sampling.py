@@ -178,10 +178,9 @@ def coset_sampler(
     # equal labels fall back to the representatives' canonical encodings
     eks = payload_keys(w.group, [r.payload for r in reps])
     by_encoding = sorted(range(len(reps)), key=eks.__getitem__)
-    rows = list(table.values())  # (coset index, inner rank) of each window index
     members = [[] for _ in reps]  # each coset's window indices by inner rank
-    for i in sorted(range(len(rows)), key=rows.__getitem__):
-        members[rows[i][0]].append(i)
+    for (coset, _), i in sorted(zip(table.values(), range(len(table)))):
+        members[coset].append(i)
 
     def keys(seed: int, payloads: Sequence[tuple]) -> list[tuple[int, bytes, int]]:
         rows = list(map(table.__getitem__, payloads))
