@@ -26,7 +26,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class OrderMatrix:
     __slots__ = ("window", "closed", "_rows", "_ranks", "_perm")
 
-    def __init__(self, window: Window, *, rows=None, perm=None, ranks=None, closed=False):
+    def __init__(self, window: Window, *, rows=None, ranks=None, perm=None, closed=False):
         self.window = window
         self.closed = closed
         self._rows = rows

@@ -6,11 +6,12 @@ window reproduces the smaller window's order exactly.  The uniform, rotation
 and coset samplers are ``ProjectiveSampler``s: their keys rank a probe set
 of the window as the draw does.  A whole-window uniform draw hashes each
 element once and sorts the window by the values alone, from a per-window
-table built on the first draw.  Uniform and rotation keys (``uniform_keys``,
-``orbit_keys``) also key any payload of the group.  Coset extension, gluing,
-and the dynamical realization map are deterministic given their inputs;
-orbit values of rotations are compared with exact quadratic-irrational
-arithmetic, never floating point.
+table built on the first draw; rotation and coset draws list the window in
+an order they already know, with no sort.  Uniform and rotation keys
+(``uniform_keys``, ``orbit_keys``) also key any payload of the group.  Coset
+extension, gluing, and the dynamical realization map are deterministic given
+their inputs; orbit values of rotations are compared with exact
+quadratic-irrational arithmetic, never floating point.
 """
 
 from __future__ import annotations
