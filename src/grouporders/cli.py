@@ -41,7 +41,7 @@ from .sampling import (
     reconstruct,
     rotation_action,
     rotation_sampler,
-    sample_seed,
+    sample_seeds,
     shadowing_report,
     specification_glue,
     torus_action,
@@ -258,8 +258,8 @@ def cmd_sample(args) -> int:
     window = serialize.window_to_json(sampler.window)
     lines = [serialize.canonical_dumps({"format": serialize.FORMAT_VERSION, "window": window})]
     # each draw is encoded as it is made, so only one order is alive at a time
-    for i in range(args.count):
-        m = sampler(sample_seed(seed, i))
+    for sub in sample_seeds(seed, args.count):
+        m = sampler(sub)
         if args.encoding == "perm":
             lines.append(json.dumps(m.perm()) + "\n")
         else:

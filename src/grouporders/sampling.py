@@ -2,13 +2,16 @@
 
 The uniform order draws one 64-bit value per element from a counter-based
 stream keyed by the element's canonical encoding, so restricting a larger
-window reproduces the smaller window's order exactly.  The uniform, rotation
-and coset samplers are ``ProjectiveSampler``s: their keys rank a probe set
-of the window as the draw does.  A whole-window uniform draw hashes each
-element once and sorts the window by the values alone, from a per-window
-table built on the first draw; rotation and coset draws list the window in
-an order they already know, with no sort.  Uniform and rotation keys
-(``uniform_keys``, ``orbit_keys``) also key any payload of the group.  Coset
+window reproduces the smaller window's order exactly.  Sample i of a batch
+is drawn from ``rng.derive_seed(seed, "sample", i)`` (``sample_seeds``).
+The uniform, rotation and coset samplers are ``ProjectiveSampler``s: their
+keys, bound once to a probe set of the window, rank it for each seed as
+the draw does.  A whole-window uniform draw hashes each element once and
+sorts the window by the values alone, from a per-window table built on the
+first draw; rotation and coset draws list the window in an order they
+already know, with no sort, the rotation draw by cutting a three-distance
+walk built on the first draw.  Uniform and rotation keys (``uniform_keys``,
+``orbit_keys``) also key any payload of the group.  Coset
 extension, gluing, and the dynamical realization map are deterministic given
 their inputs; orbit values of rotations are compared with exact
 quadratic-irrational arithmetic, never floating point.
@@ -18,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import rng
 from .exactnum import Sqrt2Num, _coerce, _floor_ratio, _sign_int_pair, int_form
@@ -43,16 +47,25 @@ from .groups import (
 )
 from .orders import OrderMatrix
 
-def sample_seed(seed: int, i: int) -> int:
-    """Seed of the i-th sample of a batch drawn from seed."""
-    return rng.derive_seed(seed, "sample", i)
+# sample_seeds hashes this many seeds per keyed prefix
+SEED_CHUNK = 1024
 
 
-def uniform_keys(seed: int, group: GroupId, payloads: Iterable[tuple]) -> list[tuple[int, bytes]]:
-    """One (iid uniform 64-bit value, canonical encoding) key per payload of
-    group; equal values fall back to the encodings."""
+def sample_seeds(seed: int, n: int) -> Iterator[int]:
+    """The seeds of samples 0..n-1 of a batch drawn from seed: sample i's is
+    ``rng.derive_seed(seed, "sample", i)``, hashed ``SEED_CHUNK`` at a time
+    from one absorbed head."""
+    for start in range(0, n, SEED_CHUNK):
+        counters = [b"%d" % i for i in range(start, min(start + SEED_CHUNK, n))]
+        yield from rng.u64_each(seed, (b"subseed", "sample"), counters)
+
+
+def uniform_keys(group: GroupId, payloads: Iterable[tuple]) -> Callable[[int], list]:
+    """Binds payloads of group, encoded here once, to seed -> one (iid
+    uniform 64-bit value, canonical encoding) key per payload; equal values
+    fall back to the encodings."""
     eks = payload_keys(group, payloads)
-    return list(zip(rng.u64_each(seed, ("elem",), eks, (0,)), eks))
+    return lambda seed: list(zip(rng.u64_each(seed, ("elem",), eks, (0,)), eks))
 
 
 def uniform_order(w: Window, seed: int) -> OrderMatrix:
@@ -65,22 +78,24 @@ def uniform_order(w: Window, seed: int) -> OrderMatrix:
 class ProjectiveSampler:
     """A sampler that keys the elements of its window one by one.
 
-    ``keys(seed, payloads)`` returns one key per payload of a window element;
-    sorting those elements by their keys ranks them as the order drawn from
-    ``seed`` does.  Keys compare only with keys of the same call.  Calling
-    the sampler draws the whole-window order: by ``draw`` where the sampler
-    has one, else by sorting the window's keys.  Uniform and rotation keys
-    also accept any payload of the group and do not depend on the window.
+    ``keys(payloads)`` binds payloads of window elements, doing once what
+    does not depend on the seed, and returns ``seed -> keys``: one key per
+    payload, and sorting those elements by their keys ranks them as the
+    order drawn from ``seed`` does.  Keys compare only with keys for the
+    same seed and binding.  Calling the sampler draws the whole-window
+    order: by ``draw`` where the sampler has one, else by sorting the
+    window's keys.  Uniform and rotation keys also accept any payload of the
+    group and do not depend on the window.
     """
 
     window: Window
-    keys: Callable[[int, Sequence[tuple]], list]
+    keys: Callable[[Sequence[tuple]], Callable[[int], list]]
     draw: Optional[Callable[[int], OrderMatrix]] = None
 
     def __call__(self, seed: int) -> OrderMatrix:
         if self.draw is not None:
             return self.draw(seed)
-        return OrderMatrix.from_keys(self.window, self.keys(seed, self.window.payloads))
+        return OrderMatrix.from_keys(self.window, self.keys(self.window.payloads)(seed))
 
 
 def _uniform_table(w: Window) -> tuple[list[bytes], list[int]]:
@@ -103,17 +118,29 @@ def uniform_sampler(w: Window) -> ProjectiveSampler:
         # (value, encoding) order of uniform_keys
         return OrderMatrix.from_sorted(w, sorted(by_encoding, key=values.__getitem__))
 
-    return ProjectiveSampler(w, lambda s, payloads: uniform_keys(s, w.group, payloads), draw)
+    return ProjectiveSampler(w, partial(uniform_keys, w.group), draw)
 
 
 def rotation_sampler(action: ActionSpec, w: Window) -> ProjectiveSampler:
-    """Realizations of the action at the point ``unit_fraction(seed, "point")``."""
+    """Realizations of the circle rotation at the point
+    ``unit_fraction(seed, "point")``; the first whole-window draw builds the
+    window's ``_circle_sorter``, and each draw only cuts it at the point."""
+    if action.kind != ROTATION:
+        raise ValueError(f"the rotation sampler needs a circle rotation, not {action.kind}")
     _check_orbit_group(action, w.group)
-    return ProjectiveSampler(
-        w,
-        lambda s, payloads: orbit_keys(action, rng.unit_fraction(s, "point"), w.group, payloads),
-        lambda s: realize(action, rng.unit_fraction(s, "point"), w),
-    )
+    sorter = None
+
+    def keys(payloads: Sequence[tuple]) -> Callable[[int], list[int]]:
+        keyed = _orbit_keyer(action, w.group, payloads)
+        return lambda s: keyed(rng.unit_fraction(s, "point"))
+
+    def draw(seed: int) -> OrderMatrix:
+        nonlocal sorter
+        if sorter is None:
+            sorter = _circle_sorter(action.alphas[0], [k for k, in w.payloads])
+        return OrderMatrix.from_sorted(w, sorter(_coerce(rng.unit_fraction(seed, "point"))))
+
+    return ProjectiveSampler(w, keys, draw)
 
 
 # the subgroup spot check multiplies at most this many pairs of members
@@ -145,9 +172,10 @@ def coset_sampler(
     representative).
 
     The subgroup check and a (coset index, inner rank) table of the window's
-    payloads are made once, here; ``keys`` draws the labels of the cosets
-    among its payloads, and ``draw`` lists the cosets by label and each
-    coset by inner rank.  The identity represents the subgroup's own coset,
+    payloads are made once, here; ``keys`` looks its payloads up in that
+    table once per binding and draws only the labels of the cosets among
+    them, and ``draw`` lists the cosets by label and each coset by inner
+    rank.  The identity represents the subgroup's own coset,
     so the restriction to subgroup pairs reproduces the inner order exactly.
     """
     _spot_check_subgroup(w, subgroup_test)
@@ -183,12 +211,16 @@ def coset_sampler(
     for (coset, _), i in sorted(zip(table.values(), range(len(table)))):
         members[coset].append(i)
 
-    def keys(seed: int, payloads: Sequence[tuple]) -> list[tuple[int, bytes, int]]:
+    def keys(payloads: Sequence[tuple]) -> Callable[[int], list[tuple[int, bytes, int]]]:
         rows = list(map(table.__getitem__, payloads))
         cosets = list({c for c, _ in rows})  # only the cosets among the payloads are hashed
         named = [eks[c] for c in cosets]
-        labels = dict(zip(cosets, zip(rng.u64_each(seed, ("coset",), named, (0,)), named)))
-        return [(*labels[c], r) for c, r in rows]
+
+        def keyed(seed: int) -> list[tuple[int, bytes, int]]:
+            labels = dict(zip(cosets, zip(rng.u64_each(seed, ("coset",), named, (0,)), named)))
+            return [(*labels[c], r) for c, r in rows]
+
+        return keyed
 
     def draw(seed: int) -> OrderMatrix:
         labels = rng.u64_each(seed, ("coset",), eks, (0,))
@@ -309,7 +341,7 @@ def bernoulli_action(dim: int) -> ActionSpec:
 def _circle_order(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
     """Positions of the distinct ks sorted by frac(x + k*alpha), decided
     exactly by one sort of the top ``bits`` bits of each fractional part;
-    for sparse ks, where the ``_hull_order`` walk would visit far more points.
+    for sparse ks, where the ``_hull_walk`` would visit far more points.
 
     No two keys tie.  Over one denominator L, two orbit values differ by
     (a + c*sqrt2)/L with |a + c*sqrt2| < L and 0 < |c| <= span*|cstep|
@@ -364,23 +396,18 @@ def _farey_steps(a: int, c: int, L: int, n: int) -> tuple[int, int]:
     return q0, q1
 
 
-def _hull_order(x: Sqrt2Num, alpha: Sqrt2Num, lo: int, size: int) -> list[int]:
-    """Offsets j in range(size) sorted by frac(x + (lo + j)*alpha), decided
-    exactly, in O(size) integer steps and O(log size) exact comparisons.
+def _hull_walk(alpha: Sqrt2Num, size: int) -> list[int]:
+    """Offsets j in range(size) in the circular order of frac(j*alpha), from
+    j = 0, in O(size) integer steps and O(log size) exact comparisons.
 
     By the three-distance theorem (Sos 1958, Swierczkowski 1959; Slater
     1967) the points frac(j*alpha), j < size, go round the circle from 0 by
     the successor rule j -> j+q if j+q < size, else j-r if j >= r, else
     j+q-r, where q and r are the denominators of alpha's Farey neighbours
-    of order size-1.  The offset x + lo*alpha only rotates that circular
-    order: it starts at the first point whose sum with frac(x + lo*alpha)
-    reaches 1, found by binary search.
+    of order size-1.
     """
-    ax, cx, aa, ca, L = int_form(x, alpha)
-    aa -= _floor_ratio(aa, ca, L) * L  # frac(alpha) orders the same points
-    ax, cx = ax + lo * aa, cx + lo * ca
-    ax -= _floor_ratio(ax, cx, L) * L + L  # frac(x + lo*alpha) - 1
-    q, r = _farey_steps(aa, ca, L, size - 1)
+    aa, ca, L = int_form(alpha)
+    q, r = _farey_steps(aa - _floor_ratio(aa, ca, L) * L, ca, L, size - 1)
     walk, j = [], 0
     for _ in range(size):
         walk.append(j)
@@ -390,46 +417,91 @@ def _hull_order(x: Sqrt2Num, alpha: Sqrt2Num, lo: int, size: int) -> list[int]:
             j -= r
         else:
             j += q - r
-    # the first walk position with frac(j*alpha) + frac(x + lo*alpha) >= 1
-    first, last = 0, size
-    while first < last:
-        mid = (first + last) // 2
-        j = walk[mid]
-        a, c = j * aa, j * ca
-        if _sign_int_pair(a - _floor_ratio(a, c, L) * L + ax, c + cx) >= 0:
-            last = mid
-        else:
-            first = mid + 1
-    return walk[first:] + walk[:first]
+    return walk
 
 
-def _circle_perm(x: Sqrt2Num, alpha: Sqrt2Num, ks: list[int]) -> list[int]:
-    """Positions of the distinct ks sorted by frac(x + k*alpha), decided
-    exactly: for a set dense in its hull [lo, hi] (hi - lo + 1 <= 2 * len(ks),
-    as in every ball and rectangle) read off the linear ``_hull_order`` walk
-    by index k - lo, for a sparser one by ``_circle_order``'s sort."""
+def _circle_sorter(alpha: Sqrt2Num, ks: list[int]) -> Callable[[Sqrt2Num], list[int]]:
+    """x -> positions of the distinct ks sorted by frac(x + k*alpha), decided
+    exactly.
+
+    For a set dense in its hull [lo, hi] (hi - lo + 1 <= 2 * len(ks), as in
+    every ball and rectangle) the ``_hull_walk`` of the hull, restricted to
+    the ks and mapped to positions, is built here once: x only rotates that
+    circular order, which starts at the first walked offset j = k - lo with
+    frac(j*alpha) + frac(x + lo*alpha) >= 1, found by binary search.  A
+    sparser set is sorted by ``_circle_order`` for each x.
+    """
     lo, hi = min(ks), max(ks)
     size = hi - lo + 1
     if size > 2 * len(ks):
-        return _circle_order(x, alpha, ks)
+        return lambda x: _circle_order(x, alpha, ks)
     at = [-1] * size
     for i, k in enumerate(ks):
         at[k - lo] = i
-    perm = list(map(at.__getitem__, _hull_order(x, alpha, lo, size)))
-    return perm if size == len(ks) else [i for i in perm if i >= 0]
+    walk = _hull_walk(alpha, size)
+    if size > len(ks):
+        walk = [j for j in walk if at[j] >= 0]
+    perm = list(map(at.__getitem__, walk))
+
+    def cut(x: Sqrt2Num) -> list[int]:
+        ax, cx, aa, ca, L = int_form(x, alpha)
+        aa -= _floor_ratio(aa, ca, L) * L  # frac(alpha) orders the same points
+        ax, cx = ax + lo * aa, cx + lo * ca
+        ax -= _floor_ratio(ax, cx, L) * L + L  # frac(x + lo*alpha) - 1
+        first, last = 0, len(walk)
+        while first < last:
+            mid = (first + last) // 2
+            a, c = walk[mid] * aa, walk[mid] * ca
+            if _sign_int_pair(a - _floor_ratio(a, c, L) * L + ax, c + cx) >= 0:
+                last = mid
+            else:
+                first = mid + 1
+        return perm[first:] + perm[:first]
+
+    return cut
 
 
-def _circle_ranks(x: Sqrt2Num, alpha: Sqrt2Num, col: list[int]) -> tuple[int, list[int]]:
-    """(number of distinct values in col, rank of each entry among them by
-    frac(x + k*alpha)), decided exactly by ``_circle_perm``."""
+def _circle_ranker(alpha: Sqrt2Num, col: list[int]) -> tuple[int, Callable]:
+    """(number of distinct values in col, x -> rank of each entry among them
+    by frac(x + k*alpha)), the ranks decided exactly by one
+    ``_circle_sorter`` of the values, built here."""
     ks = list(set(col))
-    rank_of = dict(zip(map(ks.__getitem__, _circle_perm(x, alpha, ks)), range(len(ks))))
-    return len(ks), [rank_of[k] for k in col]
+    sorter = _circle_sorter(alpha, ks)
+
+    def ranks(x: Sqrt2Num) -> list[int]:
+        rank_of = dict(zip(map(ks.__getitem__, sorter(x)), range(len(ks))))
+        return [rank_of[k] for k in col]
+
+    return len(ks), ranks
 
 
 def _check_orbit_group(action: ActionSpec, group) -> None:
     if group.kind != "zn" or group.n != action.dim:
         raise ValueError(f"action needs a Z^{action.dim} window")
+
+
+def _orbit_keyer(action: ActionSpec, group: GroupId, payloads: Sequence[tuple]) -> Callable:
+    """point -> ``orbit_keys(action, point, group, payloads)``, with each
+    coordinate's ``_circle_ranker`` built once, here."""
+    if action.kind == BERNOULLI_SHIFT:
+        raise ValueError("a Bernoulli shift has no orbit keys")
+    _check_orbit_group(action, group)
+    columns = enumerate(action.alphas) if payloads else ()
+    rankers = [_circle_ranker(alpha, [p[c] for p in payloads]) for c, alpha in columns]
+
+    def keys(point) -> list[int]:
+        xs = [_coerce(point)] if action.kind == ROTATION else [_coerce(c) for c in point]
+        if len(xs) != action.dim:
+            raise ValueError("point dimension mismatch")
+        if not payloads:
+            return []
+        keys = None
+        for x, (base, ranks) in zip(xs, rankers):
+            col = ranks(x)
+            keys = col if keys is None else [key * base + rank for key, rank in zip(keys, col)]
+        return keys
+
+    return keys
 
 
 def orbit_keys(action: ActionSpec, point, group: GroupId, payloads: Sequence[tuple]) -> list[int]:
@@ -439,22 +511,10 @@ def orbit_keys(action: ActionSpec, point, group: GroupId, payloads: Sequence[tup
 
     A torus rotation compares orbit values lexicographically, one circle per
     coordinate; the circle rotation is its one-dimensional case.  Each
-    coordinate is ranked by ``_circle_ranks``: linear time on the
+    coordinate is ranked by a ``_circle_ranker``: linear time on the
     contiguous coordinates of balls and rectangles, a sort on sparse ones.
     """
-    if action.kind == BERNOULLI_SHIFT:
-        raise ValueError("a Bernoulli shift has no orbit keys")
-    _check_orbit_group(action, group)
-    xs = [_coerce(point)] if action.kind == ROTATION else [_coerce(c) for c in point]
-    if len(xs) != action.dim:
-        raise ValueError("point dimension mismatch")
-    if not payloads:
-        return []
-    keys = None
-    for c, (x, alpha) in enumerate(zip(xs, action.alphas)):
-        base, ranks = _circle_ranks(x, alpha, [p[c] for p in payloads])
-        keys = ranks if keys is None else [key * base + rank for key, rank in zip(keys, ranks)]
-    return keys
+    return _orbit_keyer(action, group, payloads)(point)
 
 
 def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
@@ -469,7 +529,7 @@ def realize(action: ActionSpec, point, w: Window) -> OrderMatrix:
     if action.kind == ROTATION:
         _check_orbit_group(action, w.group)
         ks = [k for k, in w.payloads]
-        return OrderMatrix.from_sorted(w, _circle_perm(_coerce(point), action.alphas[0], ks))
+        return OrderMatrix.from_sorted(w, _circle_sorter(action.alphas[0], ks)(_coerce(point)))
     return OrderMatrix.from_keys(w, orbit_keys(action, point, w.group, w.payloads))
 
 

@@ -2,10 +2,11 @@
 ranking-uniformity chi-square tests.
 
 A sampler is either a ``ProjectiveSampler``, as every sampler the CLI
-offers is, whose keys rank the probed elements without drawing the rest of
-the window, or any other callable taking a 64-bit seed and returning an
-OrderMatrix total on the probed elements; both kinds give the same reports.
-Per-sample seeds are derived sub-streams, so reports are deterministic given
+offers is, whose keys, bound once per statistic to the probed elements,
+rank them without drawing the rest of the window, or any other callable
+taking a 64-bit seed and returning an OrderMatrix total on the probed
+elements; both kinds give the same reports.  Per-sample seeds are derived
+sub-streams (``sampling.sample_seeds``), so reports are deterministic given
 (seed, N).  The chi-square quantile is computed in-repo from the regularized
 incomplete gamma function (series + continued fraction), accurate to well
 below 1e-8.
@@ -21,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .errors import DomainNotCovered, ElementNotInWindow
 from .groups import GroupElement, Window, missing_translate
 from .orders import CylinderSpec, OrderMatrix
-from .sampling import ProjectiveSampler, sample_seed
+from .sampling import ProjectiveSampler, sample_seeds
 
 Sampler = Union[ProjectiveSampler, Callable[[int], OrderMatrix]]
 
@@ -91,10 +92,11 @@ def _probe_rankings(
     """For each of the N samples, the relative ranks of F (and of g^-1 F,
     see ``_probe_positions``).
 
-    A ProjectiveSampler keys only the probed window elements, in one call
-    per sample; any other sampler draws its whole order and is read at the
-    probe positions, found again only when a draw's window is not the
-    previous draw's.
+    A ProjectiveSampler binds its keys to the probed window elements once
+    and keys only them, in one call per sample; a block's rank of a key is
+    the number of keys below it, its first index in the sorted block.  Any
+    other sampler draws its whole order and is read at the probe positions,
+    found again only when a draw's window is not the previous draw's.
     """
     if N < 1:
         raise ValueError("need at least one sample")
@@ -103,13 +105,12 @@ def _probe_rankings(
     w = sampler.window if keyed else None
     if keyed:
         probes = _probe_positions(w, F, missing, shift)
-        payloads = [w.payloads[p] for positions in probes for p in positions]
-    for i in range(N):
-        sub = sample_seed(seed, i)
+        keys_of = sampler.keys([w.payloads[p] for positions in probes for p in positions])
+    for sub in sample_seeds(seed, N):
         if keyed:
-            keys = sampler.keys(sub, payloads)
+            keys = keys_of(sub)
             blocks = [keys[j * k : (j + 1) * k] for j in range(len(probes))]
-            yield [tuple(sum(b < a for b in block) for a in block) for block in blocks]
+            yield [tuple(map(sorted(block).index, block)) for block in blocks]
         else:
             m = sampler(sub)
             if m.window is not w:

@@ -16,7 +16,8 @@ that checked arithmetic and a payload dict, SL3 instances from powers
 taken as repeated matrix products, the sort-based permutation check that the
 check by inverting replaced, the element-based uniform and orbit keys
 that the payload-based ones replaced, the circle order of a rotation
-sorted by exact `Sqrt2Num` fractional parts, the propagation loop
+sorted by exact `Sqrt2Num` fractional parts and the three-distance walk
+of a hull built and cut for each point, the propagation loop
 that listed every round's candidates before recording them through a
 tracer object, the certificate replay over one set of pair tuples that
 the per-element rows replaced, the certificate dict built through a
@@ -49,8 +50,8 @@ from grouporders.groups import (
     multiply,
 )
 from grouporders import rng
-from grouporders.exactnum import Sqrt2Num, _coerce
-from grouporders.sampling import BERNOULLI_SHIFT, ROTATION, _check_orbit_group
+from grouporders.exactnum import Sqrt2Num, _coerce, _floor_ratio, _sign_int_pair, int_form
+from grouporders.sampling import BERNOULLI_SHIFT, ROTATION, _check_orbit_group, _farey_steps
 from grouporders.orders import MAX_DENSE_ELEMENTS, OrderMatrix
 from grouporders.serialize import order_to_json
 
@@ -359,6 +360,36 @@ def circle_order_reference(x, alpha, ks):
     """Positions of ks sorted by the exact value frac(x + alpha*k)."""
     x, alpha = _coerce(x), _coerce(alpha)
     return sorted(range(len(ks)), key=lambda i: (x + alpha * ks[i]).frac())
+
+
+def hull_order(x, alpha, lo, size):
+    """Offsets j in range(size) sorted by frac(x + (lo + j)*alpha): the
+    three-distance walk of the hull, built for this x and cut at the first
+    walk position whose sum with frac(x + lo*alpha) reaches 1."""
+    ax, cx, aa, ca, L = int_form(x, alpha)
+    aa -= _floor_ratio(aa, ca, L) * L  # frac(alpha) orders the same points
+    ax, cx = ax + lo * aa, cx + lo * ca
+    ax -= _floor_ratio(ax, cx, L) * L + L  # frac(x + lo*alpha) - 1
+    q, r = _farey_steps(aa, ca, L, size - 1)
+    walk, j = [], 0
+    for _ in range(size):
+        walk.append(j)
+        if j + q < size:
+            j += q
+        elif j >= r:
+            j -= r
+        else:
+            j += q - r
+    first, last = 0, size
+    while first < last:
+        mid = (first + last) // 2
+        j = walk[mid]
+        a, c = j * aa, j * ca
+        if _sign_int_pair(a - _floor_ratio(a, c, L) * L + ax, c + cx) >= 0:
+            last = mid
+        else:
+            first = mid + 1
+    return walk[first:] + walk[:first]
 
 
 def rotation_fraction_decimal(x, k, alpha_rat, alpha_root2):

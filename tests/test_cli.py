@@ -804,7 +804,7 @@ def test_sample_refuses_a_negative_count(tmp_path, capsys):
 
 
 def test_chisq_and_sample_draw_the_same_order_from_a_seed(tmp_path, capsys):
-    from grouporders.sampling import rotation_action, rotation_sampler, sample_seed, uniform_sampler
+    from grouporders.sampling import rotation_action, rotation_sampler, sample_seeds, uniform_sampler
     from grouporders.stats import permutation_rank
 
     wz = ball(default_generators(zn(1)), 4)
@@ -828,7 +828,7 @@ def test_chisq_and_sample_draw_the_same_order_from_a_seed(tmp_path, capsys):
             assert code == 0
             perm = json.loads(out.splitlines()[1])
             if draw is not None:
-                assert perm == draw(sample_seed(seed, 0)).perm()
+                assert perm == draw(next(sample_seeds(seed, 1))).perm()
             rank = {p: r for r, p in enumerate(perm)}
             ranks = [rank[w.position(f)] for f in F]
             cell = permutation_rank([sorted(ranks).index(r) for r in ranks])
@@ -868,6 +868,31 @@ def test_coset_statistics_never_sort_a_whole_window(tmp_path, capsys, monkeypatc
         monkeypatch.setattr(cli, builder, then_refuse_whole_windows(getattr(cli, builder)))
     for name, want in zip(names, expected):
         assert run(capsys, *argvs[name]) == want, name
+
+
+def test_a_rotation_batch_builds_the_walk_once(tmp_path, capsys, monkeypatch):
+    # the three-distance walk depends on the window and the angle alone
+    wfile = write(tmp_path / "w.json", ser.window_to_json(interval_window(-60, 61)))
+    walks = []
+    hull_walk = sampling._hull_walk
+    monkeypatch.setattr(sampling, "_hull_walk", lambda *a: walks.append(a) or hull_walk(*a))
+    code, out, _ = run(capsys, "sample", wfile, "-N", "20", "--seed", "4", "--sampler", "rotation")
+    assert code == 0 and len(out.splitlines()) == 21
+    assert len(walks) == 1
+
+
+def test_a_uniform_estimate_encodes_its_probe_once(tmp_path, capsys, monkeypatch):
+    w = ball(default_generators(zn(2)), 3)
+    D = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0), zn_element(0, 1)])
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    pattern = ser.order_to_json(OrderMatrix.from_ranks(D, [2, 0, 1]), include_window=False)
+    cfile = write(tmp_path / "c.json", {"format": 1, "window": ser.window_to_json(D), "pattern": pattern})
+    encoded = []
+    payload_keys = sampling.payload_keys
+    monkeypatch.setattr(sampling, "payload_keys", lambda g, ps: encoded.append(ps) or payload_keys(g, ps))
+    code, out, _ = run(capsys, "estimate", wfile, "--cylinder", cfile, "-N", "60", "--seed", "4")
+    assert code == 0 and out.startswith("pattern_id,count")
+    assert [len(ps) for ps in encoded] == [3]
 
 
 @pytest.fixture

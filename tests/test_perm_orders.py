@@ -158,7 +158,7 @@ def torus_sampler(w, alphas):
 
     return sampling.ProjectiveSampler(
         w,
-        lambda s, payloads: sampling.orbit_keys(action, point(s), w.group, payloads),
+        lambda payloads: lambda s: sampling.orbit_keys(action, point(s), w.group, payloads),
         lambda s: realize(action, point(s), w),
     )
 
@@ -206,7 +206,7 @@ def test_whole_window_draws_are_the_sort_of_their_keys(name):
     assert sampler.draw is not None
     for seed in SEEDS:
         drawn = sampler(seed)
-        keyed = OrderMatrix.from_keys(w, sampler.keys(seed, w.payloads))
+        keyed = OrderMatrix.from_keys(w, sampler.keys(w.payloads)(seed))
         assert drawn == keyed, seed
         assert drawn.ranks() == keyed.ranks()
 

@@ -82,9 +82,9 @@ def test_uniform_order_inclusion_survives_value_collisions(monkeypatch):
     sub = interval_window(0, 2)
     pos = [big.position(g) for g in sub]
     collided = 0
-    big_payloads = [g.payload for g in big]
+    big_keys = sampling.uniform_keys(big.group, [g.payload for g in big])
     for seed in range(30):
-        collided += len({v for v, _ in sampling.uniform_keys(seed, big.group, big_payloads)}) < len(big)
+        collided += len({v for v, _ in big_keys(seed)}) < len(big)
         ranks = uniform_order(big, seed).ranks()
         restricted = sorted(range(len(sub)), key=lambda a: ranks[pos[a]])
         assert restricted == uniform_order(sub, seed).perm()
@@ -110,11 +110,11 @@ def test_whole_window_uniform_draws_sort_the_uniform_keys(ties, monkeypatch):
         sampler = sampling.uniform_sampler(w)
         for seed in (0, 7, 2**64 - 1):
             drawn = sampler(seed)
-            keyed = OrderMatrix.from_keys(w, sampler.keys(seed, w.payloads))
+            keyed = OrderMatrix.from_keys(w, sampler.keys(w.payloads)(seed))
             assert drawn == keyed == uniform_order(w, seed)
             assert drawn.perm() == keyed.perm() and drawn.ranks() == keyed.ranks()
             if ties:
-                assert len({v for v, _ in sampler.keys(seed, w.payloads)}) <= 3
+                assert len({v for v, _ in sampler.keys(w.payloads)(seed)}) <= 3
 
 
 def test_sorted_orders_keep_their_perm(monkeypatch):
@@ -193,7 +193,7 @@ def test_coset_sampler_draws_coset_extension():
         assert sampler(s) == coset_extension(W2, member, inner, s)
         assert sampler(s).perm() == perm
         # the keys of the window's payloads sort them as the draw does
-        keys = sampler.keys(s, W2.payloads)
+        keys = sampler.keys(W2.payloads)(s)
         assert sorted(range(len(W2)), key=keys.__getitem__) == perm
 
 
@@ -215,8 +215,8 @@ def test_coset_keys_hash_only_the_probed_cosets(monkeypatch):
 
     monkeypatch.setattr(rng, "u64_each", counting)
     probe = [(0, 0), (0, 1), (2, 0), (2, -1)]  # 4 payloads in the cosets x = 0, 2
-    whole = sampler.keys(3, w.payloads)
-    assert sampler.keys(3, probe) == [whole[w.position(zn_element(*p))] for p in probe]
+    whole = sampler.keys(w.payloads)(3)
+    assert sampler.keys(probe)(3) == [whole[w.position(zn_element(*p))] for p in probe]
     assert hashed == [11, 2]
 
 
@@ -323,7 +323,7 @@ def test_projective_samplers_draw_the_order_of_their_keys():
     tor = torus_action([ALPHA, Sqrt2Num.of(Fraction(1, 3), 2)])
     point = (Fraction(1, 7), Fraction(2, 5))
     torus = sampling.ProjectiveSampler(
-        W2, lambda s, ps: sampling.orbit_keys(tor, point, W2.group, ps)
+        W2, lambda ps: lambda s: sampling.orbit_keys(tor, point, W2.group, ps)
     )
     drawn = {
         "uniform": lambda s: uniform_order(W2, s),
@@ -342,7 +342,7 @@ def test_projective_samplers_draw_the_order_of_their_keys():
             assert m == drawn[name](seed)
             # keys of any elements order them as the drawn order does
             sub = [w.element(i) for i in range(0, len(w), 3)][::-1]
-            keys = sampler.keys(seed, [g.payload for g in sub])
+            keys = sampler.keys([g.payload for g in sub])(seed)
             pos = [w.position(x) for x in sub]
             for a in range(len(sub)):
                 for b in range(len(sub)):
@@ -409,7 +409,7 @@ def test_sparse_coordinates_take_the_key_path(monkeypatch):
     wz = window_from_elements(zn(1), [zn_element(3 * k) for k in range(-40, 41)])
     exact_z = [(Sqrt2Num.of(xz) + ALPHA * g.payload[0]).frac() for g in wz]
     expected_z = sorted(range(len(wz)), key=exact_z.__getitem__)
-    monkeypatch.setattr(sampling, "_hull_order", no_walk)
+    monkeypatch.setattr(sampling, "_hull_walk", no_walk)
     assert realize(act, x, w).perm() == expected
     assert realize(rot, xz, wz).perm() == expected_z
 
@@ -427,16 +427,16 @@ def test_orbit_values_closer_than_2_to_the_minus_64_are_ordered_exactly():
 
 def test_the_switch_rule_between_walk_and_sort(monkeypatch):
     calls = []
-    for name in ("_hull_order", "_circle_order"):
+    for name in ("_hull_walk", "_circle_order"):
         real = getattr(sampling, name)
         monkeypatch.setattr(sampling, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     # the hull [lo, hi] is walked while hi - lo + 1 <= 2 * (number of values)
     for values, path in (
-        ([0, 1, 3, 5], "_hull_order"),  # hull 6, 4 values
-        ([0, 1, 5], "_hull_order"),  # hull 6, 3 values
+        ([0, 1, 3, 5], "_hull_walk"),  # hull 6, 4 values
+        ([0, 1, 5], "_hull_walk"),  # hull 6, 3 values
         ([0, 1, 6], "_circle_order"),  # hull 7, 3 values
         ([0, 10**12], "_circle_order"),
-        ([-(10**12)], "_hull_order"),
+        ([-(10**12)], "_hull_walk"),
     ):
         calls.clear()
         rot, payloads = rotation_action(ALPHA), [(v,) for v in values]
@@ -481,14 +481,16 @@ def test_walk_sort_and_exact_reference_give_one_circle_order(ks, alpha, x, seed)
     assert sampling._circle_order(x, alpha, ks) == ref
     lo, size = ks[0], ks[-1] - ks[0] + 1
     position = {k - lo: i for i, k in enumerate(ks)}
-    walked = [position[j] for j in sampling._hull_order(x, alpha, lo, size) if j in position]
+    hull = sampling._circle_sorter(alpha, list(range(lo, lo + size)))(x)
+    walked = [position[j] for j in hull if j in position]
     assert walked == ref
     # either path of orbit_keys ranks a shuffled column with repeats alike
     rnd = random.Random(seed)
     col = ks + rnd.sample(ks, len(ks) // 2)
     rnd.shuffle(col)
     rank = {ks[i]: r for r, i in enumerate(ref)}
-    assert sampling._circle_ranks(x, alpha, col) == (len(ks), [rank[k] for k in col])
+    base, ranks = sampling._circle_ranker(alpha, col)
+    assert (base, ranks(x)) == (len(ks), [rank[k] for k in col])
 
 
 def test_an_orbit_value_on_zero_comes_first():
@@ -499,7 +501,93 @@ def test_an_orbit_value_on_zero_comes_first():
             x = 2 - alpha * k0
             ref = oracles.circle_order_reference(x, alpha, ks)
             assert ks[ref[0]] == k0
-            assert sampling._hull_order(x, alpha, -10, 21) == ref == sampling._circle_order(x, alpha, ks)
+            assert sampling._circle_sorter(alpha, ks)(x) == ref == sampling._circle_order(x, alpha, ks)
+
+
+# dense Z value sets, listed out of order: the full hull, a hull with holes
+# (41 of 61 values) and a half-dense one (21 of 41, the walk's limit)
+DENSE_SETS = {
+    "full": [*range(0, 21), *range(-20, 0)],
+    "gapped": [k for k in range(30, -31, -1) if k % 3],
+    "half": list(range(-20, 21, 2))[::-1],
+}
+
+
+def _hull_reference(x, alpha, ks):
+    """The positions of ks in the order of the walk cut for x alone."""
+    lo, hi = min(ks), max(ks)
+    position = {k - lo: i for i, k in enumerate(ks)}
+    return [position[j] for j in oracles.hull_order(x, alpha, lo, hi - lo + 1) if j in position]
+
+
+def test_the_walk_built_once_cuts_at_x_zero_and_at_orbit_points():
+    for alpha in (ALPHA, Sqrt2Num.of(Fraction(-9, 4), Fraction(2, 3))):
+        for name, ks in DENSE_SETS.items():
+            sorter = sampling._circle_sorter(alpha, ks)
+            lo, hi = min(ks), max(ks)
+            # x on the orbit point of a value, of a hole and of each end
+            points = [Sqrt2Num.of(0)] + [2 - alpha * k0 for k0 in (lo, hi, ks[5], lo + 1, 0)]
+            for x in points:
+                assert sorter(x) == _hull_reference(x, alpha, ks), (name, x)
+                assert sorter(x) == oracles.circle_order_reference(x, alpha, ks), (name, x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(CIRCLE_ANGLES, st.lists(CIRCLE_POINTS, min_size=1, max_size=4))
+def test_the_walk_built_once_cuts_as_the_walk_built_per_point(alpha, xs):
+    for ks in DENSE_SETS.values():
+        sorter = sampling._circle_sorter(alpha, ks)
+        for x in xs:
+            assert sorter(x) == _hull_reference(x, alpha, ks)
+
+
+def test_rotation_sampler_refuses_a_torus_action():
+    w1, w2 = interval_window(-3, 4), W2
+    for action, w in ((torus_action([ALPHA]), w1), (torus_action([ALPHA, ALPHA]), w2)):
+        with pytest.raises(ValueError, match="torus_rotation"):
+            sampling.rotation_sampler(action, w)
+
+
+def test_rotation_sampler_refuses_a_bernoulli_action():
+    for dim, w in ((1, interval_window(-3, 4)), (2, W2)):
+        with pytest.raises(ValueError, match="bernoulli_shift"):
+            sampling.rotation_sampler(bernoulli_action(dim), w)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_sample_seeds_are_the_derived_seeds(seed):
+    chunk = sampling.SEED_CHUNK
+    for n in (0, 1, chunk - 1, chunk, chunk + 1):
+        assert list(sampling.sample_seeds(seed, n)) == [rng.derive_seed(seed, "sample", i) for i in range(n)]
+
+
+def test_bound_keys_equal_the_keys_of_each_seed():
+    # one binding serves every seed, and gives each seed the keys of the
+    # element-keyed references
+    wz = interval_window(-8, 9)
+    rot = rotation_action(ALPHA)
+    inner_w = window_from_elements(zn(2), [zn_element(k, 0) for k in range(-2, 3)])
+    inner = lex_functional(2).window_order(inner_w)
+    member = lambda g: g.payload[1] == 0
+    coset_rows = oracles.coset_inner_ranks(W2, member, inner)
+
+    def coset_reference(seed, elements):
+        rows = [coset_rows[W2.position(g)] for g in elements]
+        return [(rng.u64(seed, "coset", oracles.element_key(r), 0), oracles.element_key(r), rank)
+                for r, rank in rows]
+
+    cases = [
+        (sampling.uniform_sampler(W2), oracles.uniform_keys),
+        (sampling.rotation_sampler(rot, wz),
+         lambda s, els: oracles.orbit_keys(rot, rng.unit_fraction(s, "point"), els)),
+        (coset_sampler(W2, member, inner), coset_reference),
+    ]
+    for sampler, reference in cases:
+        w = sampler.window
+        for elements in (list(w), [w.element(i) for i in (4, 0, 4, len(w) - 1)]):
+            keys_of = sampler.keys([g.payload for g in elements])
+            for seed in (0, 1, 7, 2**64 - 1):
+                assert keys_of(seed) == reference(seed, elements)
 
 
 def test_reconstruct_examples():

@@ -189,7 +189,7 @@ def _sampler_pairs(w):
             (
                 "torus",
                 ProjectiveSampler(
-                    w, lambda s, ps: orbit_keys(tor, _torus_point(s), w.group, ps)
+                    w, lambda ps: lambda s: orbit_keys(tor, _torus_point(s), w.group, ps)
                 ),
                 lambda s: realize(tor, _torus_point(s), w),
             )
@@ -328,3 +328,25 @@ def test_drawn_orders_find_the_probe_positions_once_per_window(monkeypatch):
     found.clear()
     invariance_test(lambda s: uniform_order(next(windows), s), g, D3, 6, 2)
     assert found == [W, big, W, big]
+
+
+def test_one_sort_ranks_equal_pairwise_counts_under_ties():
+    # keys of four values tie in most blocks; the rank of a key is the
+    # number of keys of its block below it, ties included
+    from grouporders import stats
+
+    def keys(payloads):
+        return lambda s: [rng.u64(s, "tie", *p) % 4 for p in payloads]
+
+    sampler = ProjectiveSampler(W, keys)
+    D = window_from_elements(zn(2), [zn_element(*p) for p in ((0, 0), (1, 0), (0, 1), (0, -1))])
+    g = zn_element(1, 0)
+    probes = stats._probe_positions(W, D, ElementNotInWindow, g)
+    bound = keys([W.payloads[p] for positions in probes for p in positions])
+    tied = 0
+    rankings = stats._probe_rankings(sampler, D, ElementNotInWindow, 200, 5, shift=g)
+    for sub, got in zip(stats.sample_seeds(5, 200), rankings):
+        blocks = [bound(sub)[:4], bound(sub)[4:]]
+        tied += any(len(set(block)) < 4 for block in blocks)
+        assert got == [tuple(sum(b < a for b in block) for a in block) for block in blocks]
+    assert tied > 150

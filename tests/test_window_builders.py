@@ -347,7 +347,7 @@ def test_uniform_keys_equal_the_element_keyed_reference(case, seed):
     w, sub = case
     for elements in (list(w), sub):
         payloads = [g.payload for g in elements]
-        new = sampling.uniform_keys(seed, w.group, payloads)
+        new = sampling.uniform_keys(w.group, payloads)(seed)
         assert new == oracles.uniform_keys(seed, elements)
 
 
