@@ -144,9 +144,13 @@ def _add_common(p, with_seed=True):
 
 
 def _seed(args) -> int:
-    if args.seed is None:
-        return int(os.environ.get(ENV_SEED, "0"))
-    return args.seed
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{ENV_SEED} needs an integer seed, got {text!r}") from None
 
 
 def _refuse(args, flags, reason):

@@ -4,7 +4,9 @@ Heisenberg group, and SL3(Z).
 Elements are immutable and carry their group tag.  All integer arithmetic is
 checked against the signed 64-bit range: overflow raises, it never wraps.
 Window enumeration is deterministic (BFS layer, then lexicographic payload)
-so that downstream constraint indices and certificates are reproducible.
+so that downstream constraint indices and certificates are reproducible.  A
+Z^n ball whose walk cannot leave the 64-bit range runs on integer codes of
+its payloads, one addition per step, and decodes them once at the end.
 
 Raw payloads become a window in one place, the constructor `Window(group,
 rows)`, which checks them in bulk; window files and the window builders all
@@ -186,8 +188,8 @@ def _sl3_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 # The group law on payloads, one checked product per kind: `multiply`,
 # `Window.preimages`, `constraints.invariance_atoms`, the power walks of
-# `engine.build_sl3_instance` and `ball`, but for its one-coordinate Z^n
-# moves.
+# `engine.build_sl3_instance` and `ball`, but for its Z^n walks that cannot
+# leave the 64-bit range, which add integer codes (`_zn_ball`).
 _PRODUCT = {KIND_ZN: _zn_product, KIND_HEISENBERG: _heisenberg_product, KIND_SL3: _sl3_product}
 
 
@@ -391,12 +393,6 @@ def missing_translate(g: GroupElement, elements: Sequence[GroupElement], pre: li
     return multiply(inverse(g), next(x for x, p in zip(elements, pre) if p is None))
 
 
-def _move(s: tuple[int, ...]) -> tuple:
-    """(s, i, s[i]) for a step s whose one nonzero entry is at i, else (s, None, 0)."""
-    nonzero = [i for i, v in enumerate(s) if v]
-    return (s, nonzero[0], s[nonzero[0]]) if len(nonzero) == 1 else (s, None, 0)
-
-
 def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Window:
     """Breadth-first ball of word length <= radius over gens and inverses."""
     if not gens.generators:
@@ -406,11 +402,14 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
     if size_limit < 1:  # the identity alone is one element
         raise SizeLimitExceeded(f"ball exceeds the {size_limit}-element cap")
     group = gens.group
-    product = _PRODUCT[group.kind]
     steps = sorted({p for g in gens.generators for p in (g.payload, inverse(g).payload)})
-    # a Z^n step that changes one coordinate i by d is the move (s, i, d): it
-    # adds d to that entry and checks it alone, the others were checked in p
-    moves = [_move(s) if group.kind == KIND_ZN else (s, None, 0) for s in steps]
+    if group.kind == KIND_ZN:
+        # at most min(radius, size_limit) layers run before the cap raises,
+        # each moving an entry by at most the largest step entry
+        bound = min(radius, size_limit) * max(abs(v) for s in steps for v in s)
+        if bound <= INT64_MAX:  # then no entry can leave the 64-bit range
+            return Window(group, _zn_ball(steps, radius, size_limit, bound))
+    product = _PRODUCT[group.kind]
 
     e = identity(group).payload
     seen = {e}
@@ -419,14 +418,8 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
     for _ in range(radius):
         layer = []
         for p in frontier:
-            for s, i, d in moves:
-                if i is None:
-                    h = product(p, s)
-                else:
-                    v = p[i] + d
-                    if v < INT64_MIN or v > INT64_MAX:
-                        _checked((v,))  # raises, with its message
-                    h = p[:i] + (v,) + p[i + 1:]
+            for s in steps:
+                h = product(p, s)
                 if h not in seen:
                     seen.add(h)
                     layer.append(h)
@@ -440,6 +433,47 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
         if not layer:
             break
     return Window(group, ordered)
+
+
+def _zn_ball(steps: list, radius: int, size_limit: int, bound: int) -> list[tuple[int, ...]]:
+    """ball's payloads over the Z^n steps, in order, by a BFS on integer codes:
+    p is p[0]*B^(n-1) + sum over i >= 1 of (p[i] + bound)*B^(n-1-i), with
+    B = 2*bound + 1.  No entry the walk reaches leaves [-bound, bound], so no
+    digit carries: a step adds its code, and code order is payload order.
+    `seen` only grows, so the cap is checked once per layer."""
+    base = 2 * bound + 1
+
+    def code(p, offset):
+        c = p[0]
+        for v in p[1:]:
+            c = c * base + v + offset
+        return c
+
+    moves = [code(s, 0) for s in steps]
+    e = code((0,) * len(steps[0]), bound)
+    seen = {e}
+    ordered = [e]
+    frontier = [e]
+    for _ in range(radius):
+        layer = []
+        for p in frontier:
+            for m in moves:
+                h = p + m
+                if h not in seen:
+                    seen.add(h)
+                    layer.append(h)
+        if len(seen) > size_limit:
+            raise SizeLimitExceeded(f"ball exceeds the {size_limit}-element cap")
+        layer.sort()
+        ordered += layer
+        frontier = layer
+        if not layer:
+            break
+    digits = []
+    for _ in steps[0][1:]:
+        digits.append([c % base - bound for c in ordered])
+        ordered = [c // base for c in ordered]
+    return list(zip(ordered, *reversed(digits)))
 
 
 def window_from_elements(group: GroupId, elements: Iterable[GroupElement]) -> Window:

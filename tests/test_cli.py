@@ -535,6 +535,18 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
     assert out1 == out2
 
 
+def test_a_bad_env_seed_is_a_usage_error_naming_the_variable(tmp_path, capsys, monkeypatch):
+    wfile = write(tmp_path / "w.json", ser.window_to_json(ball(default_generators(zn(2)), 1)))
+    for text in ("abc", "", "1.5"):
+        monkeypatch.setenv("GROUPORDERS_SEED", text)
+        code, out, err = run(capsys, "sample", wfile, "-N", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: GROUPORDERS_SEED needs an integer seed, got {text!r}\n"
+        # --seed wins: the variable is not read
+        code, out, _ = run(capsys, "sample", wfile, "-N", "1", "--seed", "99")
+        assert code == 0 and out
+
+
 def test_order_files_must_list_each_index_once(tmp_path, capsys):
     wj = ser.window_to_json(interval_window(-1, 2))
     rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])

@@ -8,8 +8,14 @@ cone atoms g < g * a_k and the chain atoms are found here from 3x3 integer
 products, a_k^m = I + m E_k, not from the instance builder's walk.  Besides
 the golden and demo instances, a fixed sweep of 90 parameter sets drawn from
 a seeded generator must show the same five facts.
+
+The 92 plain-left systems also share one shortest cycle of atoms, of
+L = 6 + sum(n_i - q) links.  Cyclically adjacent generators commute, so
+(i, n_i) reads a_{i-1}^{n_i} < a_i^q, and n_{i+1} - q cone steps by a_i
+climb to the next shift a_i^{n_{i+1}}.
 """
 
+import math
 import random
 
 import pytest
@@ -38,6 +44,12 @@ def a(k, m):
     flat = [1, 0, 0, 0, 1, 0, 0, 0, 1]
     flat[3 * r + c] = m
     return tuple(flat)
+
+
+def unit(k):
+    """E_k: the off-diagonal matrix unit of a_k, for k in 1..6 cyclically."""
+    r, c = POSITIONS[(k - 1) % 6]
+    return tuple(int(j == 3 * r + c) for j in range(9))
 
 
 def split_atoms(q, n, trunc, convention):
@@ -102,9 +114,65 @@ def check_inverse_left(q, n, trunc):
     assert decide(cs, cs.atoms) == "sat"
 
 
+def shortest_cycle(size, atoms):
+    """Links in a shortest cycle of the atoms, by a BFS from every element."""
+    succ = [set() for _ in range(size)]
+    for u, v in atoms:
+        succ[u].add(v)
+    best = math.inf
+    for s in range(size):
+        seen, layer, links = {s}, {s}, 0
+        while layer and links < best:
+            links += 1
+            if any(s in succ[u] for u in layer):
+                best = links
+            layer = {v for u in layer for v in succ[u]} - seen
+            seen |= layer
+    return best
+
+
+def explicit_cycle(q, n):
+    """a_0^{n_1} -> a_1^q -> a_1^{q+1} -> ... -> a_1^{n_2} -> a_2^q -> ...
+    -> a_6^{n_1} = a_0^{n_1}, as payloads."""
+    cycle = [a(0, n[0])]
+    for i in range(1, 7):
+        cycle += [a(i, m) for m in range(q, n[i % 6] + 1)]
+    return cycle
+
+
+def check_cycle(q, n, trunc):
+    """The plain-left atoms' shortest cycle has L = 6 + sum(n_i - q) links;
+    the explicit cycle has L, each an atom: the six (i, n_i) and the rest
+    cone atoms; and the engine's cycle has at least L."""
+    cs = build_sl3_instance(SL3Instance(q, n, trunc, "plain_left"))
+    length = 6 + sum(m - q for m in n)
+    assert shortest_cycle(len(cs.window), cs.atoms) == length
+    at = {p: j for j, p in enumerate(cs.window.payloads)}
+    path = [at[p] for p in explicit_cycle(q, n)]
+    links = list(zip(path, path[1:]))
+    assert path[0] == path[-1] and len(links) == length
+    _, cone, chain = split_atoms(q, n, trunc, "plain_left")
+    assert set(links) <= cone | set(chain.values())
+    assert [link for link in links if link not in cone] == [chain[i, n[i - 1]] for i in range(1, 7)]
+    cert = solve(cs)
+    assert verify_certificate(cs, cert) and len(cert.cycle) - 1 >= length
+
+
+def test_cyclically_adjacent_generators_commute():
+    # E_k E_{k+1} = E_{k+1} E_k = 0, so a_k^m a_{k+1}^p = a_{k+1}^p a_k^m
+    for k in range(1, 7):
+        e, f = unit(k), unit(k + 1)
+        assert oracles.mat_mul(e, f) == oracles.mat_mul(f, e) == (0,) * 9
+
+
 @pytest.mark.parametrize("q, n, trunc", INSTANCES)
 def test_six_chain_atoms_on_the_cone_are_the_core(q, n, trunc):
     check_core(q, n, trunc)
+
+
+@pytest.mark.parametrize("q, n, trunc", INSTANCES)
+def test_the_shortest_cycle_has_six_plus_the_climbs_links(q, n, trunc):
+    check_cycle(q, n, trunc)
 
 
 @pytest.mark.parametrize("q, n, trunc", INSTANCES)
@@ -117,6 +185,7 @@ def test_the_sweep_shows_the_same_core():
     for params in SWEEP:
         try:
             check_core(*params)
+            check_cycle(*params)
             check_inverse_left(*params)
         except (AssertionError, KeyError) as exc:  # a KeyError: an atom's side is not in the window
             raise AssertionError(f"sweep set {params}") from exc

@@ -37,7 +37,7 @@ from grouporders import (
     window_from_elements,
     zn,
 )
-from grouporders import sampling
+from grouporders import groups, sampling
 from grouporders import serialize as ser
 from grouporders.groups import (
     INT64_MAX,
@@ -200,6 +200,56 @@ def test_one_coordinate_steps_overflow_or_hit_the_cap_in_one_layer(steps, cap, o
              outcome(oracles.elementwise_ball, gens, 2, size_limit))
     assert outcome(ball, gens, 2, cap) == (SizeLimitExceeded, f"ball exceeds the {cap}-element cap")
     assert outcome(ball, gens, 2, overflow) == (IntegerOverflow, f"entry {entry} leaves the 64-bit range")
+
+
+@st.composite
+def zn_multi_steps(draw):
+    """Generators of Z^1..Z^3 with entries in -3..3, most steps changing
+    several coordinates at once."""
+    group = zn(draw(st.integers(1, 3)))
+    step = st.tuples(*[st.integers(-3, 3)] * group.n).filter(any)
+    payloads = draw(st.lists(step, min_size=1, max_size=3, unique=True))
+    return GeneratorSet(group, tuple(GroupElement(group, p) for p in payloads))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(zn_multi_steps(), st.integers(0, 8),
+       st.one_of(st.integers(1, 60), st.integers(1, 100_000)))
+def test_zn_ball_on_integer_codes_matches_the_elementwise_ball(gens, radius, size_limit):
+    same(outcome(ball, gens, radius, size_limit),
+         outcome(oracles.elementwise_ball, gens, radius, size_limit))
+
+
+SEVENTH = INT64_MAX // 7  # 7 * SEVENTH == INT64_MAX
+
+
+@pytest.mark.parametrize(
+    "steps, radius, size_limit, walks_on_codes",
+    [
+        ([(1, 1), (1, 0)], 6, 100_000, True),  # several coordinates per step
+        ([(SEVENTH,)], 7, 100_000, True),  # the walk's bound is INT64_MAX exactly
+        ([(SEVENTH, 1), (0, 1)], 7, 100_000, True),
+        ([(SEVENTH,)], 9, 7, True),  # the cap, not the radius, sets the bound
+        ([(1 << 62,)], 2, 100_000, False),  # bound INT64_MAX + 1: reaches 2^63
+        ([(1 << 60, -1)], 8, 100_000, False),
+        ([(1 << 62, 0), (0, 1)], 2, 2, False),  # the cap fires first
+    ],
+)
+def test_zn_ball_walks_integer_codes_while_no_entry_can_leave_the_range(
+    monkeypatch, steps, radius, size_limit, walks_on_codes
+):
+    group = zn(len(steps[0]))
+    gens = GeneratorSet(group, tuple(GroupElement(group, s) for s in steps))
+    ref = outcome(oracles.elementwise_ball, gens, radius, size_limit)
+    calls = []
+
+    def counted(p, q):  # the checked Z^n product, counted
+        calls.append(1)
+        return groups._zn_product(p, q)
+
+    monkeypatch.setitem(groups._PRODUCT, groups.KIND_ZN, counted)
+    same(outcome(ball, gens, radius, size_limit), ref)
+    assert (not calls) == walks_on_codes
 
 
 def test_ball_rejects_an_sl3_generator_of_determinant_other_than_1():
