@@ -6,7 +6,8 @@ checked against the signed 64-bit range: overflow raises, it never wraps.
 Window enumeration is deterministic (BFS layer, then lexicographic payload)
 so that downstream constraint indices and certificates are reproducible.  A
 Z^n ball whose walk cannot leave the 64-bit range runs on integer codes of
-its payloads, one addition per step, and decodes them once at the end.
+its payloads, one addition per step, and decodes them once at the end; a
+Z^n window's table of translates g^-1 x subtracts such codes.
 
 Raw payloads become a window in one place, the constructor `Window(group,
 rows)`, which checks them in bulk; window files and the window builders all
@@ -189,7 +190,8 @@ def _sl3_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 # The group law on payloads, one checked product per kind: `multiply`,
 # `Window.preimages`, `constraints.invariance_atoms`, the power walks of
 # `engine.build_sl3_instance` and `ball`, but for its Z^n walks that cannot
-# leave the 64-bit range, which add integer codes (`_zn_ball`).
+# leave the 64-bit range, which add integer codes (`_zn_ball`), as
+# `Window.preimage_table` subtracts them.
 _PRODUCT = {KIND_ZN: _zn_product, KIND_HEISENBERG: _heisenberg_product, KIND_SL3: _sl3_product}
 
 
@@ -353,7 +355,8 @@ class Window:
 
     def preimages(self, g: GroupElement, elements: Sequence[GroupElement]) -> list[int | None]:
         """Position of g^-1 x for each x of elements, None where it lies
-        outside the window: the one place a translate is looked up.  g and
+        outside the window: the one per-element lookup of a translate, whose
+        bulk form over every g of the window is ``preimage_table``.  g and
         the elements must be of the window's group (GroupMismatch); with no
         elements only g's group is checked."""
         group = self.group
@@ -369,6 +372,27 @@ class Window:
                 raise GroupMismatch(f"{group} vs {x.group}")
             out.append(get(product(ginv, x.payload)))
         return out
+
+    def preimage_table(self, elements: Sequence[GroupElement]) -> list[list[int | None]]:
+        """preimages(g, elements) for each window element g, in window order.
+        On Z^n, when no g^-1 x can leave the 64-bit range (the largest window
+        entry plus the largest entry of the elements is at most INT64_MAX),
+        each g^-1 x is one subtraction of `_zn_codes` and one dict lookup;
+        otherwise each row is a preimages call and raises what it raises."""
+        group = self.group
+        if group.kind == KIND_ZN and elements and all(
+            x.group is group or x.group == group for x in elements
+        ):
+            xs = [x.payload for x in elements]
+            bound = max(map(abs, chain.from_iterable(self.payloads)))
+            bound += max(map(abs, chain.from_iterable(xs)))
+            if bound <= INT64_MAX:
+                base = 2 * bound + 1
+                codes = _zn_codes(self.payloads, base)
+                get = dict(zip(codes, range(len(codes)))).get
+                xcodes = _zn_codes(xs, base)
+                return [[get(x - g) for x in xcodes] for g in codes]
+        return [self.preimages(g, elements) for g in self.elements]
 
     def element(self, i: int) -> GroupElement:
         return GroupElement(self.group, self.payloads[i])
@@ -435,22 +459,29 @@ def ball(gens: GeneratorSet, radius: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
     return Window(group, ordered)
 
 
+def _zn_codes(payloads: Iterable[tuple[int, ...]], base: int, offset: int = 0) -> list[int]:
+    """The integer code of each Z^n payload p, p[0]*base^(n-1) + sum over
+    i >= 1 of (p[i] + offset)*base^(n-1-i).  With base = 2*bound + 1 and
+    every entry in [-bound, bound], no digit carries: distinct payloads have
+    distinct codes, ordered as the payloads, and adding or subtracting an
+    offset-0 code adds or subtracts its payload while the entries stay in
+    range.  With offset bound, the lower digits read back as c % base - bound."""
+    cols = zip(*payloads)
+    codes = list(next(cols, ()))
+    for col in cols:
+        codes = [c * base + v + offset for c, v in zip(codes, col)]
+    return codes
+
+
 def _zn_ball(steps: list, radius: int, size_limit: int, bound: int) -> list[tuple[int, ...]]:
-    """ball's payloads over the Z^n steps, in order, by a BFS on integer codes:
-    p is p[0]*B^(n-1) + sum over i >= 1 of (p[i] + bound)*B^(n-1-i), with
-    B = 2*bound + 1.  No entry the walk reaches leaves [-bound, bound], so no
-    digit carries: a step adds its code, and code order is payload order.
-    `seen` only grows, so the cap is checked once per layer."""
+    """ball's payloads over the Z^n steps, in order, by a BFS on their
+    `_zn_codes` with offset bound, B = 2*bound + 1.  No entry the walk
+    reaches leaves [-bound, bound], so no digit carries: a step adds its
+    code, and code order is payload order.  `seen` only grows, so the cap
+    is checked once per layer."""
     base = 2 * bound + 1
-
-    def code(p, offset):
-        c = p[0]
-        for v in p[1:]:
-            c = c * base + v + offset
-        return c
-
-    moves = [code(s, 0) for s in steps]
-    e = code((0,) * len(steps[0]), bound)
+    moves = _zn_codes(steps, base)
+    (e,) = _zn_codes([(0,) * len(steps[0])], base, bound)
     seen = {e}
     ordered = [e]
     frontier = [e]

@@ -137,6 +137,16 @@ class OrderMatrix:
                     rows[a] |= 1 << b
         return rows
 
+    def agrees_on(self, other: "OrderMatrix", positions: Sequence[int]) -> bool:
+        """Whether this order and other relate the distinct positions alike:
+        when both keep ranks, the positions sorted by each order's ranks are
+        the same list; otherwise their induced rows are equal."""
+        mine, theirs = self._rank_list(), other._rank_list()
+        if mine is not None and theirs is not None:
+            by_mine = sorted(positions, key=mine.__getitem__)
+            return by_mine == sorted(positions, key=theirs.__getitem__)
+        return self.induced(positions) == other.induced(positions)
+
     def ranking(self, positions: Sequence[int]) -> tuple[int, ...]:
         """Relative ranks (0 = smallest) of the positions; raises
         DomainNotCovered unless the order is total on them."""

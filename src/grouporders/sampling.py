@@ -274,7 +274,8 @@ def shadowing_report(
     For g in K the glued order must look like the first order through the
     lens of D; for window elements outside (D D^-1) K it must look like the
     second.  Elements whose D-preimage leaves the window are skipped, as are
-    the separation-band elements in between.  Returns (all_ok, rows).
+    the separation-band elements in between.  The preimages come from one
+    ``Window.preimage_table``.  Returns (all_ok, rows).
     """
     w = glued.window
     K = list(K)
@@ -284,19 +285,18 @@ def shadowing_report(
     }
     rows = []
     all_ok = True
-    for g in w:
-        pre = w.preimages(g, D)
-        if any(p is None for p in pre):
+    for p, pre in zip(w.payloads, w.preimage_table(D)):
+        if None in pre:
             continue
-        if g.payload in k_set:
+        if p in k_set:
             ref, side = m1, "inside"
-        elif g.payload not in fk_set:
+        elif p not in fk_set:
             ref, side = m2, "outside"
         else:
             continue
-        ok = glued.induced(pre) == ref.induced(pre)
+        ok = glued.agrees_on(ref, pre)
         all_ok = all_ok and ok
-        rows.append((g, side, ok))
+        rows.append((GroupElement(w.group, p), side, ok))
     return all_ok, rows
 
 

@@ -498,6 +498,27 @@ def test_realize_reconstruct_cli(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["realize", "wz1.json", "--action", "rotation", "--alpha", "1/2,0"],
+         "rotation angles must be irrational (root2 part nonzero)"),
+        (["realize", "wz2.json", "--action", "torus", "--alphas", "1/3,1;1/2,0"],
+         "rotation angles must be irrational (root2 part nonzero)"),
+        (["sample", "wz1.json", "--sampler", "rotation", "--alpha", "1/2,0", "-N", "1"],
+         "rotation angles must be irrational (root2 part nonzero)"),
+        (["reconstruct", "ord.json", "--n", "0"], "scheme size must be positive"),
+        (["reconstruct", "ord.json", "--scheme", "box", "--n", "2,-1"], "scheme size must be positive"),
+    ],
+)
+def test_a_refused_angle_or_scheme_size_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "wz1.json", ser.window_to_json(interval_window(-3, 4)))
+    write(tmp_path / "wz2.json", ser.window_to_json(ball(default_generators(zn(2)), 1)))
+    write(tmp_path / "ord.json", ser.order_to_json(uniform_order(interval_window(-3, 4), 1)))
+    assert run(capsys, *argv) == (2, "", f"error: ValueError: {message}\n")
+
+
 def test_levels_cli(tmp_path, capsys):
     w = window_from_elements(zn(2), [zn_element(x, y) for x in range(3) for y in range(3)])
     m = lex_functional(2).window_order(w)

@@ -1,5 +1,6 @@
-"""Window.preimages and its callers (glue, the keyed and drawn invariance
-paths, the coset lookup) against the element-by-element references in
+"""Window.preimages, its bulk form Window.preimage_table, and their callers
+(glue and its shadowing report, the keyed and drawn invariance paths, the
+coset lookup) against the element-by-element references in
 tests/oracles.py, on balls of radius <= 3 over Z^1-Z^3, the Heisenberg group
 and SL3(Z), with entries near both ends of the 64-bit range."""
 
@@ -16,7 +17,9 @@ from grouporders import (
     GroupId,
     GroupMismatch,
     InnerOrderIncomplete,
+    IntegerOverflow,
     OrderMatrix,
+    Window,
     ball,
     coset_sampler,
     default_generators,
@@ -24,6 +27,7 @@ from grouporders import (
     invariance_test,
     make_element,
     rng,
+    shadowing_report,
     specification_glue,
     stabilizer_check,
     uniform_order,
@@ -32,6 +36,7 @@ from grouporders import (
     zn,
     zn_element,
 )
+from grouporders import groups
 from grouporders.groups import INT64_MAX, INT64_MIN
 from grouporders.sampling import uniform_sampler
 
@@ -119,6 +124,103 @@ def test_preimages_match_the_reference(data):
     g = data.draw(shift_for(w))
     elements = data.draw(translated(w))
     assert outcome(w.preimages, g, elements) == outcome(oracles.preimages, w, g, elements)
+
+
+@st.composite
+def table_windows(draw):
+    """A ball of radius 1 or 2 of any of the five groups, or up to 12 random
+    points of Z^1-Z^3 with entries in -9..9."""
+    if draw(st.booleans()):
+        return draw(SMALL)
+    group = zn(draw(st.integers(1, 3)))
+    rows = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * group.n), max_size=12))
+    return window_from_elements(group, [GroupElement(group, r) for r in rows])
+
+
+@SETTINGS
+@given(st.data())
+def test_preimage_table_matches_preimages_and_the_reference(data):
+    w = data.draw(table_windows())
+    elements = data.draw(translated(w))
+    got = outcome(w.preimage_table, elements)
+    assert got == outcome(lambda: [w.preimages(g, elements) for g in w])
+    assert got == outcome(lambda: [oracles.preimages(w, g, elements) for g in w])
+
+
+def counted_zn_products(monkeypatch) -> list:
+    """A list that gains an entry at each checked Z^n product from now on."""
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return groups._zn_product(p, q)
+
+    monkeypatch.setitem(groups._PRODUCT, groups.KIND_ZN, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rows, xs, on_codes",
+    [  # bound = largest |window entry| + largest |entry of the xs|
+        ([(0,), (INT64_MAX - 3,), (-5,)], [(3,), (-3,), (0,)], True),  # INT64_MAX
+        ([(0, 0), (-(INT64_MAX - 7), 2), (4, -7)], [(7, -7), (0, 1)], True),  # INT64_MAX
+        ([(0,), (INT64_MAX - 2,)], [(-3,), (1,)], False),  # INT64_MAX + 1, none leaves
+        ([(0,), (-(INT64_MAX - 2),)], [(0,), (3,)], False),  # INT64_MAX + 1, 3 + M - 2 leaves
+        ([(0, 0, 0)], [(INT64_MIN, 0, 0)], False),  # 2^63
+        # bound 3, the window's own: (0, 3) and (1, -3) would share a code
+        # in base 2 * bound
+        ([(0, 0), (0, 3), (1, -3), (0, -3), (-1, 3)], [(0, 0)], True),
+    ],
+)
+def test_preimage_table_takes_codes_while_no_translate_can_leave_the_range(
+    monkeypatch, rows, xs, on_codes
+):
+    group = zn(len(rows[0]))
+    w = Window(group, rows)
+    elements = [GroupElement(group, x) for x in xs]
+    ref = outcome(lambda: [oracles.preimages(w, g, elements) for g in w])
+    calls = counted_zn_products(monkeypatch)
+    assert outcome(w.preimage_table, elements) == ref
+    assert (not calls) == on_codes
+
+
+def test_shadowing_report_refuses_as_the_rowwise_lookup_does():
+    # bound INT64_MAX + 1: the checked products raise at 3 - (2 - INT64_MAX)
+    w = Window(zn(1), [(2 - INT64_MAX,), (0,)])
+    m = OrderMatrix.from_perm(w, [0, 1])
+    D = window_from_elements(zn(1), [zn_element(3)])
+    with pytest.raises(IntegerOverflow, match=f"^entry {INT64_MAX + 1} leaves the 64-bit range$"):
+        w.preimage_table(D)
+    with pytest.raises(IntegerOverflow, match=f"^entry {INT64_MAX + 1} leaves the 64-bit range$"):
+        shadowing_report(m, m, m, [], D)
+    # a D of another group: with no K, the lookup names both groups; with
+    # one, the (D D^-1) K products refuse first
+    w3 = ball(default_generators(zn(3)), 1)
+    m3 = uniform_order(w3, 1)
+    heis = ball(default_generators(HEISENBERG), 1)
+    with pytest.raises(GroupMismatch, match="^zn:3 vs heis$"):
+        w3.preimage_table(heis)
+    with pytest.raises(GroupMismatch, match="^zn:3 vs heis$"):
+        shadowing_report(m3, m3, m3, [], heis)
+    with pytest.raises(GroupMismatch, match="^heis vs zn:3$"):
+        shadowing_report(m3, m3, m3, [zn_element(0, 0, 0)], heis)
+
+
+def test_shadowing_report_takes_products_only_for_its_band(monkeypatch):
+    w = Window(zn(2), [(x, y) for x in range(-15, 15) for y in range(-15, 15)])
+    m1, m2 = uniform_order(w, 1), uniform_order(w, 2)
+    K = [zn_element(0, 0), zn_element(1, 0)]
+    D = window_from_elements(zn(2), [zn_element(1, 0), zn_element(0, 1), zn_element(1, 1)])
+    glued = specification_glue(m1, m2, K, D)
+    calls = counted_zn_products(monkeypatch)
+    all_ok, rows = shadowing_report(glued, m1, m2, K, D)
+    # d1 * d2^-1, then times k, for each of the |D|^2 |K| elements of
+    # (D D^-1) K as it is listed; none for the 900 window elements
+    assert len(calls) == 2 * len(D) ** 2 * len(K)
+    # g^-1 D stays in w for g in [-13, 14]^2; the band (D D^-1) K is
+    # [-1, 2] x [-1, 1], and K lies in it
+    assert all_ok and len(rows) == 2 + 28 * 28 - 12
+    assert sorted(g.payload for g, side, _ in rows if side == "inside") == [(0, 0), (1, 0)]
 
 
 @SETTINGS

@@ -153,6 +153,58 @@ def test_shadowing_report_matches_pairwise(data):
     assert all_ok == all(ok for _, _, ok in rows)
 
 
+def report_matches_pairwise(data, glued, m1, m2):
+    """shadowing_report's rows on K and D drawn from the window, each
+    compared with the pair-by-pair reference; returns the rows."""
+    w = glued.window
+    K = [w.element(p) for p in data.draw(positions(len(w), holes=False))]
+    picked = data.draw(positions(len(w), holes=False))
+    D = window_from_elements(w.group, [w.element(p) for p in picked[:3]])
+    all_ok, rows = shadowing_report(glued, m1, m2, K, D)
+    for g, side, ok in rows:
+        pre = oracles.preimages(w, g, D)
+        ref = m1 if side == "inside" else m2
+        assert ok == oracles.pairs_agree(glued, pre, ref, pre)
+    assert all_ok == all(ok for _, _, ok in rows)
+    return rows
+
+
+def as_rows(m):
+    """The same relation, kept as row bitmasks."""
+    return OrderMatrix(m.window, rows=m.rows(), closed=m.closed)
+
+
+# few seeds, so that the glued order often equals a reference
+FEW_SEEDS = st.integers(0, 3)
+
+
+@SETTINGS
+@given(st.data())
+def test_shadowing_report_on_three_uniform_orders_matches_pairwise(data):
+    w = data.draw(st.sampled_from(BALLS[1:]))
+    glued, m1, m2 = (uniform_order(w, data.draw(FEW_SEEDS)) for _ in range(3))
+    with pytest.MonkeyPatch.context() as mp:  # the ranks decide, no rows are built
+        mp.setattr(OrderMatrix, "induced", None)
+        report_matches_pairwise(data, glued, m1, m2)
+
+
+@SETTINGS
+@given(st.data())
+def test_shadowing_report_on_perm_and_rows_orders_matches_pairwise(data):
+    w = data.draw(st.sampled_from(BALLS[1:]))
+    glued, m1, m2 = (uniform_order(w, data.draw(FEW_SEEDS)) for _ in range(3))
+    if data.draw(st.booleans()):
+        glued = as_rows(glued)
+    else:
+        m1, m2 = as_rows(m1), as_rows(m2)
+    calls = []
+    induced = OrderMatrix.induced
+    with pytest.MonkeyPatch.context() as mp:  # each row compares two restrictions
+        mp.setattr(OrderMatrix, "induced", lambda m, pos: calls.append(1) or induced(m, pos))
+        rows = report_matches_pairwise(data, glued, m1, m2)
+    assert len(calls) == 2 * len(rows)
+
+
 def test_undecided_cylinder_pair_raises_like_estimate_cylinder():
     # 1 < 0 is decided, 0 ? 2 is not; the pattern 0 < 1 < 2 disagrees on
     # the first pair, before the undecided one

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ import oracles
 from grouporders import (
     HEISENBERG,
     SL3Z,
+    ActionSpec,
+    AveragingScheme,
     DomainNotCovered,
     InnerOrderIncomplete,
     OrderMatrix,
     Sqrt2Num,
     StabilizerCollision,
+    Window,
     ball,
     bernoulli_action,
     box,
@@ -256,6 +260,64 @@ def test_glue_is_transitive_and_shadows():
         assert ok and rows
 
 
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        (lambda g: False, "subgroup test rejects the identity"),
+        (lambda g: g.payload[0] >= 0, "subgroup test not closed under inverse on the window"),
+        (lambda g: abs(g.payload[0]) <= 1, "subgroup test not closed under products on the window"),
+    ],
+)
+def test_a_subgroup_test_the_window_contradicts_is_refused(member, message):
+    w = interval_window(-2, 3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        coset_sampler(w, member, uniform_order(w, 1))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("spiral", 1), "unknown action kind 'spiral'"),
+        ((sampling.ROTATION, 2, (ALPHA, ALPHA)), "circle rotation acts through Z"),
+        ((sampling.TORUS_ROTATION, 2, (ALPHA,)), "one angle per generator required"),
+        ((sampling.ROTATION, 1, ()), "one angle per generator required"),
+        ((sampling.TORUS_ROTATION, 2, (ALPHA, Sqrt2Num.of(Fraction(1, 2)))),
+         "rotation angles must be irrational (root2 part nonzero)"),
+    ],
+)
+def test_an_action_spec_refuses_what_it_cannot_act_by(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ActionSpec(*args)
+
+
+def test_the_action_builders_refuse_a_rational_angle():
+    message = r"^rotation angles must be irrational \(root2 part nonzero\)$"
+    with pytest.raises(ValueError, match=message):
+        rotation_action(Fraction(1, 2))
+    with pytest.raises(ValueError, match=message):
+        torus_action([ALPHA, 1])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("mean", 3), "unknown averaging scheme 'mean'"),
+        ((sampling.CESARO_INTERVAL, 0), "scheme size must be positive"),
+        ((sampling.BOX, -1), "scheme size must be positive"),
+    ],
+)
+def test_an_averaging_scheme_refuses_an_unknown_kind_or_size(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AveragingScheme(*args)
+
+
+def test_specification_glue_refuses_orders_on_different_windows():
+    other = ball(default_generators(zn(2)), 1)
+    D = window_from_elements(zn(2), [])
+    with pytest.raises(ValueError, match="^glue needs both orders on the same window$"):
+        specification_glue(uniform_order(W2, 1), uniform_order(other, 2), [], D)
+
+
 def test_glue_domain_error():
     m1 = uniform_order(W2, 1)
     m2 = uniform_order(W2, 2)
@@ -491,6 +553,20 @@ def test_walk_sort_and_exact_reference_give_one_circle_order(ks, alpha, x, seed)
     rank = {ks[i]: r for r, i in enumerate(ref)}
     base, ranks = sampling._circle_ranker(alpha, col)
     assert (base, ranks(x)) == (len(ks), [rank[k] for k in col])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data(), CIRCLE_ANGLES, CIRCLE_POINTS)
+def test_realize_moves_with_the_rotation(data, alpha, x):
+    # frac((x + alpha) + k*alpha) = frac(x + (k + 1)*alpha): the order at
+    # x + alpha on W is the order at x on W + 1, moved back by one; windows
+    # dense in their hull take the walk, sparse ones the sort
+    spread = data.draw(st.sampled_from([30, 10**6]))
+    ks = data.draw(st.lists(st.integers(-spread, spread), max_size=40))
+    w = window_from_elements(zn(1), [zn_element(k) for k in [-1, *ks]])
+    moved = Window(zn(1), [(k + 1,) for k, in w.payloads])
+    act = rotation_action(alpha)
+    assert realize(act, x + alpha, w).perm() == realize(act, x, moved).perm()
 
 
 def test_an_orbit_value_on_zero_comes_first():
