@@ -72,8 +72,6 @@ class SemigroupSpec:
                         nxt[h.payload] = h
             seen.update(nxt)
             frontier = nxt
-            if not frontier:
-                break
 
 
 @functools.cache

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt, lcm
 from typing import Union
 
@@ -50,6 +51,7 @@ def int_form(*nums: "Sqrt2Num") -> tuple[int, ...]:
     return (*(q.numerator * (L // q.denominator) for q in parts), L)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Sqrt2Num:
     rational: Fraction
@@ -90,9 +92,6 @@ class Sqrt2Num:
     def floor(self) -> int:
         return _floor_ratio(*int_form(self))
 
-    def frac(self) -> "Sqrt2Num":
-        return self - self.floor()
-
     def scaled_floor(self, bits: int) -> int:
         """floor(self * 2**bits), computed exactly."""
         return (self * (1 << bits)).floor()
@@ -106,15 +105,6 @@ class Sqrt2Num:
 
     def __lt__(self, other):
         return (self - _coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - _coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
 
     def __float__(self):
         # Display/diagnostics only; never used for order decisions.

@@ -498,8 +498,6 @@ def _zn_ball(steps: list, radius: int, size_limit: int, bound: int) -> list[tupl
         layer.sort()
         ordered += layer
         frontier = layer
-        if not layer:
-            break
     digits = []
     for _ in steps[0][1:]:
         digits.append([c % base - bound for c in ordered])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -106,13 +106,10 @@ def _uniform_table(w: Window) -> tuple[list[bytes], list[int]]:
 
 def uniform_sampler(w: Window) -> ProjectiveSampler:
     """Uniform keys; the first whole-window draw builds ``_uniform_table(w)``."""
-    table = None
+    table = cache(lambda: _uniform_table(w))
 
     def draw(seed: int) -> OrderMatrix:
-        nonlocal table
-        if table is None:
-            table = _uniform_table(w)
-        eks, by_encoding = table
+        eks, by_encoding = table()
         values = rng.u64_each(seed, ("elem",), eks, (0,))
         # the stable sort leaves equal values in encoding order, which is the
         # (value, encoding) order of uniform_keys
@@ -128,17 +125,14 @@ def rotation_sampler(action: ActionSpec, w: Window) -> ProjectiveSampler:
     if action.kind != ROTATION:
         raise ValueError(f"the rotation sampler needs a circle rotation, not {action.kind}")
     _check_orbit_group(action, w.group)
-    sorter = None
+    sorter = cache(lambda: _circle_sorter(action.alphas[0], [k for k, in w.payloads]))
 
     def keys(payloads: Sequence[tuple]) -> Callable[[int], list[int]]:
         keyed = _orbit_keyer(action, w.group, payloads)
         return lambda s: keyed(rng.unit_fraction(s, "point"))
 
     def draw(seed: int) -> OrderMatrix:
-        nonlocal sorter
-        if sorter is None:
-            sorter = _circle_sorter(action.alphas[0], [k for k, in w.payloads])
-        return OrderMatrix.from_sorted(w, sorter(_coerce(rng.unit_fraction(seed, "point"))))
+        return OrderMatrix.from_sorted(w, sorter()(_coerce(rng.unit_fraction(seed, "point"))))
 
     return ProjectiveSampler(w, keys, draw)
 

@@ -96,18 +96,6 @@ def group_from_json(obj) -> GroupId:
     return HEISENBERG if kind == KIND_HEISENBERG else SL3Z
 
 
-def _payload_set_to_json(group: GroupId, payloads) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "group": group_to_json(group),
-        "elements": list(map(list, payloads)),
-    }
-
-
-def element_set_to_json(group: GroupId, elements) -> dict:
-    return _payload_set_to_json(group, [g.payload for g in elements])
-
-
 def element_set_from_json(obj) -> list[GroupElement]:
     """Element-list files share the window schema without the identity
     requirement."""
@@ -116,7 +104,11 @@ def element_set_from_json(obj) -> list[GroupElement]:
 
 
 def window_to_json(w: Window) -> dict:
-    return _payload_set_to_json(w.group, w.payloads)
+    return {
+        "format": FORMAT_VERSION,
+        "group": group_to_json(w.group),
+        "elements": list(map(list, w.payloads)),
+    }
 
 
 def window_from_json(obj) -> Window:

@@ -356,10 +356,15 @@ def canonical_dumps_reference(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def frac(v):
+    """The fractional part v - floor(v) of a Sqrt2Num, in [0, 1)."""
+    return v - v.floor()
+
+
 def circle_order_reference(x, alpha, ks):
     """Positions of ks sorted by the exact value frac(x + alpha*k)."""
     x, alpha = _coerce(x), _coerce(alpha)
-    return sorted(range(len(ks)), key=lambda i: (x + alpha * ks[i]).frac())
+    return sorted(range(len(ks)), key=lambda i: frac(x + alpha * ks[i]))
 
 
 def hull_order(x, alpha, lo, size):

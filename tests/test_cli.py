@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,11 +12,16 @@ import grouporders
 from grouporders import (
     HEISENBERG,
     OrderMatrix,
+    SL3Instance,
+    Sqrt2Num,
     ball,
     build_extension_system,
+    build_sl3_instance,
     default_generators,
     lex_functional,
     quadrant_order,
+    realize,
+    torus_action,
     uniform_order,
     window_from_elements,
     zn,
@@ -25,6 +31,7 @@ from grouporders import cli, sampling, serialize as ser
 from grouporders.cli import DEFAULT_ALPHA, main
 from grouporders.constraints import ConstraintSystem
 from grouporders.groups import interval_window
+from grouporders.rng import unit_fraction
 from test_golden import RUNS, _inputs
 
 
@@ -167,6 +174,34 @@ def test_verify_sl3(tmp_path, capsys):
         "--trunc", "3",
     )
     assert code == 2 and "n_i" in err
+
+
+def test_verify_sl3_writes_the_plain_left_system(tmp_path, capsys):
+    system = tmp_path / "sys.json"
+    code, _, _ = run(
+        capsys,
+        "verify-sl3", "--q", "1", "--n", "2", "2", "2", "2", "2", "2",
+        "--trunc", "3", "--system-out", str(system), "-o", str(tmp_path / "report.json"),
+    )
+    assert code == 1
+    plain_left = build_sl3_instance(SL3Instance(1, (2,) * 6, 3, "plain_left"))
+    assert system.read_text() == ser.canonical_dumps(ser.system_to_json(plain_left))
+    code, out, _ = run(capsys, "check-extend", str(system))
+    assert code == 1 and json.loads(out)["verdict"] == "unsat"
+
+
+def test_realize_torus_without_x_draws_one_point_coordinate_per_angle(tmp_path, capsys):
+    w = ball(default_generators(zn(2)), 2)
+    wfile = write(tmp_path / "w.json", ser.window_to_json(w))
+    out = tmp_path / "ord.json"
+    code, _, _ = run(
+        capsys,
+        "realize", wfile, "--action", "torus", "--alphas", "0,1;1/3,-1", "--seed", "9", "-o", str(out),
+    )
+    assert code == 0
+    action = torus_action([Sqrt2Num.of(0, 1), Sqrt2Num.of(Fraction(1, 3), -1)])
+    point = (unit_fraction(9, "point", 0), unit_fraction(9, "point", 1))
+    assert out.read_text() == ser.canonical_dumps(ser.order_to_json(realize(action, point, w)))
 
 
 def test_window_file_with_a_float_coordinate_is_rejected(tmp_path, capsys):
@@ -415,9 +450,7 @@ def test_glue_cli(tmp_path, capsys):
     m1, m2 = uniform_order(w, 1), uniform_order(w, 2)
     o1 = write(tmp_path / "o1.json", ser.order_to_json(m1))
     o2 = write(tmp_path / "o2.json", ser.order_to_json(m2))
-    kfile = write(
-        tmp_path / "k.json", ser.element_set_to_json(zn(2), [zn_element(0, 1)])
-    )
+    kfile = write(tmp_path / "k.json", {"format": 1, "group": {"kind": "zn", "n": 2}, "elements": [[0, 1]]})
     D = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0)])
     dfile = write(tmp_path / "d.json", ser.window_to_json(D))
     glued = tmp_path / "glued.json"
@@ -430,7 +463,7 @@ def test_glue_cli(tmp_path, capsys):
     assert code == 0
     assert json.loads(report.read_text())["all_ok"] is True
     # empty K reproduces the second order
-    k0 = write(tmp_path / "k0.json", ser.element_set_to_json(zn(2), []))
+    k0 = write(tmp_path / "k0.json", {"format": 1, "group": {"kind": "zn", "n": 2}, "elements": []})
     glued0 = tmp_path / "glued0.json"
     code, _, _ = run(
         capsys,
@@ -441,7 +474,7 @@ def test_glue_cli(tmp_path, capsys):
         ser.canonical_dumps(ser.order_to_json(m2))
     )["perm"]
     # K^-1 D escaping the window is an error
-    kbig = write(tmp_path / "kb.json", ser.element_set_to_json(zn(2), [zn_element(-2, 0)]))
+    kbig = write(tmp_path / "kb.json", {"format": 1, "group": {"kind": "zn", "n": 2}, "elements": [[-2, 0]]})
     code, _, _ = run(
         capsys,
         "glue", o1, o2, "--k-file", kbig, "--d-file", dfile,
@@ -457,7 +490,7 @@ def test_glue_refuses_orders_on_different_windows(tmp_path, capsys):
     w2 = window_from_elements(zn(1), [zn_element(k) for k in (0, 5, 7)])
     o1 = write(tmp_path / "o1.json", ser.order_to_json(OrderMatrix.from_perm(w1, [0, 1, 2])))
     o2 = write(tmp_path / "o2.json", ser.order_to_json(OrderMatrix.from_perm(w2, [2, 1, 0])))
-    k0 = write(tmp_path / "k0.json", ser.element_set_to_json(zn(1), []))
+    k0 = write(tmp_path / "k0.json", {"format": 1, "group": {"kind": "zn", "n": 1}, "elements": []})
     d = write(tmp_path / "d.json", ser.window_to_json(window_from_elements(zn(1), [])))
     glued, report = tmp_path / "glued.json", tmp_path / "rep.json"
     code, out, err = run(capsys, "glue", o1, o2, "--k-file", k0, "--d-file", d,
@@ -517,6 +550,28 @@ def test_a_refused_angle_or_scheme_size_is_one_error_line(tmp_path, capsys, monk
     write(tmp_path / "wz2.json", ser.window_to_json(ball(default_generators(zn(2)), 1)))
     write(tmp_path / "ord.json", ser.order_to_json(uniform_order(interval_window(-3, 4), 1)))
     assert run(capsys, *argv) == (2, "", f"error: ValueError: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["realize", "wz1.json", "--action", "rotation", "--alpha", "1/2"],
+         "angle must be 'rat,root2' (meaning rat + root2*sqrt2)"),
+        (["sample", "wz2.json", "--sampler", "coset", "--inner-order", "inner.json", "-N", "1"],
+         "coset sampler needs --subgroup-zero-coords"),
+        (["sample", "wh.json", "--sampler", "coset", "--inner-order", "inner.json",
+          "--subgroup-zero-coords", "0", "-N", "1"],
+         "the coordinate subgroup test needs a Z^n window"),
+        (["realize", "wz2.json", "--action", "torus"], "torus action needs --alphas 'a,b;a,b;...'"),
+    ],
+)
+def test_a_missing_or_malformed_flag_is_one_usage_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "wz1.json", ser.window_to_json(interval_window(-3, 4)))
+    write(tmp_path / "wz2.json", ser.window_to_json(ball(default_generators(zn(2)), 1)))
+    write(tmp_path / "wh.json", ser.window_to_json(ball(default_generators(HEISENBERG), 1)))
+    write(tmp_path / "inner.json", ser.order_to_json(uniform_order(interval_window(-1, 2), 1)))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_levels_cli(tmp_path, capsys):
@@ -625,7 +680,7 @@ def test_a_cyclic_closed_relation_is_not_a_total_order(tmp_path, capsys):
     wj = ser.window_to_json(rect)
     wfile = write(tmp_path / "w.json", wj)
     lex = write(tmp_path / "lex.json", ser.order_to_json(lex_functional(2).window_order(rect)))
-    origin = write(tmp_path / "e.json", ser.element_set_to_json(zn(2), [zn_element(0, 0)]))
+    origin = write(tmp_path / "e.json", {"format": 1, "group": {"kind": "zn", "n": 2}, "elements": [[0, 0]]})
     glue_files = (tmp_path / "g.json", tmp_path / "r.json")
     glue_out = ["-o", str(glue_files[0]), "--report-out", str(glue_files[1])]
     outputs = {}
@@ -685,7 +740,7 @@ def test_a_format_other_than_1_is_refused(tmp_path, capsys):
     rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(2) for y in range(2)])
     cs = build_extension_system(rect, quadrant_order(2))
     lex = ser.order_to_json(lex_functional(2).window_order(rect))
-    origin = ser.element_set_to_json(zn(2), [zn_element(0, 0)])
+    origin = {"format": 1, "group": {"kind": "zn", "n": 2}, "elements": [[0, 0]]}
     lex_file = write(tmp_path / "lex.json", lex)
     origin_file = write(tmp_path / "origin.json", origin)
     glue = ["--d-file", origin_file, "-o", str(tmp_path / "g.json"), "--report-out", str(tmp_path / "r.json")]

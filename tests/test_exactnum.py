@@ -2,8 +2,10 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from oracles import SQRT2_DEC
-from grouporders.exactnum import SQRT2, Sqrt2Num
+from grouporders.exactnum import SQRT2, Sqrt2Num, _sign_int_pair, int_form
 
 
 def dec(v: Sqrt2Num) -> Decimal:
@@ -39,6 +41,37 @@ def test_sign_and_comparison_against_decimal():
     assert (Sqrt2Num.of(0, big) * Sqrt2Num.of(0, big)).sign() > 0
 
 
+_SCALARS = st.integers(-10**6, 10**6) | st.fractions(max_denominator=60)
+_NUMS = st.builds(Sqrt2Num.of, _SCALARS, _SCALARS)
+
+
+def _pell(k):
+    """The k-th convergent p/q of sqrt(2): p^2 - 2q^2 = +-1, a near tie."""
+    p, q = 1, 1
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+_PAIRS = st.one_of(
+    st.tuples(_NUMS, _NUMS),
+    _NUMS.map(lambda x: (x, Sqrt2Num(x.rational, x.root2))),  # equal, not identical
+    _SCALARS.map(lambda q: (Sqrt2Num.of(q), q)),  # equal to an int or Fraction
+    st.tuples(_NUMS, _SCALARS),
+    st.integers(0, 40).map(_pell).map(lambda pq: (Sqrt2Num.of(pq[0]), Sqrt2Num.of(0, pq[1]))),
+)
+
+
+@given(_PAIRS, st.booleans())
+def test_comparisons_agree_with_the_sign_of_the_difference(pair, swap):
+    x, y = pair
+    a, c, _ = int_form(x - y)
+    sign = _sign_int_pair(a, c)
+    if swap:  # the scalar, if any, on the left
+        x, y, sign = y, x, -sign
+    assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+
+
 def test_floor_and_frac():
     rnd = random.Random(14)
     for _ in range(2000):
@@ -49,7 +82,7 @@ def test_floor_and_frac():
         f = v.floor()
         d = dec(v)
         assert Decimal(f) <= d < Decimal(f + 1)
-        fr = v.frac()
+        fr = v - v.floor()
         assert fr.sign() >= 0 and (fr - 1).sign() < 0
     assert Sqrt2Num.of(3).floor() == 3
     assert Sqrt2Num.of(-3).floor() == -3

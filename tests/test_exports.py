@@ -1,6 +1,7 @@
-"""Every name the package exports is used somewhere besides the unit tests:
-in the package itself, the demos, the benchmark or the acceptance suite.
-A name that only its own tests call does not pay its way."""
+"""Every name the package exports, and every public function and class any
+of its modules defines, is used somewhere besides the unit tests: in the
+package itself, the demos, the benchmark or the acceptance suite.  A name
+that only its own tests call does not pay its way."""
 
 import ast
 from pathlib import Path
@@ -27,12 +28,26 @@ def _used(path):
     return used
 
 
-def test_every_export_has_a_caller_outside_the_unit_tests():
+def _used_outside_the_unit_tests():
     files = [
         *(ROOT / "src" / "grouporders").glob("*.py"),
         *(ROOT / "demos").glob("*.py"),
         *(ROOT / "perfbench").glob("*.py"),
         ROOT / "tests" / "test_acceptance.py",
     ]
-    used = set().union(*(_used(f) for f in files if f != INIT))
-    assert sorted(_exported() - used) == []
+    return set().union(*(_used(f) for f in files if f != INIT))
+
+
+def test_every_export_has_a_caller_outside_the_unit_tests():
+    assert sorted(_exported() - _used_outside_the_unit_tests()) == []
+
+
+def test_every_public_definition_has_a_caller_outside_the_unit_tests():
+    defined = {
+        (path.name, node.name)
+        for path in (ROOT / "src" / "grouporders").glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = _used_outside_the_unit_tests()
+    assert sorted((module, name) for module, name in defined if name not in used) == []

@@ -146,11 +146,11 @@ def _inputs():
         "window": ser.window_to_json(D2),
         "pattern": ser.order_to_json(pattern, include_window=False),
     })
-    _write("k.json", ser.element_set_to_json(zn(2), [zn_element(0, 1)]))
+    _write("k.json", {"format": 1, "group": {"kind": "zn", "n": 2}, "elements": [[0, 1]]})
     D1 = window_from_elements(zn(1), [zn_element(1), zn_element(-2)])
     _write("d1.json", ser.window_to_json(D1))
     # x^-1 y and y x^-1 differ in the Heisenberg group, so K^-1 D pins the side
-    _write("kh.json", ser.element_set_to_json(HEISENBERG, [heisenberg_element(1, 0, 0)]))
+    _write("kh.json", {"format": 1, "group": {"kind": "heis"}, "elements": [[1, 0, 0]]})
     _write("dh.json", ser.window_to_json(
         window_from_elements(HEISENBERG, [heisenberg_element(0, 1, 0)])))
     rect = window_from_elements(zn(2), [zn_element(x, y) for x in range(4) for y in range(3)])

@@ -438,7 +438,7 @@ def test_realize_torus_lexicographic():
     )
     exact = [
         tuple(
-            (Sqrt2Num.of(xc) + alpha * k).frac()
+            oracles.frac(Sqrt2Num.of(xc) + alpha * k)
             for xc, alpha, k in zip(x, act.alphas, g.payload)
         )
         for g in w
@@ -446,7 +446,7 @@ def test_realize_torus_lexicographic():
     expected = sorted(range(len(w)), key=exact.__getitem__)
     # the circle rotation is the one-dimensional case of the same path
     rot, wz, xz = rotation_action(ALPHA), interval_window(-40, 41), Fraction(1, 5)
-    exact_z = [(Sqrt2Num.of(xz) + ALPHA * g.payload[0]).frac() for g in wz]
+    exact_z = [oracles.frac(Sqrt2Num.of(xz) + ALPHA * g.payload[0]) for g in wz]
     expected_z = sorted(range(len(wz)), key=exact_z.__getitem__)
     assert realize(act, x, w).perm() == expected
     assert realize(rot, xz, wz).perm() == expected_z
@@ -464,12 +464,12 @@ def test_sparse_coordinates_take_the_key_path(monkeypatch):
         zn(2), [zn_element(7 * a, 10**12 * (b % 2) + 5 * b) for a in range(-6, 7) for b in range(-6, 7)]
     )
     exact = [
-        tuple((alpha * k + xc).frac() for xc, alpha, k in zip(x, act.alphas, g.payload)) for g in w
+        tuple(oracles.frac(alpha * k + xc) for xc, alpha, k in zip(x, act.alphas, g.payload)) for g in w
     ]
     expected = sorted(range(len(w)), key=exact.__getitem__)
     rot, xz = rotation_action(ALPHA), Fraction(1, 5)
     wz = window_from_elements(zn(1), [zn_element(3 * k) for k in range(-40, 41)])
-    exact_z = [(Sqrt2Num.of(xz) + ALPHA * g.payload[0]).frac() for g in wz]
+    exact_z = [oracles.frac(Sqrt2Num.of(xz) + ALPHA * g.payload[0]) for g in wz]
     expected_z = sorted(range(len(wz)), key=exact_z.__getitem__)
     monkeypatch.setattr(sampling, "_hull_walk", no_walk)
     assert realize(act, x, w).perm() == expected

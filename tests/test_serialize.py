@@ -40,7 +40,8 @@ def test_window_from_json_shares_one_group_object():
     assert all(g.group is w.group for g in w)
     # the shared object still refuses elements of another group
     x = heisenberg_element(1, 0, 0)
-    heis = ser.element_set_from_json(ser.element_set_to_json(HEISENBERG, [x]))
+    heis = ser.element_set_from_json(
+        {"format": 1, "group": {"kind": "heis"}, "elements": [list(x.payload)]})
     assert w.find(heis[0]) is None
     with pytest.raises(GroupMismatch):
         window_from_elements(w.group, list(w) + heis)
