@@ -201,7 +201,7 @@ def cmd_ball(args) -> int:
     else:
         gens = default_generators(group)
     w = ball(gens, args.radius, size_limit=args.size_limit)
-    _write_json(args.output, serialize.window_to_json(w))
+    _write_json(args.output, serialize.window_record(w))
     return 0
 
 
@@ -234,8 +234,8 @@ def cmd_verify_sl3(args) -> int:
                 "atoms": len(cs.atoms),
                 "window": len(cs.window),
                 "trace_steps": len(cert.trace),
-                "cycle": list(cert.cycle),
-                "cycle_elements": [list(cs.window.payloads[i]) for i in cert.cycle],
+                "cycle": cert.cycle,
+                "cycle_elements": [cs.window.payloads[i] for i in cert.cycle],
                 "replay_ok": ok,
             }
         )
@@ -259,7 +259,7 @@ def cmd_sample(args) -> int:
         raise UsageError(f"-N must be >= 0, got {args.count}")
     sampler = _load_sampler(args)
     seed = _seed(args)
-    window = serialize.window_to_json(sampler.window)
+    window = serialize.window_record(sampler.window)
     lines = [serialize.canonical_dumps({"format": serialize.FORMAT_VERSION, "window": window})]
     # each draw is encoded as it is made, so only one order is alive at a time
     for sub in sample_seeds(seed, args.count):
@@ -328,7 +328,7 @@ def cmd_glue(args) -> int:
         "format": serialize.FORMAT_VERSION,
         "all_ok": all_ok,
         "checked": [
-            {"element": list(g.payload), "side": side, "ok": ok} for g, side, ok in rows
+            {"element": g.payload, "side": side, "ok": ok} for g, side, ok in rows
         ],
     }
     _write_json(args.report_out, report)

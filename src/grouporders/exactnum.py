@@ -97,11 +97,15 @@ class Sqrt2Num:
         return (self * (1 << bits)).floor()
 
     def __eq__(self, other):
-        other = _coerce(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         return self.rational == other.rational and self.root2 == other.root2
 
     def __hash__(self):
-        return hash((self.rational, self.root2))
+        # a rational value hashes as the int or Fraction it equals
+        return hash(self.rational) if self.root2 == 0 else hash((self.rational, self.root2))
 
     def __lt__(self, other):
         return (self - _coerce(other)).sign() < 0

@@ -290,10 +290,11 @@ def render_levels(m: OrderMatrix) -> list[list[int]]:
     ys = sorted({p[1] for p in m.window.payloads})
     if len(xs) * len(ys) != m.n:
         raise NotRectangular("window is not a full rectangle")
-    grid = [[0] * len(xs) for _ in ys]
-    x0, y0 = xs[0], ys[0]
-    for i, (x, y) in enumerate(m.window.payloads):
-        if x - x0 not in range(len(xs)) or y - y0 not in range(len(ys)):
-            raise NotRectangular("window is not a contiguous rectangle")
-        grid[len(ys) - 1 - (y - y0)][x - x0] = ranks[i]
-    return grid
+    # distinct sorted ints are consecutive iff they span fewer than their count;
+    # a full rectangle of distinct points then holds every (x, y) cell once
+    if xs[-1] - xs[0] >= len(xs) or ys[-1] - ys[0] >= len(ys):
+        raise NotRectangular("window is not a contiguous rectangle")
+    positions = m.window.payload_positions([(x, y) for y in reversed(ys) for x in xs])
+    cells = list(map(ranks.__getitem__, positions))
+    width = len(xs)
+    return [cells[k:k + width] for k in range(0, len(cells), width)]

@@ -103,12 +103,16 @@ def element_set_from_json(obj) -> list[GroupElement]:
     return [GroupElement(group, p) for p in checked_payloads(group, obj["elements"])]
 
 
+def window_record(w: Window) -> dict:
+    """The window's object as the writers encode it: the payload tuples go
+    to ``canonical_dumps`` as they are, which writes each as an array."""
+    return {"format": FORMAT_VERSION, "group": group_to_json(w.group), "elements": w.payloads}
+
+
 def window_to_json(w: Window) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "group": group_to_json(w.group),
-        "elements": list(map(list, w.payloads)),
-    }
+    """The window's object as ``json.loads`` reads it back: payload rows as
+    lists.  No writer calls it; ``window_record`` is the written form."""
+    return {**window_record(w), "elements": list(map(list, w.payloads))}
 
 
 def window_from_json(obj) -> Window:
@@ -118,7 +122,7 @@ def window_from_json(obj) -> Window:
 def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
     out: dict[str, Any] = {"format": FORMAT_VERSION, "closed": m.closed}
     if include_window:
-        out["window"] = window_to_json(m.window)
+        out["window"] = window_record(m.window)
     if m.closed and is_total(m):
         out["perm"] = m.perm()
     else:
@@ -147,8 +151,8 @@ def order_from_json(obj, window: Window | None = None) -> OrderMatrix:
 def system_to_json(cs: ConstraintSystem) -> dict:
     return {
         "format": FORMAT_VERSION,
-        "window": window_to_json(cs.window),
-        "atoms": [list(a) for a in cs.atoms],
+        "window": window_record(cs.window),
+        "atoms": cs.atoms,
         "convention": cs.convention,
     }
 

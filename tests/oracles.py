@@ -21,7 +21,9 @@ of a hull built and cut for each point, the propagation loop
 that listed every round's candidates before recording them through a
 tracer object, the certificate replay over one set of pair tuples that
 the per-element rows replaced, the certificate dict built through a
-per-rule helper, and the canonical JSON encoder with its cycle check on.
+per-rule helper, the canonical JSON encoder with its cycle check on, and
+the level grid filled element by element with a range test per element
+that the O(1) contiguity test and one bulk lookup replaced.
 """
 
 import functools
@@ -36,6 +38,7 @@ from grouporders.errors import (
     GroupMismatch,
     InnerOrderIncomplete,
     IntegerOverflow,
+    NotRectangular,
     SizeLimitExceeded,
 )
 from grouporders.constraints import Comparison
@@ -823,3 +826,23 @@ def orbit_keys(action, point, elements):
         base = len(ks)
         keys = [key * base + rank_of[g.payload[c]] for key, g in zip(keys, elements)]
     return keys
+
+
+def render_levels_reference(m):
+    """`orders.render_levels` as it was: each element range-tested and
+    scattered into the grid in window order."""
+    group = m.window.group
+    if group.kind != "zn" or group.n != 2:
+        raise NotRectangular("level rendering needs a Z^2 window")
+    ranks = m.ranks()
+    xs = sorted({p[0] for p in m.window.payloads})
+    ys = sorted({p[1] for p in m.window.payloads})
+    if len(xs) * len(ys) != m.n:
+        raise NotRectangular("window is not a full rectangle")
+    grid = [[0] * len(xs) for _ in ys]
+    x0, y0 = xs[0], ys[0]
+    for i, (x, y) in enumerate(m.window.payloads):
+        if x - x0 not in range(len(xs)) or y - y0 not in range(len(ys)):
+            raise NotRectangular("window is not a contiguous rectangle")
+        grid[len(ys) - 1 - (y - y0)][x - x0] = ranks[i]
+    return grid

@@ -100,3 +100,21 @@ def test_scaled_floor_matches_decimal():
         k = v.scaled_floor(30)
         d = dec(v) * (1 << 30)
         assert Decimal(k) <= d < Decimal(k + 1)
+
+
+def test_rational_values_hash_and_compare_as_the_numbers_they_equal():
+    for value in (1, -7, 0, Fraction(3, 4), Fraction(-5, 2)):
+        x = Sqrt2Num.of(value)
+        assert x == value and value == x
+        assert x in {value} and value in {x}
+        assert {x: "x"}[value] == "x" and {value: "v"}[x] == "v"
+    # an irrational value equals no int or Fraction and is found in no set of them
+    assert SQRT2 not in {1, 2, Fraction(1, 2)}
+    assert Sqrt2Num.of(1, 1) in {Sqrt2Num.of(1, 1)}
+
+
+def test_equality_with_a_foreign_value_is_false():
+    x = Sqrt2Num.of(1)
+    for other in (None, 1.0, "1", (1,), object()):
+        assert (x == other) is False and (other == x) is False
+        assert (x != other) is True

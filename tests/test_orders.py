@@ -13,6 +13,7 @@ from grouporders import (
     NotRectangular,
     NotTotal,
     OrderMatrix,
+    Window,
     ball,
     cone_order,
     default_generators,
@@ -185,6 +186,57 @@ def test_render_levels_properties_and_errors():
         render_levels(uniform_order(W2, 1))  # diamond, not a rectangle
     with pytest.raises(NotTotal):
         render_levels(OrderMatrix.from_pairs(w, [], closed=True))
+
+
+def _axis(draw):
+    """Distinct sorted ints holding 0: a run of consecutive ones, or one with gaps."""
+    lo = draw(st.integers(-4, 0))
+    run = list(range(lo, lo + draw(st.integers(1 - lo, 6))))
+    if draw(st.booleans()):
+        return run
+    extra = draw(st.sets(st.integers(-9, 9), min_size=1, max_size=3))
+    return sorted(set(run) | extra)
+
+
+@st.composite
+def level_orders(draw):
+    """Orders on Z^2 windows the level grid may refuse: full rectangles,
+    gapped ones, rectangles with cells dropped or added, diamonds, and
+    windows of another group, in a shuffled payload order, total or not."""
+    kind = draw(st.sampled_from(["rectangle", "gapped", "dropped", "added", "diamond", "z1"]))
+    if kind == "z1":
+        w = interval_window(-2, 3)
+    elif kind == "diamond":
+        w = ball(default_generators(zn(2)), draw(st.integers(1, 3)))
+    else:
+        xs, ys = _axis(draw), _axis(draw)
+        if kind == "rectangle":
+            xs, ys = list(range(xs[0], xs[0] + len(xs))), list(range(ys[0], ys[0] + len(ys)))
+            if 0 not in xs or 0 not in ys:
+                xs, ys = [x - xs[0] for x in xs], [y - ys[0] for y in ys]
+        cells = [(x, y) for x in xs for y in ys]
+        if kind == "dropped" and len(cells) > 1:
+            cells.remove(draw(st.sampled_from([c for c in cells if c != (0, 0)])))
+        if kind == "added":
+            cells.append((max(xs) + draw(st.integers(1, 3)), draw(st.integers(-3, 3))))
+        w = Window(zn(2), draw(st.permutations(cells)))
+    perm = draw(st.permutations(range(len(w))))
+    if draw(st.integers(0, 5)) == 5 and len(w) > 2:
+        return OrderMatrix.from_pairs(w, [(perm[0], perm[1])], closed=True)
+    return OrderMatrix.from_perm(w, perm)
+
+
+def _grid_or_refusal(render, m):
+    try:
+        return render(m)
+    except (NotRectangular, NotTotal) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(level_orders())
+def test_render_levels_agrees_with_the_element_by_element_grid(m):
+    assert _grid_or_refusal(render_levels, m) == _grid_or_refusal(oracles.render_levels_reference, m)
 
 
 def test_reflexive_pair_rejected():
