@@ -10,7 +10,6 @@ coordinates, so the order is total and never decided in floating point.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -171,11 +170,6 @@ def build_extension_system(
     return ConstraintSystem(w, tuple(sorted(atoms)), convention)
 
 
-class Comparison(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-
-
 CoefficientLike = Union[int, Sqrt2Num]
 
 
@@ -211,11 +205,6 @@ class LinearFunctionalOrder:
             f = f.tie_breaker
         return (*values, g.payload)
 
-    def compare(self, x: GroupElement, y: GroupElement) -> Comparison:
-        if x.payload == y.payload:
-            raise ValueError("compare needs distinct elements")
-        return Comparison.LESS if self.key(x) < self.key(y) else Comparison.GREATER
-
     def window_order(self, window: Window) -> OrderMatrix:
         return OrderMatrix.from_keys(window, [self.key(g) for g in window])
 
@@ -233,9 +222,6 @@ def extends_quadrant(f: LinearFunctionalOrder) -> bool:
     """True iff every positive-orthant generator sits above the origin."""
     n = f.dimension
     group = zn(n)
-    zero = identity(group)
-    for i in range(n):
-        e_i = GroupElement(group, tuple(1 if j == i else 0 for j in range(n)))
-        if f.compare(e_i, zero) is not Comparison.GREATER:
-            return False
-    return True
+    zero = f.key(identity(group))
+    units = (tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    return all(f.key(GroupElement(group, e)) > zero for e in units)

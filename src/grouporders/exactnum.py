@@ -124,6 +124,3 @@ def _coerce(value) -> Sqrt2Num:
     if isinstance(value, (int, Fraction)):
         return Sqrt2Num(Fraction(value), Fraction(0))
     raise TypeError(f"cannot coerce {value!r} to Sqrt2Num")
-
-
-SQRT2 = Sqrt2Num.of(0, 1)

@@ -100,11 +100,6 @@ class OrderMatrix:
             for i, row in enumerate(self.rows())
         )
 
-    def decided_count(self) -> int:
-        if self._perm is not None:
-            return self.n * (self.n - 1) // 2
-        return sum(row.bit_count() for row in self._rows)
-
     def rows(self) -> list[int]:
         """Dense row bitmasks (copy); guarded against huge windows."""
         if self._rows is not None:
@@ -182,7 +177,7 @@ class OrderMatrix:
     __hash__ = None
 
     def __repr__(self):
-        kind = "total" if self._perm is not None else f"{self.decided_count()} pairs"
+        kind = "total" if self._perm is not None else f"{sum(row.bit_count() for row in self._rows)} pairs"
         return f"OrderMatrix({self.window!r}, {kind}, closed={self.closed})"
 
 

@@ -119,10 +119,8 @@ def window_from_json(obj) -> Window:
     return Window(group_from_json(_fields(obj, "window")["group"]), obj["elements"])
 
 
-def order_to_json(m: OrderMatrix, include_window: bool = True) -> dict:
-    out: dict[str, Any] = {"format": FORMAT_VERSION, "closed": m.closed}
-    if include_window:
-        out["window"] = window_record(m.window)
+def order_to_json(m: OrderMatrix) -> dict:
+    out: dict[str, Any] = {"format": FORMAT_VERSION, "closed": m.closed, "window": window_record(m.window)}
     if m.closed and is_total(m):
         out["perm"] = m.perm()
     else:

@@ -8,8 +8,8 @@ taking a 64-bit seed and returning an OrderMatrix total on the probed
 elements; both kinds give the same reports.  Per-sample seeds are derived
 sub-streams (``sampling.sample_seeds``), so reports are deterministic given
 (seed, N).  The chi-square quantile is computed in-repo from the regularized
-incomplete gamma function (series + continued fraction), accurate to well
-below 1e-8.
+incomplete gamma function: its series below a + 1 and, since every dof is a
+whole number, its closed-form tail above it, accurate to well below 1e-8.
 """
 
 from __future__ import annotations
@@ -210,42 +210,28 @@ def _gamma_p_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if x < 0 or a <= 0:
-        raise ValueError("need x >= 0 and a > 0")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
 def chi2_cdf(x: float, dof: int) -> float:
-    return gamma_p(dof / 2.0, x / 2.0)
+    """P(a, y) with a = dof/2 and y = x/2: the series below y = a + 1, and
+    above it one minus the closed-form tail Q(a, y) (Abramowitz & Stegun,
+    sections 6.5 and 26.4), erfc(sqrt y) = Q(1/2, y) when a is half-whole
+    plus y^b e^-y / Gamma(b + 1) for b = a - 1, a - 2, ... down to 1/2 or 0.
+    The terms are summed from the largest down, so they underflow only where
+    they are negligible."""
+    if not (x >= 0 and dof >= 1 and float(dof).is_integer()):
+        raise ValueError("need x >= 0 and a whole-number dof >= 1")
+    a, y = dof / 2.0, x / 2.0
+    if y == 0:
+        return 0.0
+    if y < a + 1.0:
+        return _gamma_p_series(a, y)
+    b = a - 1.0
+    term = math.exp(b * math.log(y) - y - math.lgamma(a))
+    q = math.erfc(math.sqrt(y)) if a % 1 else 0.0
+    while b >= 0:
+        q += term
+        term *= b / y
+        b -= 1.0
+    return 1.0 - q
 
 
 def chi2_quantile(p: float, dof: int) -> float:

@@ -41,7 +41,6 @@ from grouporders.errors import (
     NotRectangular,
     SizeLimitExceeded,
 )
-from grouporders.constraints import Comparison
 from grouporders.engine import Certificate, TraceStep
 from grouporders.groups import (
     DEFAULT_SIZE_LIMIT,
@@ -624,30 +623,27 @@ def _value_sign(f, diff):
     return total.sign()
 
 
-def cascade_compare(f, x, y):
-    """Sign of f(x-y), then the tie-breaker's, then the first nonzero
-    coordinate of x-y."""
+def cascade_less(f, x, y):
+    """Whether x lies below y: the sign of f(x-y), then the tie-breaker's,
+    then the first nonzero coordinate of x-y."""
     if x.payload == y.payload:
         raise ValueError("compare needs distinct elements")
     diff = tuple(a - b for a, b in zip(x.payload, y.payload))
     s = _value_sign(f, diff)
-    if s < 0:
-        return Comparison.LESS
-    if s > 0:
-        return Comparison.GREATER
+    if s:
+        return s < 0
     if f.tie_breaker is not None:
-        return cascade_compare(f.tie_breaker, x, y)
+        return cascade_less(f.tie_breaker, x, y)
     for d in diff:
         if d:
-            return Comparison.LESS if d < 0 else Comparison.GREATER
+            return d < 0
     raise AssertionError("unreachable: distinct payloads")
 
 
 def cascade_perm(f, window):
-    """Window indices sorted by ``cascade_compare``, smallest first."""
+    """Window indices sorted by ``cascade_less``, smallest first."""
     def cmp(i, j):
-        less = cascade_compare(f, window.element(i), window.element(j)) is Comparison.LESS
-        return -1 if less else 1
+        return -1 if cascade_less(f, window.element(i), window.element(j)) else 1
 
     return sorted(range(len(window)), key=functools.cmp_to_key(cmp))
 

@@ -249,12 +249,10 @@ def test_estimate_invariance_chisq(tmp_path, capsys):
     wfile = write(tmp_path / "w.json", ser.window_to_json(w))
     D = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0)])
     dfile = write(tmp_path / "d.json", ser.window_to_json(D))
-    from grouporders.orders import OrderMatrix
-
     cyl = {
         "format": 1,
         "window": ser.window_to_json(D),
-        "pattern": ser.order_to_json(OrderMatrix.from_ranks(D, [0, 1]), include_window=False),
+        "pattern": {"format": 1, "closed": True, "perm": [0, 1]},
     }
     cfile = write(tmp_path / "cyl.json", cyl)
     code, out, _ = run(
@@ -306,8 +304,6 @@ def test_chisq_and_invariance_reject_zero_samples(tmp_path, capsys):
 
 
 def test_rotation_sampler_needs_a_z_window(tmp_path, capsys):
-    from grouporders.orders import OrderMatrix
-
     w = ball(default_generators(zn(2)), 1)
     wfile = write(tmp_path / "w.json", ser.window_to_json(w))
     # an empty probe and a Z probe: the window's group alone decides
@@ -316,7 +312,7 @@ def test_rotation_sampler_needs_a_z_window(tmp_path, capsys):
         cyl = {
             "format": 1,
             "window": ser.window_to_json(D),
-            "pattern": ser.order_to_json(OrderMatrix.from_ranks(D, list(range(len(D)))), include_window=False),
+            "pattern": {"format": 1, "closed": True, "perm": list(range(len(D)))},
         }
         cfile = write(tmp_path / f"cyl{i}.json", cyl)
         for argv in (["chisq", wfile, "--probe", dfile], ["estimate", wfile, "--cylinder", cfile]):
@@ -973,7 +969,7 @@ def test_a_uniform_estimate_encodes_its_probe_once(tmp_path, capsys, monkeypatch
     w = ball(default_generators(zn(2)), 3)
     D = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0), zn_element(0, 1)])
     wfile = write(tmp_path / "w.json", ser.window_to_json(w))
-    pattern = ser.order_to_json(OrderMatrix.from_ranks(D, [2, 0, 1]), include_window=False)
+    pattern = {"format": 1, "closed": True, "perm": [1, 2, 0]}
     cfile = write(tmp_path / "c.json", {"format": 1, "window": ser.window_to_json(D), "pattern": pattern})
     encoded = []
     payload_keys = sampling.payload_keys

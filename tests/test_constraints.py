@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from grouporders import (
-    Comparison,
     ConstraintSystem,
     LinearFunctionalOrder,
     SemigroupSpec,
@@ -116,11 +115,9 @@ def test_functional_compare_examples():
     lex = LinearFunctionalOrder.of(
         (1, 0), LinearFunctionalOrder.of((0, 1))
     )
-    assert lex.compare(zn_element(0, 5), zn_element(1, -100)) is Comparison.LESS
+    assert lex.key(zn_element(0, 5)) < lex.key(zn_element(1, -100))
     f = LinearFunctionalOrder.of((1, Sqrt2Num.of(0, 1)))
-    assert f.compare(zn_element(1, 0), zn_element(0, 1)) is Comparison.LESS  # 1 < sqrt2
-    with pytest.raises(ValueError):
-        f.compare(zn_element(1, 0), zn_element(1, 0))
+    assert f.key(zn_element(1, 0)) < f.key(zn_element(0, 1))  # 1 < sqrt2
 
 
 def test_extends_quadrant():
@@ -153,7 +150,7 @@ def test_functional_left_invariance():
         for y in w:
             if x.payload == y.payload:
                 continue
-            assert f.compare(x, y) == f.compare(multiply(x, shift), multiply(y, shift))
+            assert (f.key(x) < f.key(y)) == (f.key(multiply(x, shift)) < f.key(multiply(y, shift)))
 
 
 def test_extends_quadrant_matches_atom_satisfaction():
@@ -201,7 +198,7 @@ def test_functional_keys_match_the_sign_cascade(fw, data):
     for _ in range(5):
         x, y = w.element(data.draw(index)), w.element(data.draw(index))
         if x != y:
-            assert f.compare(x, y) is oracles.cascade_compare(f, x, y)
+            assert (f.key(x) < f.key(y)) is oracles.cascade_less(f, x, y)
 
 
 CONES = {zn(2): quadrant_order(2), HEISENBERG: heisenberg_positive_order(), SL3Z: sl3_positive_order()}

@@ -88,10 +88,9 @@ def test_windows_and_orders_encode_as_the_reference_does():
         same_bytes(ser.order_to_json(uniform_order(w, 5)))
     partial = OrderMatrix.from_pairs(interval_window(-2, 3), [(0, 1), (1, 2), (3, 4)])
     for m in (uniform_order(interval_window(-3, 4), 7), partial):
-        for include_window in (True, False):
-            obj = ser.order_to_json(m, include_window=include_window)
-            assert ("perm" in obj) is (m is not partial)
-            same_bytes(obj)
+        obj = ser.order_to_json(m)
+        assert ("perm" in obj) is (m is not partial)
+        same_bytes(obj)
 
 
 BIG = (1 << 63) - 1

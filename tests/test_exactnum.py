@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from oracles import SQRT2_DEC
-from grouporders.exactnum import SQRT2, Sqrt2Num, _sign_int_pair, int_form
+from grouporders.exactnum import Sqrt2Num, _sign_int_pair, int_form
 
 
 def dec(v: Sqrt2Num) -> Decimal:
@@ -16,7 +16,7 @@ def dec(v: Sqrt2Num) -> Decimal:
 
 
 def test_basic_identities():
-    assert (SQRT2 * SQRT2) == Sqrt2Num.of(2)
+    assert (Sqrt2Num.of(0, 1) * Sqrt2Num.of(0, 1)) == Sqrt2Num.of(2)
     a = Sqrt2Num.of(Fraction(3, 2), Fraction(-1, 3))
     b = Sqrt2Num.of(-2, 5)
     assert (a + b) - b == a
@@ -86,8 +86,8 @@ def test_floor_and_frac():
         assert fr.sign() >= 0 and (fr - 1).sign() < 0
     assert Sqrt2Num.of(3).floor() == 3
     assert Sqrt2Num.of(-3).floor() == -3
-    assert SQRT2.floor() == 1
-    assert (-SQRT2).floor() == -2
+    assert Sqrt2Num.of(0, 1).floor() == 1
+    assert (-Sqrt2Num.of(0, 1)).floor() == -2
 
 
 def test_scaled_floor_matches_decimal():
@@ -109,7 +109,7 @@ def test_rational_values_hash_and_compare_as_the_numbers_they_equal():
         assert x in {value} and value in {x}
         assert {x: "x"}[value] == "x" and {value: "v"}[x] == "v"
     # an irrational value equals no int or Fraction and is found in no set of them
-    assert SQRT2 not in {1, 2, Fraction(1, 2)}
+    assert Sqrt2Num.of(0, 1) not in {1, 2, Fraction(1, 2)}
     assert Sqrt2Num.of(1, 1) in {Sqrt2Num.of(1, 1)}
 
 

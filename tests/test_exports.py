@@ -7,7 +7,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-INIT = ROOT / "src" / "grouporders" / "__init__.py"
+PACKAGE = ROOT / "src" / "grouporders"
+INIT = PACKAGE / "__init__.py"
 
 
 def _exported():
@@ -18,19 +19,30 @@ def _exported():
 
 def _used(path):
     """Names a file reads, as a bare name or an attribute; a def, a class or
-    an assignment target is not a use."""
-    used = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    an assignment target is not a use.  Outside the package a bare name
+    counts only if the file imports it from ``grouporders``, so a file's own
+    variable that shares a name with the package's is no use of it."""
+    tree = ast.parse(path.read_text())
+    bare, attributes = set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    return used
+            attributes.add(node.attr)
+    if path.parent != PACKAGE:
+        imported = {
+            a.asname or a.name: a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "grouporders"
+            for a in node.names
+        }
+        bare = {imported[name] for name in bare if name in imported}
+    return bare | attributes
 
 
 def _used_outside_the_unit_tests():
     files = [
-        *(ROOT / "src" / "grouporders").glob("*.py"),
+        *PACKAGE.glob("*.py"),
         *(ROOT / "demos").glob("*.py"),
         *(ROOT / "perfbench").glob("*.py"),
         ROOT / "tests" / "test_acceptance.py",
@@ -45,7 +57,7 @@ def test_every_export_has_a_caller_outside_the_unit_tests():
 def test_every_public_definition_has_a_caller_outside_the_unit_tests():
     defined = {
         (path.name, node.name)
-        for path in (ROOT / "src" / "grouporders").glob("*.py")
+        for path in PACKAGE.glob("*.py")
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }

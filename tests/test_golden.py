@@ -9,7 +9,6 @@ import hashlib
 
 from grouporders import (
     HEISENBERG,
-    OrderMatrix,
     ball,
     build_extension_system,
     default_generators,
@@ -140,11 +139,10 @@ def _inputs():
     D3 = window_from_elements(zn(2), [zn_element(1, 0), zn_element(0, 1)])
     _write("d2.json", ser.window_to_json(D2))
     _write("d3.json", ser.window_to_json(D3))
-    pattern = OrderMatrix.from_ranks(D2, [1, 0])
     _write("cyl.json", {
         "format": 1,
         "window": ser.window_to_json(D2),
-        "pattern": ser.order_to_json(pattern, include_window=False),
+        "pattern": {"format": 1, "closed": True, "perm": [1, 0]},
     })
     _write("k.json", {"format": 1, "group": {"kind": "zn", "n": 2}, "elements": [[0, 1]]})
     D1 = window_from_elements(zn(1), [zn_element(1), zn_element(-2)])

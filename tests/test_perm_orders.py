@@ -39,7 +39,7 @@ from grouporders import orders, rng, sampling
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grouporders"
 
-READS = ("perm", "ranks", "rows", "pairs", "has", "induced", "eq", "is_total", "count", "repr")
+READS = ("perm", "ranks", "rows", "pairs", "has", "induced", "eq", "is_total", "repr")
 
 
 def reads(m, name, positions):
@@ -61,8 +61,6 @@ def reads(m, name, positions):
         return m == OrderMatrix.from_pairs(m.window, m.pairs(), closed=True)
     if name == "is_total":
         return is_total(m)
-    if name == "count":
-        return m.decided_count()
     return repr(m)
 
 
@@ -108,7 +106,7 @@ def test_equality_and_totality_of_perm_orders_invert_nothing(monkeypatch):
     w = interval_window(-3, 4)
     a, b = OrderMatrix.from_sorted(w, [3, 1, 2, 0, 6, 5, 4]), OrderMatrix.from_keys(w, [5, 0, 6, 1, 4, 2, 3])
     monkeypatch.setattr(orders, "_invert", lambda perm: 1 // 0)
-    assert is_total(a) and a.decided_count() == 21 and "total" in repr(a)
+    assert is_total(a) and "total" in repr(a)
     assert a == OrderMatrix.from_sorted(w, [3, 1, 2, 0, 6, 5, 4]) and a != b
     assert b.perm() == [1, 3, 5, 6, 4, 0, 2]
     with pytest.raises(ZeroDivisionError):

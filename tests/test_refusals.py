@@ -7,7 +7,6 @@ import pytest
 
 from grouporders import (
     HEISENBERG,
-    SQRT2,
     ConstraintSystem,
     CylinderSpec,
     DomainNotCovered,
@@ -40,7 +39,7 @@ from grouporders.constraints import cone_contains
 from grouporders.groups import GroupId
 from grouporders.orders import direction_set, past_set, translate_order
 from grouporders.sampling import orbit_keys
-from grouporders.stats import EstimateReport, chi2_quantile, gamma_p, uniformity_chisq
+from grouporders.stats import EstimateReport, chi2_cdf, chi2_quantile, uniformity_chisq
 
 W3 = interval_window(0, 3)
 OPEN = OrderMatrix.from_pairs(W3, [(0, 1)])
@@ -83,8 +82,8 @@ def _translate_past_the_dense_cap():
          "window is not a contiguous rectangle"),
         (_translate_past_the_dense_cap, SizeLimitExceeded, "translating a 3-element order needs a dense matrix"),
         # sampling
-        (lambda: orbit_keys(torus_action([SQRT2, 2 * SQRT2]), (0, 0, 0), zn(2), [(0, 0)]), ValueError,
-         "point dimension mismatch"),
+        (lambda: orbit_keys(torus_action([Sqrt2Num.of(0, 1), Sqrt2Num.of(0, 2)]), (0, 0, 0), zn(2), [(0, 0)]),
+         ValueError, "point dimension mismatch"),
         (lambda: reconstruct(uniform_order(ball(default_generators(HEISENBERG), 1), 1), cesaro(1)),
          DomainNotCovered, "averaging schemes act on Z^n windows"),
         (lambda: stabilizer_check(uniform_order(W3, 1), interval_window(0, 2), default_generators(zn(1))),
@@ -95,7 +94,8 @@ def _translate_past_the_dense_cap():
          "frequency must equal hits/samples"),
         (lambda: uniformity_chisq(uniform_sampler(interval_window(0, 7)), interval_window(0, 7), 1, 0),
          ValueError, "too many ranking cells (|F|! must stay <= 1000)"),
-        (lambda: gamma_p(1, -1), ValueError, "need x >= 0 and a > 0"),
+        (lambda: chi2_cdf(-1, 1), ValueError, "need x >= 0 and a whole-number dof >= 1"),
+        (lambda: chi2_cdf(1, 2.5), ValueError, "need x >= 0 and a whole-number dof >= 1"),
         (lambda: chi2_quantile(0, 1), ValueError, "p must lie strictly between 0 and 1"),
         (lambda: chi2_quantile(0.5, 0), ValueError, "dof must be positive"),
         # rng and exactnum

@@ -569,6 +569,66 @@ def test_realize_moves_with_the_rotation(data, alpha, x):
     assert realize(act, x + alpha, w).perm() == realize(act, x, moved).perm()
 
 
+SEPARATION_ANGLES = [ALPHA, Sqrt2Num.of(Fraction(-9, 4), Fraction(2, 3)), Sqrt2Num.of(Fraction(7, 5), Fraction(-3, 4))]
+
+
+def _frac(v):
+    return v - v.floor()
+
+
+def _largest_gap(alpha, n):
+    """The largest gap between the points frac(j*alpha), j < n, n >= 2, by
+    the three-distance theorem (see ``sampling._hull_walk``): with
+    p/q < frac(alpha) < s/r its neighbours in the Farey sequence of order
+    n - 1, the gaps are q*alpha - p, s - r*alpha and, iff q + r > n, their
+    sum.  Checked against the sorted points."""
+    a = _frac(alpha)
+    below = max(Fraction((a * d).floor(), d) for d in range(1, n))
+    above = min(Fraction((a * d).floor() + 1, d) for d in range(1, n))
+    q, r = below.denominator, above.denominator
+    small, large = a * q - below.numerator, above.numerator - a * r
+    gap = small + large if q + r > n else max(small, large)
+    points = sorted(_frac(a * j) for j in range(n))
+    assert gap == max([b - c for b, c in zip(points[1:], points)] + [1 - points[-1]])
+    return gap
+
+
+@pytest.mark.parametrize("alpha", SEPARATION_ANGLES)
+def test_realize_separates_points_exactly_when_a_cut_lies_between(alpha):
+    # x + j*alpha crosses an integer at x = frac(-j*alpha): there j moves
+    # from last to first, and the order of [0, n) at x < y is the order at
+    # y iff no such cut lies in (x, y]; so the rotation's copy of the
+    # circle is injective once the cuts are finer than |x - y|
+    rnd = random.Random(18)
+
+    def point(cuts, near):
+        kind = rnd.randrange(3)
+        if kind == 0:
+            return _frac(Sqrt2Num.of(Fraction(rnd.randint(-50, 50), rnd.randint(1, 50)),
+                                     Fraction(rnd.randint(-50, 50), rnd.randint(1, 50))))
+        if kind == 1:
+            return rnd.choice(cuts)
+        return _frac(near + Fraction(rnd.choice([-1, 1]), rnd.randint(2, 4 * len(cuts))))
+
+    act = rotation_action(alpha)
+    outcomes = set()
+    for n in (2, 3, 5, 13, 60):
+        w = interval_window(0, n)
+        cuts = [_frac(-alpha * j) for j in range(n)]
+        gap = _largest_gap(alpha, n)
+        for _ in range(25):
+            x = point(cuts, rnd.choice(cuts))
+            x, y = sorted((x, point(cuts, x)))
+            if x == y:
+                continue
+            same = realize(act, x, w).perm() == realize(act, y, w).perm()
+            assert same is not any(x < c <= y for c in cuts), (n, x, y)
+            if gap < min(y - x, 1 - y + x):
+                assert not same, (n, x, y)
+            outcomes.add(same)
+    assert outcomes == {True, False}
+
+
 def test_an_orbit_value_on_zero_comes_first():
     # frac(x + k0*alpha) == 0 exactly: the cut lands on k0 itself
     ks = list(range(-10, 11))

@@ -37,7 +37,7 @@ from grouporders import (
 )
 from grouporders import rng, sampling
 from grouporders.orders import MAX_DENSE_ELEMENTS
-from grouporders.stats import chi2_cdf, gamma_p, permutation_rank
+from grouporders.stats import chi2_cdf, permutation_rank
 
 W = ball(default_generators(zn(2)), 2)
 D3 = window_from_elements(zn(2), [zn_element(0, 0), zn_element(1, 0), zn_element(0, 1)])
@@ -148,14 +148,26 @@ def test_pattern_id_matches_cell_indexing():
     assert sorted(pattern_id(c) for c in pats) == list(range(6))
 
 
-def test_gamma_p_and_quantile_against_scipy():
-    for a, x in ((0.5, 0.2), (2.0, 1.0), (11.5, 30.0), (50.0, 40.0)):
-        assert gamma_p(a, x) == pytest.approx(scipy.stats.gamma.cdf(x, a), abs=1e-10)
-    for dof in (1, 2, 5, 23, 119):
-        for p in (0.001, 0.5, 0.999):
+CHI2_DOFS = [*range(1, 130), 199, 499, 719, 999]
+CHI2_PROBABILITIES = [1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6]
+
+
+def test_chi2_cdf_against_scipy_in_both_tails_and_the_bulk():
+    # x = dof + 2 is the first point of the closed-form tail
+    for dof in CHI2_DOFS:
+        for x in (0.01, dof / 2, dof, dof + 2, 2 * dof, 10 * dof + 100):
+            assert chi2_cdf(x, dof) == pytest.approx(scipy.stats.chi2.cdf(x, dof), abs=1e-12), (x, dof)
+    assert chi2_cdf(3.0, 2.0) == chi2_cdf(3.0, 2)
+
+
+def test_chi2_quantile_against_scipy():
+    # the bisection stops at width 1e-12 below 1, so tiny quantiles are
+    # held to that absolute accuracy
+    for dof in CHI2_DOFS:
+        for p in CHI2_PROBABILITIES:
             assert chi2_quantile(p, dof) == pytest.approx(
-                scipy.stats.chi2.ppf(p, dof), abs=1e-7, rel=1e-9
-            )
+                scipy.stats.chi2.ppf(p, dof), rel=1e-10, abs=1e-12
+            ), (p, dof)
     assert chi2_cdf(chi2_quantile(0.999, 23), 23) == pytest.approx(0.999, abs=1e-10)
     # frozen reference value (independent of scipy at runtime)
     assert chi2_quantile(0.999, 23) == pytest.approx(49.72823246643, abs=1e-8)

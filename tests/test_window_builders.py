@@ -442,7 +442,7 @@ def test_keying_realizing_and_writing_a_window_file_builds_no_element():
     for m in orders:
         ser.order_to_json(m)
     ser.window_to_json(z1)
-    render_levels(ser.order_from_json(ser.order_to_json(orders[1], include_window=False), rect))
+    render_levels(ser.order_from_json(ser.order_to_json(orders[1]), rect))
     for m in orders[0], orders[2], orders[4]:
         reconstruct(m, cesaro(20))
     reconstruct(orders[3], box(3))
